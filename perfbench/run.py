@@ -75,8 +75,6 @@ def main():
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--threads", type=int,
-                        help="pool workers for sweep_grid (default: nproc)")
     parser.add_argument("--selftest", action="store_true",
                         help="build and run only the self-test")
     args = parser.parse_args()
@@ -98,8 +96,6 @@ def main():
                "--workload", args.workload, "--seed", str(args.seed),
                "--seconds", repr(args.seconds), "--trace", str(args.trace),
                "--scratch", os.path.join(build_dir, "scratch")]
-    if args.threads is not None:
-        command += ["--threads", str(args.threads)]
     try:
         driver = subprocess.run(command, stdout=subprocess.PIPE, text=True,
                                 timeout=DRIVER_TIMEOUT_S, check=False)

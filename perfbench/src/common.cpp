@@ -133,24 +133,24 @@ unsigned available_cpus() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
-void run_units(double seconds, const std::function<double()>& unit) {
+void run_units(double seconds, double nominal_unit_s,
+               const std::function<void()>& unit) {
+  const int units = std::max(
+      kMinUnits, static_cast<int>(std::lround(seconds / nominal_unit_s)));
   const double start = now_s();
-  double last = 0;
-  for (int done = 0;; ++done) {
-    if (done >= kMinUnits && now_s() - start + last > seconds) return;
-    last = unit();
+  for (int done = 0; done < units; ++done) {
+    if (done >= kMinUnits && now_s() - start > 2 * seconds) return;
+    unit();
   }
 }
 
-double median_setup(int reps, const std::function<void()>& setup) {
-  std::vector<double> times;
-  for (int i = 0; i < reps; ++i) {
-    const double start = now_s();
-    setup();
-    times.push_back(now_s() - start);
-  }
-  return median(std::move(times));
+void SetupTimer::block() {
+  const double start = now_s();
+  for (int i = 0; i < reps_; ++i) setup_();
+  samples_.push_back((now_s() - start) / reps_);
 }
+
+double SetupTimer::median_s() const { return median(samples_); }
 
 // -- Results -------------------------------------------------------------------
 
@@ -264,7 +264,7 @@ Accuracy lane_accuracy(std::span<const sweep::ScenarioResult> results,
 }
 
 void set_end_to_end(Report& report, const std::vector<double>& unit_rates,
-                    double setup_s, const Accuracy& accuracy) {
+                    const SetupTimer& setup, const Accuracy& accuracy) {
   report.check(accuracy.cells > 0, "no scored cell has clock-error data");
   // The fastest unit: other tenants of a shared host only ever slow a unit
   // down, so the best of many short units is the steadiest estimate of the
@@ -277,7 +277,13 @@ void set_end_to_end(Report& report, const std::vector<double>& unit_rates,
       *std::min_element(unit_rates.begin(), unit_rates.end()),
       median(unit_rates),
       *std::max_element(unit_rates.begin(), unit_rates.end())));
-  report.set("setup_s", setup_s);
+  report.set("setup_s", setup.median_s());
+  report.notes.push_back(tscclock::strfmt(
+      "setup_s over %zu set-up blocks: min %.6g, median %.6g, max %.6g",
+      setup.samples().size(),
+      *std::min_element(setup.samples().begin(), setup.samples().end()),
+      setup.median_s(),
+      *std::max_element(setup.samples().begin(), setup.samples().end())));
   report.set("peak_rss_mb", peak_rss_mb());
   report.set("clock_err_med_us", accuracy.median_us);
   report.set("clock_err_tail_us", accuracy.tail_us);

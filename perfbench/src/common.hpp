@@ -43,7 +43,6 @@ struct RunOptions {
   std::uint64_t seed = 1;
   double seconds = 10;
   bool trace = false;
-  unsigned threads = 1;           ///< pool workers (sweep_grid only)
   std::string scratch_dir = ".";  ///< where trace_replay writes its file
 };
 
@@ -79,6 +78,8 @@ inline constexpr std::size_t kAdevShort = 16;
 inline constexpr std::size_t kAdevLong = 256;
 /// Timed units per run at least, whatever --seconds says.
 inline constexpr int kMinUnits = 3;
+/// Set-up calls per timed block when one set-up takes under a millisecond.
+inline constexpr int kSetupReps = 50;
 
 /// The sweep CLI's `stress` schedule (tools/sweep_main.cpp): a 20-minute
 /// outage at 25 %, a ServerLoc switch at 50 % and a 10-minute 150 ms server
@@ -97,13 +98,34 @@ double peak_rss_mb();
 /// CPUs this process may run on (what nproc prints).
 unsigned available_cpus();
 
-/// Call `unit`, which returns its own wall seconds, back to back: kMinUnits
-/// times, then again only while the next call (estimated by the last one)
-/// still ends within `seconds` of the first start.
-void run_units(double seconds, const std::function<double()>& unit);
+/// Call `unit` back to back a fixed number of times: `seconds` over
+/// `nominal_unit_s`, the workload's unit time at the baseline's speed (at
+/// least kMinUnits). The count does not depend on how fast the units run, so
+/// the fastest unit is a maximum over the same number of draws on both sides
+/// of a comparison. Only a change slow enough to use up 2 × `seconds` is cut
+/// short, and that change is a regression anyway.
+void run_units(double seconds, double nominal_unit_s,
+               const std::function<void()>& unit);
 
-/// Median wall time of `reps` calls of `setup`.
-double median_setup(int reps, const std::function<void()>& setup);
+/// Times a workload's set-up in blocks of `reps` back-to-back calls: one
+/// block is one sample, the mean call time over the block. The workloads
+/// time a block before the timed region and one after every timed unit, so
+/// the samples spread over the whole run instead of one moment of it, and a
+/// sub-millisecond set-up is timed as one tens-of-milliseconds block.
+class SetupTimer {
+ public:
+  SetupTimer(int reps, std::function<void()> setup)
+      : reps_(reps), setup_(std::move(setup)) {}
+  void block();
+  /// Median over the blocks so far of the mean seconds per set-up.
+  [[nodiscard]] double median_s() const;
+  [[nodiscard]] const std::vector<double>& samples() const { return samples_; }
+
+ private:
+  int reps_;
+  std::function<void()> setup_;
+  std::vector<double> samples_;
+};
 
 // -- Results -------------------------------------------------------------------
 
@@ -151,9 +173,10 @@ Accuracy lane_accuracy(std::span<const sweep::ScenarioResult> results,
                        const std::string& label);
 
 /// The end-to-end metrics: exch_per_s is the fastest timed unit's rate,
-/// peak RSS is read here, at the end of the run.
+/// setup_s the set-up timer's median, peak RSS is read here, at the end of
+/// the run.
 void set_end_to_end(Report& report, const std::vector<double>& unit_rates,
-                    double setup_s, const Accuracy& accuracy);
+                    const SetupTimer& setup, const Accuracy& accuracy);
 
 /// Decision counters of robust lanes, summed (the core.* counts).
 struct RobustCounts {

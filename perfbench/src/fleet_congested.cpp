@@ -23,6 +23,9 @@ namespace perfbench {
 
 namespace {
 
+/// One fleet cell at the baseline's speed (run_units).
+constexpr double kUnitSeconds = 3.0;
+
 sweep::GridSpec grid_spec(std::uint64_t seed) {
   sweep::GridSpec grid;
   grid.servers = {sim::ServerKind::kInt};
@@ -226,22 +229,23 @@ Report untraced(const RunOptions& options) {
   // lookahead), which run_scenario_multi repeats inside the timed region.
   sweep::GridSpec grid;
   std::optional<sweep::SweepScenario> scenario;
-  const double setup_s = median_setup(21, [&] {
+  SetupTimer setup(kSetupReps, [&] {
     grid = grid_spec(options.seed);
     scenario = sweep::expand_grid(grid).front();
     [[maybe_unused]] const sim::FleetTestbed fleet(scenario->config,
                                                    scenario->fleet.config);
   });
+  setup.block();
 
   std::vector<double> rates;
   std::vector<sweep::ScenarioResult> first;
   std::uint64_t digest = 0;
-  run_units(options.seconds, [&] {
+  run_units(options.seconds, kUnitSeconds, [&] {
     const double start = now_s();
     std::vector<sweep::ScenarioResult> results =
         run_cell(*scenario, grid.estimators, true);
-    const double wall = now_s() - start;
-    rates.push_back(static_cast<double>(results.front().exchanges) / wall);
+    rates.push_back(static_cast<double>(results.front().exchanges) /
+                    (now_s() - start));
     count_cells(report, results);
     const std::uint64_t d = results_digest(results);
     if (first.empty()) {
@@ -250,15 +254,14 @@ Report untraced(const RunOptions& options) {
     } else {
       report.check(d == digest, "results digest changed between fleet runs");
     }
-    return wall;
+    setup.block();
   });
   check_cells(report, first);
   report.check(first.front().failed || first.front().clients == 16,
                "fleet cell did not simulate 16 clients");
   report.notes.push_back("results digest " + hex64(digest) + " over " +
                          std::to_string(rates.size()) + " fleet runs");
-  set_end_to_end(report, rates, setup_s,
-                 lane_accuracy(first, "robust"));
+  set_end_to_end(report, rates, setup, lane_accuracy(first, "robust"));
   return report;
 }
 

@@ -8,7 +8,7 @@
 // (--trace 1). perfbench/run.py builds and runs it; see perfbench/README.md.
 //
 //   perfbench --workload NAME --seed N --seconds S --trace 0|1
-//             [--threads N] [--scratch DIR]
+//             [--scratch DIR]
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -36,7 +36,7 @@ int usage(const std::string& why) {
   std::fprintf(stderr,
                "perfbench: %s\n"
                "usage: perfbench --workload sweep_grid|fleet_congested|"
-               "trace_replay --seed N --seconds S --trace 0|1 [--threads N] "
+               "trace_replay --seed N --seconds S --trace 0|1 "
                "[--scratch DIR]\n",
                why.c_str());
   return 2;
@@ -50,7 +50,6 @@ std::string number(double value) {
 
 int main(int argc, char** argv) {
   perfbench::RunOptions options;
-  options.threads = perfbench::available_cpus();
   perfbench::Workload run = nullptr;
   bool have_seed = false, have_seconds = false, have_trace = false;
   for (int i = 1; i < argc; i += 2) {
@@ -75,11 +74,6 @@ int main(int argc, char** argv) {
         if (value != "0" && value != "1") return usage("--trace takes 0 or 1");
         options.trace = value == "1";
         have_trace = true;
-      } else if (flag == "--threads") {
-        const std::uint64_t threads = tscclock::parse_u64_exact(value);
-        if (threads < 1 || threads > perfbench::available_cpus())
-          return usage("--threads must be in [1, nproc]");
-        options.threads = static_cast<unsigned>(threads);
       } else if (flag == "--scratch") {
         options.scratch_dir = value;
       } else {
@@ -92,10 +86,10 @@ int main(int argc, char** argv) {
   if (run == nullptr || !have_seed || !have_seconds || !have_trace)
     return usage("--workload, --seed, --seconds and --trace are required");
 
-  std::printf("perfbench workload=%s seed=%llu seconds=%g trace=%d threads=%u\n",
+  std::printf("perfbench workload=%s seed=%llu seconds=%g trace=%d\n",
               options.workload.c_str(),
               static_cast<unsigned long long>(options.seed), options.seconds,
-              options.trace ? 1 : 0, options.threads);
+              options.trace ? 1 : 0);
   const perfbench::Fingerprint fingerprint = perfbench::machine_fingerprint();
   std::printf("fingerprint %s\n", perfbench::to_json(fingerprint).c_str());
   if (!fingerprint.valid_baseline)

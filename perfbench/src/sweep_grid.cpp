@@ -22,6 +22,9 @@ namespace perfbench {
 
 namespace {
 
+/// One grid run at the baseline's speed on 4 CPUs (run_units).
+constexpr double kUnitSeconds = 2.5;
+
 sweep::GridSpec grid_spec(std::uint64_t seed) {
   sweep::GridSpec grid;  // servers loc,int,ext × envs lab,machine × polls 16,64
   grid.schedules = {sweep::ScheduleVariant{}, stress_schedule(kMonth)};
@@ -114,24 +117,25 @@ Report untraced(const RunOptions& options) {
   // forks, attachment walk) — the pool repeats the latter inside the timed
   // region, so work moved into construction shows here too.
   std::optional<sweep::ScenarioSweep> grid;
-  const double setup_s = median_setup(21, [&] {
+  SetupTimer setup(kSetupReps, [&] {
     grid.emplace(grid_spec(options.seed));
     for (const auto& scenario : grid->scenarios()) {
       [[maybe_unused]] const sim::Testbed testbed(scenario.config);
     }
   });
+  setup.block();
 
   const auto& estimators = grid->grid().estimators;
   const std::size_t lanes = estimators.size();
-  const sweep::SweepOptions pool = pool_options(options.threads);
+  const unsigned threads = available_cpus();
+  const sweep::SweepOptions pool = pool_options(threads);
   std::vector<double> rates;
   std::vector<sweep::ScenarioResult> first;
   std::uint64_t digest = 0;
-  run_units(options.seconds, [&] {
+  run_units(options.seconds, kUnitSeconds, [&] {
     const double start = now_s();
     std::vector<sweep::ScenarioResult> results = grid->run(pool);
-    const double wall = now_s() - start;
-    rates.push_back(stream_exchanges(results, lanes) / wall);
+    rates.push_back(stream_exchanges(results, lanes) / (now_s() - start));
     count_cells(report, results);
     const std::uint64_t d = results_digest(results);
     if (first.empty()) {
@@ -140,7 +144,7 @@ Report untraced(const RunOptions& options) {
     } else {
       report.check(d == digest, "results digest changed between grid runs");
     }
-    return wall;
+    setup.block();
   });
   check_cells(report, first);
 
@@ -159,9 +163,8 @@ Report untraced(const RunOptions& options) {
 
   report.notes.push_back("results digest " + hex64(digest) + " over " +
                          std::to_string(rates.size()) + " grid runs, " +
-                         std::to_string(options.threads) + " threads");
-  set_end_to_end(report, rates, setup_s,
-                 lane_accuracy(first, "robust"));
+                         std::to_string(threads) + " threads");
+  set_end_to_end(report, rates, setup, lane_accuracy(first, "robust"));
   return report;
 }
 
@@ -172,8 +175,9 @@ Report traced(const RunOptions& options) {
   const std::size_t lanes = estimators.size();
 
   // The pool at N threads, then at 1: speedup and the pool's idle share.
+  const unsigned threads = available_cpus();
   double start = now_s();
-  const auto pooled = grid.run(pool_options(options.threads));
+  const auto pooled = grid.run(pool_options(threads));
   const double wall_n = now_s() - start;
   const std::uint64_t digest = results_digest(pooled);
   count_cells(report, pooled);
@@ -184,7 +188,7 @@ Report traced(const RunOptions& options) {
   const double wall_1 = now_s() - start;
   report.check(results_digest(single) == digest,
                "pool results differ between 1 and " +
-                   std::to_string(options.threads) + " threads");
+                   std::to_string(threads) + " threads");
 
   // Per scenario, back to back: serial run_scenario_multi (the cell-size
   // distribution) and the traced drive of the same cell, so the tracing
@@ -225,7 +229,7 @@ Report traced(const RunOptions& options) {
   report.set("sweep.cell_s_max", *std::max_element(cell_s.begin(), cell_s.end()));
   report.set("sweep.speedup", wall_1 / wall_n);
   const double workers =
-      static_cast<double>(std::min<std::size_t>(options.threads, cell_s.size()));
+      static_cast<double>(std::min<std::size_t>(threads, cell_s.size()));
   report.set("sweep.idle_frac", 1.0 - cell_total / (workers * wall_n));
 
   RobustCounts counts;
@@ -248,7 +252,7 @@ Report traced(const RunOptions& options) {
   report.notes.push_back(tscclock::strfmt(
       "results digest %s: pool at %u threads %.3f s, at 1 thread %.3f s, "
       "serial cells %.3f s, traced drive %.3f s",
-      hex64(digest).c_str(), options.threads, wall_n, wall_1, cell_total,
+      hex64(digest).c_str(), threads, wall_n, wall_1, cell_total,
       traced_wall));
   return report;
 }

@@ -29,6 +29,10 @@ namespace {
 
 namespace trace = tscclock::trace;
 
+/// One write + replay plus the set-up block after it, at the baseline's
+/// speed (run_units).
+constexpr double kUnitSeconds = 1.8;
+
 sweep::GridSpec source_grid(std::uint64_t seed) {
   sweep::GridSpec grid;
   grid.servers = {sim::ServerKind::kInt};
@@ -117,9 +121,13 @@ struct OfflineStats {
 /// run_scenario_multi's imported-trace drive rebuilt from public pieces so
 /// each call into a layer is a span: the smoother's process_trace
 /// (core.offline or core.offline_split), the rest of ReplaySession::run
-/// (harness.replay: record emission), and the exact reducer's feed and
-/// reduce() (harness.reduce_exact). The caller checks the cells
-/// bit-identical to run_scenario_multi's.
+/// (harness.replay: record emission into a CollectorSink), and the exact
+/// reducer's feed and reduce() (harness.reduce_exact). ReplaySession hands
+/// its sinks one record at a time, so a span per record would time mostly
+/// the tracer; the reducer is instead fed the collected records, in emission
+/// order, in one span after the replay. harness.replay therefore includes one
+/// vector append per record that the untraced drive does not make. The
+/// caller checks the cells bit-identical to run_scenario_multi's.
 std::vector<sweep::ScenarioResult> replay_lanes(
     const Source& source, const trace::TraceMeta& meta,
     const harness::ReplayTrace& replayed, SpanTracer& tracer,
@@ -133,15 +141,13 @@ std::vector<sweep::ScenarioResult> replay_lanes(
   std::vector<sweep::ScenarioResult> results;
   for (const auto& spec : source.estimators) {
     const bool split = registry.resolve(spec).get_choice("split") == "shifts";
-    harness::ReducerSink reducer(meta.poll_period, kAdevShort, kAdevLong,
-                                 meta.mode);
-    TimedSink timed_reducer(reducer, tracer, "harness.reduce_exact");
+    harness::CollectorSink emitted;
     auto estimator = std::make_unique<TimedReplayEstimator>(
         registry.make_replay(spec, config.params, meta.nominal_period), tracer,
         split ? "core.offline_split" : "core.offline");
     const TimedReplayEstimator& timed_estimator = *estimator;
     harness::ReplaySession replay(config, std::move(estimator));
-    replay.add_sink(timed_reducer);
+    replay.add_sink(emitted);
     const harness::SessionSummary summary =
         tracer.time("harness.replay", [&] { return replay.run(replayed); });
 
@@ -149,8 +155,12 @@ std::vector<sweep::ScenarioResult> replay_lanes(
     result.from_trace = true;
     result.relative_only = meta.mode == harness::GroundTruthMode::kRelativeOnly;
     fill_summary(result, summary);
-    fill_reduction(result, tracer.time("harness.reduce_exact",
-                                       [&] { return reducer.reduce(); }));
+    fill_reduction(result, tracer.time("harness.reduce_exact", [&] {
+      harness::ReducerSink reducer(meta.poll_period, kAdevShort, kAdevLong,
+                                   meta.mode);
+      for (const auto& record : emitted.records()) reducer.on_sample(record);
+      return reducer.reduce();
+    }));
     results.push_back(std::move(result));
 
     OfflineStats lane;
@@ -170,22 +180,24 @@ std::vector<sweep::ScenarioResult> replay_lanes(
 Report untraced(const RunOptions& options) {
   Report report;
   const ScratchFile file(options.scratch_dir);
-  // Set-up: simulating and recording the month-long source trace.
+  // Set-up: simulating and recording the month-long source trace. Each unit
+  // below replays the latest recording, so a recording that changed between
+  // set-ups shows as a changed digest.
   std::optional<Source> source;
-  const double setup_s = median_setup(
-      3, [&] { source.emplace(record_source(options.seed, file.path())); });
+  SetupTimer setup(
+      1, [&] { source.emplace(record_source(options.seed, file.path())); });
+  setup.block();
 
   const std::size_t records = source->trace.exchanges;
   std::vector<double> rates;
   std::vector<sweep::ScenarioResult> first;
   std::uint64_t digest = 0;
-  run_units(options.seconds, [&] {
+  run_units(options.seconds, kUnitSeconds, [&] {
     const double start = now_s();
     trace::write_trace(file.path(), source->meta, source->trace);
     std::vector<sweep::ScenarioResult> results =
         run_cell(source->cell, source->estimators, false);
-    const double wall = now_s() - start;
-    rates.push_back(static_cast<double>(records) / wall);
+    rates.push_back(static_cast<double>(records) / (now_s() - start));
     count_cells(report, results);
     count_records(report, results, records);
     const std::uint64_t d = results_digest(results);
@@ -195,7 +207,7 @@ Report untraced(const RunOptions& options) {
     } else {
       report.check(d == digest, "results digest changed between replays");
     }
-    return wall;
+    setup.block();
   });
   check_cells(report, first);
   for (const auto& cell : first) {
@@ -206,8 +218,7 @@ Report untraced(const RunOptions& options) {
   report.notes.push_back("results digest " + hex64(digest) + " over " +
                          std::to_string(rates.size()) + " replays of " +
                          std::to_string(records) + " records");
-  set_end_to_end(report, rates, setup_s,
-                 lane_accuracy(first, "offline"));
+  set_end_to_end(report, rates, setup, lane_accuracy(first, "offline"));
   return report;
 }
 
