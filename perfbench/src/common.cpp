@@ -2,12 +2,17 @@
 
 #include <sched.h>
 #include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <thread>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -139,18 +144,129 @@ void run_units(double seconds, double nominal_unit_s,
       kMinUnits, static_cast<int>(std::lround(seconds / nominal_unit_s)));
   const double start = now_s();
   for (int done = 0; done < units; ++done) {
-    if (done >= kMinUnits && now_s() - start > 2 * seconds) return;
+    if (done >= kMinUnits && now_s() - start > kMaxOverrun * seconds) return;
     unit();
   }
 }
 
-void SetupTimer::block() {
-  const double start = now_s();
-  for (int i = 0; i < reps_; ++i) setup_();
-  samples_.push_back((now_s() - start) / reps_);
+namespace {
+
+/// One thread's share of the host-speed probe: 2^17 doubles formatted as
+/// hexfloats, parsed back and sorted, in rounds over `working_set` of them at
+/// a time, so the work is the same whatever the working set. The same
+/// values on every call.
+double probe_work(std::size_t working_set) {
+  constexpr std::size_t kTotal = std::size_t{1} << 17;
+  std::vector<double> values(working_set);
+  std::vector<double> parsed;
+  std::string text;
+  std::uint64_t x = 0x9e3779b97f4a7c15ull;
+  double checksum = 0;
+  for (std::size_t round = 0; round < kTotal / working_set; ++round) {
+    for (auto& value : values) {
+      x ^= x << 13;  // xorshift64
+      x ^= x >> 7;
+      x ^= x << 17;
+      value = static_cast<double>(x >> 11) * 0x1p-53;
+    }
+    text.clear();
+    for (const double value : values) {
+      // Sized, then formatted into a fresh heap string: two formatting
+      // passes and an allocation per field, the mix kProbeNominalS was
+      // calibrated with.
+      const auto n =
+          static_cast<std::size_t>(std::snprintf(nullptr, 0, "%a", value));
+      std::string field(n + 1, '\0');
+      // GCC cannot see that n + 1 bytes hold the text the first pass sized.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wformat-truncation"
+      std::snprintf(field.data(), field.size(), "%a", value);
+#pragma GCC diagnostic pop
+      field.resize(n);
+      text += field;
+      text += '\t';
+    }
+    parsed.clear();
+    for (const char* p = text.c_str(); *p != '\0';) {
+      char* end = nullptr;
+      parsed.push_back(std::strtod(p, &end));
+      p = end + 1;
+    }
+    std::sort(parsed.begin(), parsed.end());
+    checksum += parsed[working_set / 2];
+  }
+  return checksum;
 }
 
-double SetupTimer::median_s() const { return median(samples_); }
+/// The probe's work on `threads` threads at once; its wall seconds.
+double run_probe(unsigned threads, std::size_t working_set) {
+  std::vector<double> sums(std::max(1u, threads));
+  const double start = now_s();
+  std::vector<std::thread> workers;
+  for (std::size_t t = 1; t < sums.size(); ++t)
+    workers.emplace_back(
+        [&sums, t, working_set] { sums[t] = probe_work(working_set); });
+  sums[0] = probe_work(working_set);
+  for (auto& worker : workers) worker.join();
+  const double elapsed = now_s() - start;
+  static volatile double observed = 0;  // keeps the probe's work alive
+  for (const double sum : sums) observed = observed + sum;
+  return elapsed;
+}
+
+}  // namespace
+
+double probe_s(unsigned threads, std::size_t working_set) {
+  // The probe runs in a child process, so its memory never counts in this
+  // process's peak RSS. The child times itself and reports over a pipe.
+  int fds[2];
+  if (::pipe(fds) != 0) throw std::runtime_error("host-speed probe: no pipe");
+  const pid_t child = ::fork();
+  if (child == 0) {
+    ::close(fds[0]);
+    const double elapsed = run_probe(threads, working_set);
+    const bool sent =
+        ::write(fds[1], &elapsed, sizeof elapsed) == sizeof elapsed;
+    ::_exit(sent ? 0 : 1);
+  }
+  ::close(fds[1]);
+  double elapsed = 0;
+  const bool received =
+      child > 0 && ::read(fds[0], &elapsed, sizeof elapsed) == sizeof elapsed;
+  ::close(fds[0]);
+  int status = 0;
+  while (child > 0 && ::waitpid(child, &status, 0) < 0 && errno == EINTR) {
+  }
+  if (!received || !WIFEXITED(status) || WEXITSTATUS(status) != 0)
+    throw std::runtime_error("host-speed probe failed");
+  return elapsed;
+}
+
+double RateMeter::probe() {
+  speeds_.push_back(kProbeNominalS / probe_s(threads_, working_set_));
+  return speeds_.back();
+}
+
+void RateMeter::time(const std::function<double()>& unit) {
+  const double before = probe();
+  const double start = now_s();
+  const double work = unit();
+  const double rate = work / (now_s() - start);
+  const double after = probe();
+  wall_.push_back(rate);
+  scaled_.push_back(rate / (0.5 * (before + after)));
+}
+
+double RateMeter::rate() const { return median(scaled_); }
+
+void SetupTimer::block(double speed) {
+  const double start = now_s();
+  for (int i = 0; i < reps_; ++i) setup_();
+  wall_.push_back((now_s() - start) / reps_);
+  scaled_.push_back(wall_.back() * speed);
+}
+
+double SetupTimer::median_s() const { return median(scaled_); }
 
 // -- Results -------------------------------------------------------------------
 
@@ -263,27 +379,36 @@ Accuracy lane_accuracy(std::span<const sweep::ScenarioResult> results,
   return accuracy;
 }
 
-void set_end_to_end(Report& report, const std::vector<double>& unit_rates,
+namespace {
+
+std::string min_median_max(const std::vector<double>& values, int digits) {
+  return tscclock::strfmt(
+      "min %.*g, median %.*g, max %.*g", digits,
+      *std::min_element(values.begin(), values.end()), digits, median(values),
+      digits, *std::max_element(values.begin(), values.end()));
+}
+
+}  // namespace
+
+void set_end_to_end(Report& report, const RateMeter& meter,
                     const SetupTimer& setup, const Accuracy& accuracy) {
   report.check(accuracy.cells > 0, "no scored cell has clock-error data");
-  // The fastest unit: other tenants of a shared host only ever slow a unit
-  // down, so the best of many short units is the steadiest estimate of the
-  // program's own rate (the median moved by over 20 % between runs).
-  report.set("exch_per_s",
-             *std::max_element(unit_rates.begin(), unit_rates.end()));
+  report.set("exch_per_s", meter.rate());
   report.notes.push_back(tscclock::strfmt(
-      "exch_per_s over %zu timed units: min %.0f, median %.0f, max %.0f",
-      unit_rates.size(),
-      *std::min_element(unit_rates.begin(), unit_rates.end()),
-      median(unit_rates),
-      *std::max_element(unit_rates.begin(), unit_rates.end())));
+      "exch_per_s %.0f at nominal host speed (median over %zu timed units); "
+      "per wall second: %s",
+      meter.rate(), meter.wall_rates().size(),
+      min_median_max(meter.wall_rates(), 7).c_str()));
+  report.notes.push_back(tscclock::strfmt(
+      "host speed over %zu probes (1 = the probe in %g s): %s",
+      meter.speeds().size(), kProbeNominalS,
+      min_median_max(meter.speeds(), 3).c_str()));
   report.set("setup_s", setup.median_s());
   report.notes.push_back(tscclock::strfmt(
-      "setup_s over %zu set-up blocks: min %.6g, median %.6g, max %.6g",
-      setup.samples().size(),
-      *std::min_element(setup.samples().begin(), setup.samples().end()),
-      setup.median_s(),
-      *std::max_element(setup.samples().begin(), setup.samples().end())));
+      "setup_s %.6g at nominal host speed (median over %zu set-up blocks); "
+      "wall: %s",
+      setup.median_s(), setup.wall_samples().size(),
+      min_median_max(setup.wall_samples(), 6).c_str()));
   report.set("peak_rss_mb", peak_rss_mb());
   report.set("clock_err_med_us", accuracy.median_us);
   report.set("clock_err_tail_us", accuracy.tail_us);

@@ -98,33 +98,92 @@ double peak_rss_mb();
 /// CPUs this process may run on (what nproc prints).
 unsigned available_cpus();
 
+/// A run stops starting units once it has used this many times `seconds`.
+inline constexpr double kMaxOverrun = 1.25;
+
 /// Call `unit` back to back a fixed number of times: `seconds` over
-/// `nominal_unit_s`, the workload's unit time at the baseline's speed (at
-/// least kMinUnits). The count does not depend on how fast the units run, so
-/// the fastest unit is a maximum over the same number of draws on both sides
-/// of a comparison. Only a change slow enough to use up 2 × `seconds` is cut
-/// short, and that change is a regression anyway.
+/// `nominal_unit_s`, the time one unit takes with its probes and set-up
+/// block at the baseline's speed (at least kMinUnits). The count does not
+/// depend on how fast the units run, so both sides of a comparison take
+/// their median over the same number of units. Only a host or a change slow
+/// enough to use up kMaxOverrun × `seconds` cuts the run short.
 void run_units(double seconds, double nominal_unit_s,
                const std::function<void()>& unit);
 
+/// The host-speed probe's wall time on the host the benchmark was tuned on
+/// (a 4-vCPU Intel Xeon VM in its usual state).
+inline constexpr double kProbeNominalS = 0.1;
+/// Probe working sets, in doubles per thread: cache-resident for compute-bound
+/// units, a few MB for units that stream through large buffers.
+inline constexpr std::size_t kProbeSmall = std::size_t{1} << 12;
+inline constexpr std::size_t kProbeLarge = std::size_t{1} << 17;
+
+/// Wall seconds of the host-speed probe: fixed work of the kind the
+/// workloads do (hexfloat formatting and parsing, a sort) that calls nothing
+/// in the library, on `threads` threads at once, each over `working_set`
+/// doubles at a time. It runs in a child process, so its memory never counts
+/// in peak_rss_mb.
+double probe_s(unsigned threads, std::size_t working_set);
+
+/// Times a workload's units against the host-speed probe. On a shared host
+/// the same unit's wall time moves by over 20 % between runs, and a program
+/// change never touches the probe, so each unit's rate is divided by the
+/// host speed the probe measured right before and right after it: the rate
+/// the unit would have had on a host that runs the probe in kProbeNominalS.
+class RateMeter {
+ public:
+  /// `threads`: how many threads the units keep busy (the probe runs on as
+  /// many); `working_set`: kProbeSmall or kProbeLarge, the one closer to
+  /// the units' memory use.
+  RateMeter(unsigned threads, std::size_t working_set)
+      : threads_(threads), working_set_(working_set) {}
+  /// Run the probe: the host's speed now against nominal (kProbeNominalS
+  /// over the probe's wall time; below 1 is slower).
+  double probe();
+  /// Time one call of `unit`, which returns the work it did, between two
+  /// probes.
+  void time(const std::function<double()>& unit);
+  /// The speed the latest probe measured.
+  [[nodiscard]] double last_speed() const { return speeds_.back(); }
+  /// The metric: the median over units of work per second at nominal speed.
+  [[nodiscard]] double rate() const;
+  /// Work per wall second of each unit, unscaled.
+  [[nodiscard]] const std::vector<double>& wall_rates() const { return wall_; }
+  /// Every probe's speed, in the order they ran.
+  [[nodiscard]] const std::vector<double>& speeds() const { return speeds_; }
+
+ private:
+  unsigned threads_;
+  std::size_t working_set_;
+  std::vector<double> wall_;
+  std::vector<double> scaled_;
+  std::vector<double> speeds_;
+};
+
 /// Times a workload's set-up in blocks of `reps` back-to-back calls: one
-/// block is one sample, the mean call time over the block. The workloads
-/// time a block before the timed region and one after every timed unit, so
-/// the samples spread over the whole run instead of one moment of it, and a
+/// block is one sample, the mean call time over the block scaled to nominal
+/// host speed by the probe that ran just before it. The workloads time a
+/// block before the timed region and one after every timed unit, so the
+/// samples spread over the whole run instead of one moment of it, and a
 /// sub-millisecond set-up is timed as one tens-of-milliseconds block.
 class SetupTimer {
  public:
   SetupTimer(int reps, std::function<void()> setup)
       : reps_(reps), setup_(std::move(setup)) {}
-  void block();
-  /// Median over the blocks so far of the mean seconds per set-up.
+  /// Time one block; `speed` is RateMeter's latest probe.
+  void block(double speed);
+  /// Median over the blocks so far of the scaled mean seconds per set-up.
   [[nodiscard]] double median_s() const;
-  [[nodiscard]] const std::vector<double>& samples() const { return samples_; }
+  /// Every block's mean seconds per set-up, unscaled.
+  [[nodiscard]] const std::vector<double>& wall_samples() const {
+    return wall_;
+  }
 
  private:
   int reps_;
   std::function<void()> setup_;
-  std::vector<double> samples_;
+  std::vector<double> wall_;
+  std::vector<double> scaled_;
 };
 
 // -- Results -------------------------------------------------------------------
@@ -172,10 +231,9 @@ struct Accuracy {
 Accuracy lane_accuracy(std::span<const sweep::ScenarioResult> results,
                        const std::string& label);
 
-/// The end-to-end metrics: exch_per_s is the fastest timed unit's rate,
-/// setup_s the set-up timer's median, peak RSS is read here, at the end of
-/// the run.
-void set_end_to_end(Report& report, const std::vector<double>& unit_rates,
+/// The end-to-end metrics: exch_per_s is the meter's rate, setup_s the
+/// set-up timer's median, peak RSS is read here, at the end of the run.
+void set_end_to_end(Report& report, const RateMeter& meter,
                     const SetupTimer& setup, const Accuracy& accuracy);
 
 /// Decision counters of robust lanes, summed (the core.* counts).

@@ -23,8 +23,9 @@ namespace perfbench {
 
 namespace {
 
-/// One fleet cell at the baseline's speed (run_units).
-constexpr double kUnitSeconds = 3.0;
+/// One fleet cell with its probes and set-up block, at the baseline's speed
+/// (run_units).
+constexpr double kUnitSeconds = 3.5;
 
 sweep::GridSpec grid_spec(std::uint64_t seed) {
   sweep::GridSpec grid;
@@ -224,6 +225,8 @@ std::uint64_t generate_clients_alone(const sweep::SweepScenario& scenario,
 
 Report untraced(const RunOptions& options) {
   Report report;
+  // Sixteen clients' estimator state and merged batches: the large probe.
+  RateMeter meter(1, kProbeLarge);
   // Set-up: grid expansion plus the FleetTestbed construction (16 derived
   // client configurations, RNG forks and attachment walks, the first merge
   // lookahead), which run_scenario_multi repeats inside the timed region.
@@ -235,17 +238,16 @@ Report untraced(const RunOptions& options) {
     [[maybe_unused]] const sim::FleetTestbed fleet(scenario->config,
                                                    scenario->fleet.config);
   });
-  setup.block();
+  setup.block(meter.probe());
 
-  std::vector<double> rates;
   std::vector<sweep::ScenarioResult> first;
   std::uint64_t digest = 0;
   run_units(options.seconds, kUnitSeconds, [&] {
-    const double start = now_s();
-    std::vector<sweep::ScenarioResult> results =
-        run_cell(*scenario, grid.estimators, true);
-    rates.push_back(static_cast<double>(results.front().exchanges) /
-                    (now_s() - start));
+    std::vector<sweep::ScenarioResult> results;
+    meter.time([&] {
+      results = run_cell(*scenario, grid.estimators, true);
+      return static_cast<double>(results.front().exchanges);
+    });
     count_cells(report, results);
     const std::uint64_t d = results_digest(results);
     if (first.empty()) {
@@ -254,14 +256,15 @@ Report untraced(const RunOptions& options) {
     } else {
       report.check(d == digest, "results digest changed between fleet runs");
     }
-    setup.block();
+    setup.block(meter.last_speed());
   });
   check_cells(report, first);
   report.check(first.front().failed || first.front().clients == 16,
                "fleet cell did not simulate 16 clients");
   report.notes.push_back("results digest " + hex64(digest) + " over " +
-                         std::to_string(rates.size()) + " fleet runs");
-  set_end_to_end(report, rates, setup, lane_accuracy(first, "robust"));
+                         std::to_string(meter.wall_rates().size()) +
+                         " fleet runs");
+  set_end_to_end(report, meter, setup, lane_accuracy(first, "robust"));
   return report;
 }
 

@@ -6,7 +6,9 @@
 //   * the timing decorators keep a batched session on its fast lane (on_batch
 //     only) and change no reduced value, and the fast-lane check catches a
 //     decorator that does not forward wants_batch();
-//   * the replay decorator changes no output.
+//   * the replay decorator changes no output;
+//   * the host-speed probe times its work and, running in a child process,
+//     leaves this process's peak RSS where it was.
 #include <cstdio>
 #include <exception>
 #include <memory>
@@ -188,10 +190,19 @@ void replay_decorator() {
          "TimedReplayEstimator forwards its name and opens one span");
 }
 
+void host_probe() {
+  const double rss_before = peak_rss_mb();
+  const double seconds = probe_s(4, kProbeLarge);
+  expect(seconds > 0 && seconds < 60, "probe_s times its work");
+  expect(peak_rss_mb() - rss_before < 1.0,
+         "the probe's memory stays out of this process's peak RSS");
+}
+
 }  // namespace
 
 int main() {
   try {
+    host_probe();  // first: later tests raise the peak RSS it checks
     span_accounting();
     fast_lane();
     replay_decorator();

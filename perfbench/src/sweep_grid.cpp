@@ -22,7 +22,8 @@ namespace perfbench {
 
 namespace {
 
-/// One grid run at the baseline's speed on 4 CPUs (run_units).
+/// One grid run with its probes and set-up block, at the baseline's speed
+/// on 4 CPUs (run_units).
 constexpr double kUnitSeconds = 2.5;
 
 sweep::GridSpec grid_spec(std::uint64_t seed) {
@@ -113,6 +114,10 @@ std::vector<sweep::ScenarioResult> traced_cell(
 
 Report untraced(const RunOptions& options) {
   Report report;
+  // The grid's cells are compute-bound: a cache-resident probe on every
+  // pool thread.
+  const unsigned threads = available_cpus();
+  RateMeter meter(threads, kProbeSmall);
   // Set-up: grid expansion plus each scenario's Testbed construction (RNG
   // forks, attachment walk) — the pool repeats the latter inside the timed
   // region, so work moved into construction shows here too.
@@ -123,19 +128,19 @@ Report untraced(const RunOptions& options) {
       [[maybe_unused]] const sim::Testbed testbed(scenario.config);
     }
   });
-  setup.block();
+  setup.block(meter.probe());
 
   const auto& estimators = grid->grid().estimators;
   const std::size_t lanes = estimators.size();
-  const unsigned threads = available_cpus();
   const sweep::SweepOptions pool = pool_options(threads);
-  std::vector<double> rates;
   std::vector<sweep::ScenarioResult> first;
   std::uint64_t digest = 0;
   run_units(options.seconds, kUnitSeconds, [&] {
-    const double start = now_s();
-    std::vector<sweep::ScenarioResult> results = grid->run(pool);
-    rates.push_back(stream_exchanges(results, lanes) / (now_s() - start));
+    std::vector<sweep::ScenarioResult> results;
+    meter.time([&] {
+      results = grid->run(pool);
+      return stream_exchanges(results, lanes);
+    });
     count_cells(report, results);
     const std::uint64_t d = results_digest(results);
     if (first.empty()) {
@@ -144,7 +149,7 @@ Report untraced(const RunOptions& options) {
     } else {
       report.check(d == digest, "results digest changed between grid runs");
     }
-    setup.block();
+    setup.block(meter.last_speed());
   });
   check_cells(report, first);
 
@@ -162,9 +167,10 @@ Report untraced(const RunOptions& options) {
       "pooled cell " + probe->name + " differs from run_scenario_multi");
 
   report.notes.push_back("results digest " + hex64(digest) + " over " +
-                         std::to_string(rates.size()) + " grid runs, " +
+                         std::to_string(meter.wall_rates().size()) +
+                         " grid runs, " +
                          std::to_string(threads) + " threads");
-  set_end_to_end(report, rates, setup, lane_accuracy(first, "robust"));
+  set_end_to_end(report, meter, setup, lane_accuracy(first, "robust"));
   return report;
 }
 

@@ -29,9 +29,9 @@ namespace {
 
 namespace trace = tscclock::trace;
 
-/// One write + replay plus the set-up block after it, at the baseline's
-/// speed (run_units).
-constexpr double kUnitSeconds = 1.8;
+/// One write + replay with its probes and the set-up block after it, at the
+/// baseline's speed (run_units).
+constexpr double kUnitSeconds = 2.0;
 
 sweep::GridSpec source_grid(std::uint64_t seed) {
   sweep::GridSpec grid;
@@ -180,24 +180,26 @@ std::vector<sweep::ScenarioResult> replay_lanes(
 Report untraced(const RunOptions& options) {
   Report report;
   const ScratchFile file(options.scratch_dir);
+  // The unit streams a 28 MB file and 162k-record buffers: the large probe.
+  RateMeter meter(1, kProbeLarge);
   // Set-up: simulating and recording the month-long source trace. Each unit
   // below replays the latest recording, so a recording that changed between
   // set-ups shows as a changed digest.
   std::optional<Source> source;
   SetupTimer setup(
       1, [&] { source.emplace(record_source(options.seed, file.path())); });
-  setup.block();
+  setup.block(meter.probe());
 
   const std::size_t records = source->trace.exchanges;
-  std::vector<double> rates;
   std::vector<sweep::ScenarioResult> first;
   std::uint64_t digest = 0;
   run_units(options.seconds, kUnitSeconds, [&] {
-    const double start = now_s();
-    trace::write_trace(file.path(), source->meta, source->trace);
-    std::vector<sweep::ScenarioResult> results =
-        run_cell(source->cell, source->estimators, false);
-    rates.push_back(static_cast<double>(records) / (now_s() - start));
+    std::vector<sweep::ScenarioResult> results;
+    meter.time([&] {
+      trace::write_trace(file.path(), source->meta, source->trace);
+      results = run_cell(source->cell, source->estimators, false);
+      return static_cast<double>(records);
+    });
     count_cells(report, results);
     count_records(report, results, records);
     const std::uint64_t d = results_digest(results);
@@ -207,7 +209,7 @@ Report untraced(const RunOptions& options) {
     } else {
       report.check(d == digest, "results digest changed between replays");
     }
-    setup.block();
+    setup.block(meter.last_speed());
   });
   check_cells(report, first);
   for (const auto& cell : first) {
@@ -216,9 +218,10 @@ Report untraced(const RunOptions& options) {
                  "replayed cell counts differ from the recording");
   }
   report.notes.push_back("results digest " + hex64(digest) + " over " +
-                         std::to_string(rates.size()) + " replays of " +
+                         std::to_string(meter.wall_rates().size()) +
+                         " replays of " +
                          std::to_string(records) + " records");
-  set_end_to_end(report, rates, setup, lane_accuracy(first, "offline"));
+  set_end_to_end(report, meter, setup, lane_accuracy(first, "offline"));
   return report;
 }
 
