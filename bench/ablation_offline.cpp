@@ -46,7 +46,8 @@ int main() {
   // on top so both the host stamp and the DAG reference stamp move.
   std::vector<sim::Exchange> exchanges;
   Rng storm(99);
-  for (auto& ex : testbed.generate_all()) {
+  while (auto next = testbed.next()) {
+    sim::Exchange& ex = *next;
     if (ex.lost || !ex.ref_available) continue;
     const bool in_storm = ex.truth.tb > 10 * duration::kHour &&
                           ex.truth.tb < 11 * duration::kHour;

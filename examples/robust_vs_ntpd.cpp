@@ -5,7 +5,9 @@
 // rate by tens of PPM; the TSC-NTP clock never steps and its difference
 // clock stays within the hardware bound.
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -63,15 +65,21 @@ int main() {
   std::vector<double> sw_abs;
   double sw_rate_lo = 10;
   double sw_rate_hi = 0;
-  std::printf("%8s %14s %14s %10s\n", "hour", "TSC-NTP err", "SW-NTP err",
-              "SW steps");
+  // Lanes drain the stream chunk by chunk, so one lane's sink cannot read
+  // the other lane's error for the same packet. The 2-hourly progress rows
+  // are therefore collected during the run and printed after it, pairing
+  // the two lanes' errors by poll index.
+  struct ProgressRow {
+    std::uint64_t index;
+    double hour;
+    double sw_error;
+    std::uint64_t sw_steps;
+  };
+  std::vector<ProgressRow> progress;
+  std::map<std::uint64_t, double> tsc_error_at;
   int next_report = 2;
-  // Lanes process each exchange in order, so by the time the SW lane's sink
-  // fires the TSC lane has already scored the same packet — the progress
-  // printout can show both.
-  double last_tsc_error = 0;
   harness::CallbackSink tsc_sink([&](const harness::SampleRecord& rec) {
-    last_tsc_error = rec.abs_clock_error;
+    tsc_error_at[rec.index] = rec.abs_clock_error;
     tsc_abs.push_back(std::fabs(rec.abs_clock_error));
   });
   harness::CallbackSink sw_sink([&](const harness::SampleRecord& rec) {
@@ -83,15 +91,22 @@ int main() {
     sw_abs.push_back(std::fabs(e_sw));
     const double hour = rec.truth_tb / duration::kHour;
     if (hour >= next_report) {
-      std::printf("%8.1f %12.1fus %12.1fus %10s\n", hour,
-                  last_tsc_error * 1e6, e_sw * 1e6,
-                  format_count(sw.status().steps).c_str());
+      progress.push_back({rec.index, hour, e_sw, sw.status().steps});
       next_report += 2;
     }
   });
   session.add_sink(tsc_lane, tsc_sink);
   session.add_sink(sw_lane, sw_sink);
   session.run(testbed);
+
+  std::printf("%8s %14s %14s %10s\n", "hour", "TSC-NTP err", "SW-NTP err",
+              "SW steps");
+  for (const ProgressRow& row : progress) {
+    // Both lanes score the same evaluated set (same stream, same cut).
+    std::printf("%8.1f %12.1fus %12.1fus %10s\n", row.hour,
+                tsc_error_at.at(row.index) * 1e6, row.sw_error * 1e6,
+                format_count(row.sw_steps).c_str());
+  }
   const auto& tsc = session.lane(tsc_lane).clock();
 
   const auto st = percentile_summary(tsc_abs);

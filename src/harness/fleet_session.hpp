@@ -4,8 +4,8 @@
 // The session demultiplexes the merged FleetBatch chunk by chunk into
 // per-client SoA batches and feeds each client's ClockSession through the
 // existing batched lanes — a 1-client FleetSession therefore performs
-// exactly the calls ClockSession::run_batched(Testbed&) performs, with the
-// identical chunking, which is what pins the single-client fleet drive
+// exactly the calls ClockSession::run(Testbed&) performs, with the identical
+// chunking (kBatchChunk), which is what pins the single-client fleet drive
 // bit-identical to the classic one (tests/test_fleet.cpp).
 #pragma once
 
@@ -78,9 +78,10 @@ class FleetSession {
   /// Attach one sink to every lane (fleet-wide reducers, trace dumps).
   void add_shared_sink(SampleSink& sink);
 
-  /// Drain the fleet: pull merged chunks, demultiplex by client, feed each
-  /// client's batched lane, then publish per-client poll-slot counts.
-  void run_batched(sim::FleetTestbed& fleet);
+  /// Drain the fleet: pull merged kBatchChunk-row chunks, demultiplex by
+  /// client, feed each client's batched lane, then publish per-client
+  /// poll-slot counts.
+  void run(sim::FleetTestbed& fleet);
 
   [[nodiscard]] FleetReduction fleet_reduction() const;
 

@@ -20,6 +20,15 @@
 //   5. apply the configured warm-up policy and emit a SampleRecord to every
 //      attached SampleSink.
 //
+// There is one whole-stream drive: run() pulls the Testbed's SoA stream in
+// kBatchChunk-row chunks (Testbed::generate_batch) and hands each chunk to
+// process_batch(ExchangeBatch). Lanes whose sinks are all reducers take the
+// record-free fast path; a lane with any record-shaped sink materializes
+// each row and runs process(), the per-exchange sequence, so every
+// SampleRecord is the one a per-exchange loop would emit. process() and
+// step() stay public as the per-exchange adapter for consumers that do
+// other work between polls or feed exchanges the Testbed never produced.
+//
 // Which algorithm processes the stream is a ClockEstimator (see
 // harness/estimator.hpp); the default is the robust TscNtpClock via
 // TscNtpEstimator. Consumers differ only in their estimator and in which
@@ -38,9 +47,9 @@
 // explicitly per session.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "common/time_types.hpp"
@@ -54,6 +63,13 @@ namespace tscclock::harness {
 
 class TraceRecorder;  // harness/replay.hpp
 struct ReplayTrace;   // harness/replay.hpp
+
+/// Rows per generate_batch call in every whole-stream drive (ClockSession,
+/// MultiEstimatorSession and FleetSession run()): large enough to amortize
+/// the per-batch sink flush, small enough to keep the working set
+/// (~200 bytes/exchange) inside L2. One constant for all three drives: the
+/// 1-client fleet ≡ ClockSession golden needs the identical chunking.
+inline constexpr std::size_t kBatchChunk = 1024;
 
 /// Which timebase the warm-up discard cut uses.
 enum class WarmupPolicy {
@@ -195,7 +211,7 @@ class SampleSink {
   /// {raw.tb, abs_clock_error, offset_error} of *evaluated* records (the
   /// reducers) should opt in; record-shaped consumers keep the default.
   /// Batch-aware sinks must still implement on_sample identically — the
-  /// scalar lane and mixed-sink sessions feed them per record.
+  /// per-exchange adapter and mixed-sink sessions feed them per record.
   [[nodiscard]] virtual bool wants_batch() const { return false; }
 
   /// Batched delivery; invoked only from process_batch, and only when every
@@ -220,49 +236,44 @@ class ClockSession {
   /// Sinks are invoked in attachment order, synchronously per record.
   void add_sink(SampleSink& sink);
 
-  /// Process one exchange through the canonical sequence. Exposed so
-  /// consumers that interleave other work between polls (e.g. the one-way
-  /// delay example) or replay perturbed exchange vectors still share it.
+  /// Process one exchange through the canonical sequence: the per-exchange
+  /// adapter for consumers that interleave other work between polls (e.g.
+  /// the one-way delay example) or feed perturbed exchanges, and the
+  /// reference the batched lane is pinned against.
   void process(const sim::Exchange& exchange);
 
-  /// Process a batch of exchanges through the identical canonical sequence.
-  /// When every attached sink wants_batch() (the sweep/bench reducer case),
-  /// the loop skips SampleRecord construction and per-record virtual sink
-  /// dispatch, accumulating the evaluated {tb, abs_clock_error, offset_error}
-  /// series into one SampleBatch flushed to the sinks via on_batch() — the
-  /// emitted values are bit-identical to the scalar lane's. With any
-  /// record-shaped sink attached it degrades to per-record process() calls,
-  /// so CallbackSink's read-the-clock-after-each-exchange semantics hold.
-  void process_batch(std::span<const sim::Exchange> exchanges);
-
   /// Process a generator-written SoA batch (sim::Testbed::generate_batch)
-  /// through the identical canonical sequence, reading columns directly —
-  /// no Exchange row is built on the fast lane. With a record-shaped sink
-  /// attached (or a trace recorder), rows are materialized one scratch
-  /// Exchange at a time, so every record-shaped consumer observes exactly
-  /// the scalar stream. run_batched drives this overload.
+  /// through the identical canonical sequence. When every attached sink
+  /// wants_batch() (the sweep/bench reducer case), columns are read
+  /// directly, no SampleRecord is built and the evaluated
+  /// {tb, abs_clock_error, offset_error} series reach the sinks through one
+  /// on_batch() call — values bit-identical to process()'s. With any
+  /// record-shaped sink attached, each row is materialized into one scratch
+  /// Exchange and run through process(), so every sink observes exactly the
+  /// per-exchange stream and a CallbackSink reading this lane's clock sees
+  /// it as of its own record.
   void process_batch(const sim::ExchangeBatch& batch);
 
   /// Pull one exchange from the testbed and process it. Returns false when
   /// the testbed's configured duration is exhausted.
   bool step(sim::Testbed& testbed);
 
-  /// Drain the whole testbed and return the final summary.
+  /// Drain the whole testbed — Testbed::generate_batch → process_batch in
+  /// kBatchChunk-row chunks — and return the final summary.
   const SessionSummary& run(sim::Testbed& testbed);
 
-  /// Drain the whole testbed through the batched lane (the SoA stream:
-  /// Testbed::generate_batch → process_batch(ExchangeBatch) in fixed-size
-  /// chunks). Same summary, same sink-visible values as run(); this is the
-  /// hot-path drive the sweep uses.
-  const SessionSummary& run_batched(sim::Testbed& testbed);
+  /// Forward to run(); kept for callers written against the old name.
+  const SessionSummary& run_batched(sim::Testbed& testbed) {
+    return run(testbed);
+  }
 
   /// The summary so far (final_status is refreshed on access).
   const SessionSummary& summary();
 
   /// Record the testbed's poll-slot count after an external drain (run()
-  /// does this itself; MultiEstimatorSession drives process() directly and
-  /// back-fills each lane through this). Forwarded to the trace recorder
-  /// when one is attached.
+  /// does this itself; MultiEstimatorSession and FleetSession drive
+  /// process_batch() directly and back-fill each lane through this).
+  /// Forwarded to the trace recorder when one is attached.
   void set_polls_enumerated(std::uint64_t polls);
 
   /// The robust clock behind the default estimator. Precondition: the
@@ -299,14 +310,20 @@ class ClockSession {
 /// This is the drive layer for every head-to-head comparison — the legacy
 /// pattern of co-driving a baseline clock from a CallbackSink is replaced by
 /// one lane per algorithm, all scored by the same pipeline.
+///
+/// Cross-lane rule: lanes consume the stream one chunk at a time, lane 0
+/// draining the whole chunk before lane 1 starts it. A sink sees its own
+/// lane's state as of its own record, but another lane's state only at
+/// chunk granularity. To pair values across lanes, key them by
+/// SampleRecord::index and combine them after run().
 class MultiEstimatorSession {
  public:
   MultiEstimatorSession();
   ~MultiEstimatorSession();  // out-of-line: TraceRecorder is incomplete here
 
-  /// Add a lane; returns its index. Lanes process each exchange in the
-  /// order they were added (they are independent, so order only affects
-  /// sink callback interleaving within one exchange).
+  /// Add a lane; returns its index. Lanes process each chunk in the order
+  /// they were added (they are independent, so order only affects sink
+  /// callback interleaving across lanes).
   std::size_t add_lane(const SessionConfig& config,
                        std::unique_ptr<ClockEstimator> estimator);
 
@@ -326,34 +343,17 @@ class MultiEstimatorSession {
   [[nodiscard]] ClockSession& lane(std::size_t index);
   [[nodiscard]] const ClockSession& lane(std::size_t index) const;
 
-  /// Process one exchange through every lane.
-  void process(const sim::Exchange& exchange);
-
-  /// Process a batch of exchanges: the shared recorder observes each
-  /// exchange once, then every lane consumes the whole batch through
-  /// ClockSession::process_batch. Lane state and every sink-visible value
-  /// are identical to per-exchange process(); only the interleaving of sink
-  /// callbacks *across lanes* within a batch differs (lanes are
-  /// independent, so this is unobservable through any one lane).
-  void process_batch(std::span<const sim::Exchange> exchanges);
-
   /// SoA batch into every lane: the shared recorder observes each row once
   /// (materialized through one scratch Exchange), then every lane consumes
-  /// the columns through ClockSession::process_batch(ExchangeBatch).
+  /// the whole batch through ClockSession::process_batch.
   void process_batch(const sim::ExchangeBatch& batch);
 
-  /// Pull one exchange from the testbed into every lane. Returns false when
-  /// the testbed's configured duration is exhausted.
-  bool step(sim::Testbed& testbed);
-
-  /// Drain the whole testbed through every lane and back-fill each lane's
-  /// poll-slot count.
+  /// Drain the whole testbed through every lane, kBatchChunk rows at a
+  /// time, and back-fill each lane's poll-slot count.
   void run(sim::Testbed& testbed);
 
-  /// Batched run(): Testbed::generate_batch → process_batch(ExchangeBatch)
-  /// in fixed-size chunks. Same final state as run(); the sweep's default
-  /// drive.
-  void run_batched(sim::Testbed& testbed);
+  /// Forward to run(); kept for callers written against the old name.
+  void run_batched(sim::Testbed& testbed) { run(testbed); }
 
  private:
   std::vector<std::unique_ptr<ClockSession>> lanes_;

@@ -40,10 +40,13 @@ class CollectorSink final : public SampleSink {
   std::vector<SampleRecord> records_;
 };
 
-/// Invokes a callable for every record. The callable may read the session's
-/// clock (sinks run synchronously, right after the record's exchange was
-/// processed) and drive secondary consumers such as a baseline clock fed
-/// from the same exchange stream.
+/// Invokes a callable for every record. The callable may read its own
+/// lane's clock (sinks run synchronously, right after the record's exchange
+/// was processed) and drive secondary consumers such as a baseline clock fed
+/// from the same exchange stream. State owned by another lane of a
+/// MultiEstimatorSession is seen only at chunk granularity — that lane may
+/// be a whole chunk behind or ahead — so pair values across lanes by
+/// SampleRecord::index after the run instead.
 class CallbackSink final : public SampleSink {
  public:
   using Callback = std::function<void(const SampleRecord&)>;

@@ -439,12 +439,6 @@ bool ClientNode::next_into(Exchange& out) {
   }
 }
 
-std::size_t ClientNode::next_batch(std::span<Exchange> out) {
-  std::size_t produced = 0;
-  while (produced < out.size() && next_into(out[produced])) ++produced;
-  return produced;
-}
-
 std::size_t ClientNode::generate_batch(ExchangeBatch& out,
                                        std::size_t max_rows) {
   // Size the columns up front and write rows by index through raw pointers —
@@ -553,36 +547,6 @@ std::size_t ClientNode::generate_batch(ExchangeBatch& out,
   }
   out.resize(rows);
   return rows;
-}
-
-std::uint64_t ClientNode::polls_remaining() const {
-  // First index whose poll base falls at or beyond the duration, under the
-  // same arithmetic the enumeration loop uses (so the bound is exact).
-  auto stop =
-      static_cast<std::uint64_t>(config_.duration / config_.poll_period);
-  while (static_cast<double>(stop) * config_.poll_period < config_.duration)
-    ++stop;
-  while (stop > 0 && static_cast<double>(stop - 1) * config_.poll_period >=
-                         config_.duration)
-    --stop;
-  return stop > poll_index_ ? stop - poll_index_ : 0;
-}
-
-std::vector<Exchange> ClientNode::generate_all() {
-  std::vector<Exchange> out;
-  out.reserve(polls_remaining());  // poll-slot count: growth-free drain
-  // next_into produces at most one exchange per slot, so while slots remain
-  // the emplaced element stays within the reservation; the one speculative
-  // element that can go unfilled (a trailing outage swallowing every
-  // remaining slot) is popped, never grown past.
-  while (polls_remaining() > 0) {
-    out.emplace_back();
-    if (!next_into(out.back())) {
-      out.pop_back();
-      break;
-    }
-  }
-  return out;
 }
 
 }  // namespace tscclock::sim

@@ -24,7 +24,6 @@
 #pragma once
 
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -211,11 +210,6 @@ class ClientNode {
   /// `duration` is exhausted. The produced stream is identical to next()'s.
   bool next_into(Exchange& out);
 
-  /// Fill `out` from the front with up to out.size() exchanges; returns how
-  /// many were produced (< out.size() only when the duration ran out). The
-  /// batched hot-path equivalent of calling next() in a loop.
-  std::size_t next_batch(std::span<Exchange> out);
-
   /// Generate up to `max_rows` exchanges straight into SoA columns (the
   /// batched drives' hot path: per-batch invariants are hoisted and no
   /// Exchange row is ever built). Clears `out` first; returns the row count
@@ -223,13 +217,6 @@ class ClientNode {
   /// the next() stream — pinned by the batch-lane goldens, and must be kept
   /// in lockstep with next_into() (same draw sequence, same arithmetic).
   std::size_t generate_batch(ExchangeBatch& out, std::size_t max_rows);
-
-  /// Poll slots remaining until `duration` (an upper bound on how many more
-  /// exchanges next() can produce; outage-skipped slots still count here).
-  [[nodiscard]] std::uint64_t polls_remaining() const;
-
-  /// Drain the whole configured duration.
-  std::vector<Exchange> generate_all();
 
   /// Poll slots enumerated so far, including outage-skipped ones (after a
   /// full drain: the total slot count of the configured duration).
@@ -292,16 +279,9 @@ class Testbed {
 
   std::optional<Exchange> next() { return node_.next(); }
   bool next_into(Exchange& out) { return node_.next_into(out); }
-  std::size_t next_batch(std::span<Exchange> out) {
-    return node_.next_batch(out);
-  }
   std::size_t generate_batch(ExchangeBatch& out, std::size_t max_rows) {
     return node_.generate_batch(out, max_rows);
   }
-  [[nodiscard]] std::uint64_t polls_remaining() const {
-    return node_.polls_remaining();
-  }
-  std::vector<Exchange> generate_all() { return node_.generate_all(); }
   [[nodiscard]] std::uint64_t polls_enumerated() const {
     return node_.polls_enumerated();
   }

@@ -108,6 +108,74 @@ class FleetPoolSink final : public harness::SampleSink {
   StreamingSeriesSummary offset_stream_;
 };
 
+/// The sink slot a cell's lane `e` dumps its records into, if any.
+harness::SampleSink* trace_sink_for(
+    std::span<harness::SampleSink* const> trace_sinks, std::size_t e) {
+  return trace_sinks.empty() ? nullptr : trace_sinks[e];
+}
+
+/// The SessionConfig every lane of every cell kind starts from: default
+/// parameters for the cell's polling period and the sweep's warm-up
+/// convention (cut on the observable tb_stamp, not ground truth). A lane
+/// with a trace dump attached also emits its unevaluated records (lost and
+/// warm-up rows, flagged) so dumps are gap-visible; the reducer filters on
+/// `evaluated` either way.
+harness::SessionConfig lane_config(Seconds poll_period, Seconds discard_warmup,
+                                   const harness::SampleSink* trace_sink) {
+  harness::SessionConfig config;
+  config.params = core::Params::for_poll_period(poll_period);
+  config.discard_warmup = discard_warmup;
+  config.warmup_policy = harness::WarmupPolicy::kObservable;
+  config.emit_unevaluated = trace_sink != nullptr;
+  return config;
+}
+
+/// One lane's ScenarioResult: the grid coordinates, the drive counters of
+/// its summary and the error/ADEV columns of its reduction. The testbed owns
+/// the slot arithmetic and each lane records its counter after the drain,
+/// so polls/skipped are exact by construction.
+ScenarioResult scored_result(const SweepScenario& scenario,
+                             const harness::EstimatorSpec& estimator,
+                             const harness::SessionSummary& summary,
+                             const harness::ReducerSink::Reduction& reduction) {
+  ScenarioResult result = result_for(scenario, estimator);
+  result.exchanges = summary.exchanges;
+  result.lost = summary.lost;
+  result.evaluated = summary.evaluated;
+  result.polls = static_cast<std::size_t>(summary.polls_enumerated);
+  result.skipped = result.polls - result.exchanges;
+  result.final_status = summary.final_status;
+  result.clock_error = reduction.clock_error;
+  result.offset_error = reduction.offset_error;
+  result.adev_short_tau = reduction.adev_short_tau;
+  result.adev_short = reduction.adev_short;
+  result.adev_long_tau = reduction.adev_long_tau;
+  result.adev_long = reduction.adev_long;
+  return result;
+}
+
+/// Score one replay spec over a recorded trace — a sim recording or an
+/// imported file alike — through ReplaySession into a fresh LaneReducer.
+/// The reduction's tau0 is the lane's polling period and its ground-truth
+/// mode the trace's own. Replay estimators never step, so steps stay 0.
+ScenarioResult score_replay_lane(const SweepScenario& scenario,
+                                 const harness::EstimatorSpec& spec,
+                                 const harness::SessionConfig& config,
+                                 double nominal_period,
+                                 const harness::ReplayTrace& trace,
+                                 harness::SampleSink* trace_sink,
+                                 bool streaming_reduction) {
+  LaneReducer reducer(config.params.poll_period, streaming_reduction,
+                      trace.ground_truth);
+  harness::ReplaySession replay(
+      config, harness::estimator_registry().make_replay(spec, config.params,
+                                                        nominal_period));
+  replay.add_sink(reducer.sink());
+  if (trace_sink != nullptr) replay.add_sink(*trace_sink);
+  const harness::SessionSummary summary = replay.run(trace);
+  return scored_result(scenario, spec, summary, reducer.reduce());
+}
+
 /// The fleet-cell drive behind run_scenario_multi: one FleetTestbed +
 /// FleetSession per estimator spec instead of one shared Testbed drain.
 /// Each spec regenerates the fleet's merged stream from scratch — the
@@ -130,26 +198,20 @@ std::vector<ScenarioResult> run_fleet_scenario_multi(
     }
   }
 
-  harness::SessionConfig config;
-  config.params = core::Params::for_poll_period(scenario.config.poll_period);
-  config.discard_warmup = discard_warmup;
-  config.warmup_policy = harness::WarmupPolicy::kObservable;
-
   std::vector<ScenarioResult> results;
   results.reserve(estimators.size());
   for (std::size_t e = 0; e < estimators.size(); ++e) {
-    harness::SampleSink* trace =
-        trace_sinks.empty() ? nullptr : trace_sinks[e];
+    harness::SampleSink* trace = trace_sink_for(trace_sinks, e);
+    const harness::SessionConfig config =
+        lane_config(scenario.config.poll_period, discard_warmup, trace);
     sim::FleetTestbed fleet(scenario.config, scenario.fleet.config);
     harness::FleetSession session;
     FleetPoolSink pool(streaming_reduction);
     LaneReducer reference(scenario.config.poll_period, streaming_reduction);
-    harness::SessionConfig lane_config = config;
-    lane_config.emit_unevaluated = trace != nullptr;
     for (std::size_t k = 0; k < fleet.client_count(); ++k) {
-      session.add_client(lane_config, registry.make_online(
-                                          estimators[e], config.params,
-                                          fleet.client(k).nominal_period()));
+      session.add_client(config, registry.make_online(
+                                     estimators[e], config.params,
+                                     fleet.client(k).nominal_period()));
     }
     // Population summaries pool every lane; ADEV comes from client 0 alone
     // (a gap-aware ADEV over the interleaved-oscillator pool would be
@@ -158,26 +220,15 @@ std::vector<ScenarioResult> run_fleet_scenario_multi(
     session.add_shared_sink(pool);
     session.add_sink(0, reference.sink());
     if (trace != nullptr) session.add_shared_sink(*trace);
-    session.run_batched(fleet);
+    session.run(fleet);
 
-    ScenarioResult result = result_for(scenario, estimators[e]);
-    const harness::SessionSummary summary = session.combined_summary();
-    result.exchanges = summary.exchanges;
-    result.lost = summary.lost;
-    result.evaluated = summary.evaluated;
-    result.polls = static_cast<std::size_t>(summary.polls_enumerated);
-    result.skipped = result.polls - result.exchanges;
-    result.final_status = summary.final_status;
+    ScenarioResult result =
+        scored_result(scenario, estimators[e], session.combined_summary(),
+                      reference.reduce());
     for (std::size_t k = 0; k < session.client_count(); ++k)
       result.steps += session.client(k).estimator().steps();
-
     result.clock_error = pool.clock_error();
     result.offset_error = pool.offset_error();
-    const auto reference_reduction = reference.reduce();
-    result.adev_short_tau = reference_reduction.adev_short_tau;
-    result.adev_short = reference_reduction.adev_short;
-    result.adev_long_tau = reference_reduction.adev_long_tau;
-    result.adev_long = reference_reduction.adev_long;
 
     const harness::FleetReduction fleet_reduction = session.fleet_reduction();
     result.clients = fleet_reduction.clients;
@@ -212,46 +263,22 @@ std::vector<ScenarioResult> run_trace_scenario_multi(
     }
   }
   const trace::ReadTrace loaded = trace::read_trace(scenario.trace_path);
-  const harness::GroundTruthMode mode = loaded.meta.mode;
-
-  harness::SessionConfig config;
-  config.params = core::Params::for_poll_period(loaded.meta.poll_period);
-  // No warm-up re-cut: the in_warmup flags ride the file (set by whoever
-  // recorded or imported it), and ReplaySession scores exactly those.
-  config.discard_warmup = 0;
-  config.client_id = loaded.meta.client_id;
 
   std::vector<ScenarioResult> results;
   results.reserve(estimators.size());
   for (std::size_t e = 0; e < estimators.size(); ++e) {
-    harness::SampleSink* trace_sink =
-        trace_sinks.empty() ? nullptr : trace_sinks[e];
-    LaneReducer reducer(loaded.meta.poll_period, streaming_reduction, mode);
-    harness::SessionConfig lane_config = config;
-    lane_config.emit_unevaluated = trace_sink != nullptr;
-    harness::ReplaySession replay(
-        lane_config, registry.make_replay(estimators[e], config.params,
-                                          loaded.meta.nominal_period));
-    replay.add_sink(reducer.sink());
-    if (trace_sink != nullptr) replay.add_sink(*trace_sink);
-    const harness::SessionSummary summary = replay.run(loaded.trace);
-
-    ScenarioResult result = result_for(scenario, estimators[e]);
+    harness::SampleSink* trace_sink = trace_sink_for(trace_sinks, e);
+    // No warm-up re-cut: the in_warmup flags ride the file (set by whoever
+    // recorded or imported it), and ReplaySession scores exactly those.
+    harness::SessionConfig config =
+        lane_config(loaded.meta.poll_period, 0, trace_sink);
+    config.client_id = loaded.meta.client_id;
+    ScenarioResult result = score_replay_lane(
+        scenario, estimators[e], config, loaded.meta.nominal_period,
+        loaded.trace, trace_sink, streaming_reduction);
     result.from_trace = true;
-    result.relative_only = mode == harness::GroundTruthMode::kRelativeOnly;
-    result.exchanges = summary.exchanges;
-    result.lost = summary.lost;
-    result.evaluated = summary.evaluated;
-    result.polls = static_cast<std::size_t>(summary.polls_enumerated);
-    result.skipped = result.polls - result.exchanges;
-    result.final_status = summary.final_status;
-    const auto reduction = reducer.reduce();
-    result.clock_error = reduction.clock_error;
-    result.offset_error = reduction.offset_error;
-    result.adev_short_tau = reduction.adev_short_tau;
-    result.adev_short = reduction.adev_short;
-    result.adev_long_tau = reduction.adev_long_tau;
-    result.adev_long = reduction.adev_long;
+    result.relative_only =
+        loaded.meta.mode == harness::GroundTruthMode::kRelativeOnly;
     results.push_back(std::move(result));
   }
   return results;
@@ -291,18 +318,13 @@ std::vector<ScenarioResult> run_scenario_multi(
   // exchange-processing sequence the figure benches use — with one
   // ClockSession lane per online estimator spec fed the identical Testbed
   // stream; the registry builds each lane's estimator from its family and
-  // resolved tunables. The sweep's one convention difference is declared in
-  // the config: warm-up is cut on the observable tb_stamp rather than on
-  // ground truth. Replay families cannot run online; the session records
-  // the estimator-independent stream once and each replay lane is scored
-  // post-hoc over it — same packets, same ground truth, same seeds, same
-  // reduction.
+  // resolved tunables. Replay families cannot run online; the session
+  // records the estimator-independent stream once and each replay lane is
+  // scored post-hoc over it — same packets, same ground truth, same seeds,
+  // same reduction.
   const harness::EstimatorRegistry& registry = harness::estimator_registry();
   sim::Testbed testbed(scenario.config);
-  harness::SessionConfig config;
-  config.params = core::Params::for_poll_period(scenario.config.poll_period);
-  config.discard_warmup = discard_warmup;
-  config.warmup_policy = harness::WarmupPolicy::kObservable;
+  const Seconds poll_period = scenario.config.poll_period;
 
   const bool any_replay =
       std::any_of(estimators.begin(), estimators.end(),
@@ -312,31 +334,29 @@ std::vector<ScenarioResult> run_scenario_multi(
   // One recording serves both consumers: the replay lanes and the trace
   // export (a --trace-out file is the recorded stream, serialized).
   if (any_replay || !trace_export_path.empty())
-    session.enable_trace_recording(config);
+    session.enable_trace_recording(
+        lane_config(poll_period, discard_warmup, nullptr));
   constexpr std::size_t kReplayLane = static_cast<std::size_t>(-1);
   std::vector<std::size_t> lane_of(estimators.size(), kReplayLane);
-  std::vector<LaneReducer> reducers;
+  std::vector<LaneReducer> reducers;  // one per online lane, by lane index
   reducers.reserve(estimators.size());
   for (std::size_t e = 0; e < estimators.size(); ++e) {
-    harness::SampleSink* trace =
-        trace_sinks.empty() ? nullptr : trace_sinks[e];
-    reducers.emplace_back(scenario.config.poll_period, streaming_reduction);
     if (registry.is_replay(estimators[e])) continue;
-    // Trace dumps want gap-visible streams (lost and warm-up rows, flagged);
-    // the reducer filters on `evaluated` either way.
-    harness::SessionConfig lane_config = config;
-    lane_config.emit_unevaluated = trace != nullptr;
+    harness::SampleSink* trace = trace_sink_for(trace_sinks, e);
+    const harness::SessionConfig config =
+        lane_config(poll_period, discard_warmup, trace);
     lane_of[e] = session.add_lane(
-        lane_config, registry.make_online(estimators[e], config.params,
-                                          testbed.nominal_period()));
+        config, registry.make_online(estimators[e], config.params,
+                                     testbed.nominal_period()));
+    reducers.emplace_back(poll_period, streaming_reduction);
     session.add_sink(lane_of[e], reducers.back().sink());
     if (trace != nullptr) session.add_sink(lane_of[e], *trace);
   }
 
-  // Batched drive: reducer-only lanes take the record-free fast path; lanes
-  // with a trace sink attached degrade to the scalar per-record sequence
-  // inside process_batch, so dumps stay row-for-row identical.
-  session.run_batched(testbed);
+  // Reducer-only lanes take the record-free fast path; lanes with a trace
+  // sink attached run the per-exchange sequence inside process_batch, so
+  // dumps stay row-for-row identical.
+  session.run(testbed);
 
   if (!trace_export_path.empty()) {
     // Sim recordings carry the DAG reference; the exported file replays
@@ -345,8 +365,7 @@ std::vector<ScenarioResult> run_scenario_multi(
     trace::TraceMeta meta;
     meta.mode = harness::GroundTruthMode::kReference;
     meta.nominal_period = testbed.nominal_period();
-    meta.poll_period = scenario.config.poll_period;
-    meta.client_id = config.client_id;
+    meta.poll_period = poll_period;
     meta.label = scenario.name;
     trace::write_trace(trace_export_path, meta, session.trace());
   }
@@ -354,40 +373,20 @@ std::vector<ScenarioResult> run_scenario_multi(
   std::vector<ScenarioResult> results;
   results.reserve(estimators.size());
   for (std::size_t e = 0; e < estimators.size(); ++e) {
-    ScenarioResult result = result_for(scenario, estimators[e]);
-    harness::SessionSummary summary;
-    if (lane_of[e] != kReplayLane) {
-      summary = session.lane(lane_of[e]).summary();
-      result.steps = session.lane(lane_of[e]).estimator().steps();
-    } else {
-      harness::SampleSink* trace =
-          trace_sinks.empty() ? nullptr : trace_sinks[e];
-      harness::SessionConfig lane_config = config;
-      lane_config.emit_unevaluated = trace != nullptr;
-      harness::ReplaySession replay(
-          lane_config, registry.make_replay(estimators[e], config.params,
-                                            testbed.nominal_period()));
-      replay.add_sink(reducers[e].sink());
-      if (trace != nullptr) replay.add_sink(*trace);
-      summary = replay.run(session.trace());
-      // Replay estimators never step (they have nothing to step).
+    if (lane_of[e] == kReplayLane) {
+      harness::SampleSink* trace = trace_sink_for(trace_sinks, e);
+      results.push_back(score_replay_lane(
+          scenario, estimators[e],
+          lane_config(poll_period, discard_warmup, trace),
+          testbed.nominal_period(), session.trace(), trace,
+          streaming_reduction));
+      continue;
     }
-    result.exchanges = summary.exchanges;
-    result.lost = summary.lost;
-    result.evaluated = summary.evaluated;
-    // The testbed owns the slot arithmetic; each lane records its counter
-    // after the drain, keeping polls/skipped exact by construction.
-    result.polls = static_cast<std::size_t>(summary.polls_enumerated);
-    result.skipped = result.polls - result.exchanges;
-    result.final_status = summary.final_status;
-
-    const auto reduction = reducers[e].reduce();
-    result.clock_error = reduction.clock_error;
-    result.offset_error = reduction.offset_error;
-    result.adev_short_tau = reduction.adev_short_tau;
-    result.adev_short = reduction.adev_short;
-    result.adev_long_tau = reduction.adev_long_tau;
-    result.adev_long = reduction.adev_long;
+    harness::ClockSession& lane = session.lane(lane_of[e]);
+    ScenarioResult result = scored_result(scenario, estimators[e],
+                                          lane.summary(),
+                                          reducers[lane_of[e]].reduce());
+    result.steps = lane.estimator().steps();
     results.push_back(std::move(result));
   }
   return results;

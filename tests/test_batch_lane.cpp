@@ -1,18 +1,16 @@
-// Golden equivalence of the batched hot path against the scalar reference
-// lane:
-//   * Testbed::next_batch / next_into produce the byte-identical exchange
-//     stream next() produces, across chunk boundaries, outages and server
-//     switches;
-//   * ClockSession::process_batch / run_batched emit bit-identical reduced
-//     values and summaries to the scalar step loop — for the exact and the
-//     streaming reducer, single-lane and multi-lane with trace recording,
-//     and under the stress (switch + outage) schedule;
+// Golden equivalence of the batched drive against the per-exchange
+// reference:
+//   * Testbed::generate_batch produces the byte-identical exchange stream
+//     next() produces, across chunk boundaries, outages and server switches;
+//   * ClockSession / MultiEstimatorSession run() emit bit-identical reduced
+//     values and summaries to an explicit next() → process() loop — for the
+//     exact and the streaming reducer, single-lane and multi-lane with trace
+//     recording, and under the stress (switch + outage) schedule;
 //   * with a record-shaped sink attached, process_batch degrades to the
-//     scalar per-record sequence (identical SampleRecords).
+//     per-exchange sequence (identical SampleRecords).
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "harness/replay.hpp"
@@ -51,6 +49,15 @@ SessionConfig session_config_for(const sim::ScenarioConfig& scenario) {
   config.discard_warmup = 600.0;
   config.warmup_policy = WarmupPolicy::kObservable;
   return config;
+}
+
+/// The per-exchange reference drive the goldens compare run() against:
+/// next() → process() one exchange at a time, then the poll-slot count.
+const SessionSummary& drain_per_exchange(ClockSession& session,
+                                         sim::Testbed& testbed) {
+  while (auto ex = testbed.next()) session.process(*ex);
+  session.set_polls_enumerated(testbed.polls_enumerated());
+  return session.summary();
 }
 
 void expect_exchange_eq(const sim::Exchange& a, const sim::Exchange& b) {
@@ -99,30 +106,6 @@ void expect_reduction_eq(const ReducerSink::Reduction& a,
 }
 
 // -- Testbed batch API -----------------------------------------------------
-
-TEST(TestbedBatch, NextBatchStreamIdenticalToNext) {
-  // A chunk size that never divides the stream evenly exercises the
-  // boundaries; the stress schedule exercises outage skips and switches.
-  sim::Testbed scalar(stress_scenario());
-  sim::Testbed batched(stress_scenario());
-
-  std::vector<sim::Exchange> reference;
-  while (auto ex = scalar.next()) reference.push_back(*ex);
-
-  std::vector<sim::Exchange> buffer(37);
-  std::size_t seen = 0;
-  while (true) {
-    const std::size_t n = batched.next_batch(buffer);
-    for (std::size_t k = 0; k < n; ++k) {
-      ASSERT_LT(seen, reference.size());
-      expect_exchange_eq(reference[seen], buffer[k]);
-      ++seen;
-    }
-    if (n < buffer.size()) break;
-  }
-  EXPECT_EQ(seen, reference.size());
-  EXPECT_EQ(scalar.polls_enumerated(), batched.polls_enumerated());
-}
 
 TEST(TestbedBatch, GenerateBatchColumnsIdenticalToNext) {
   // The SoA stream: every column of every row — materialized back into an
@@ -216,27 +199,6 @@ TEST(TestbedBatch, CheckWireModeAssertsQuantizeMatchesRealWire) {
   EXPECT_EQ(scalar_seen, reference.size());
 }
 
-TEST(TestbedBatch, PollsRemainingBoundsTheStream) {
-  sim::Testbed testbed(stress_scenario());
-  const std::uint64_t total = testbed.polls_remaining();
-  const auto all = testbed.generate_all();
-  // polls_remaining counts slots (outage-skipped ones included); after a
-  // full drain the enumerated counter equals the upfront bound.
-  EXPECT_EQ(testbed.polls_enumerated(), total);
-  EXPECT_LE(all.size(), total);
-  EXPECT_EQ(testbed.polls_remaining(), 0u);
-}
-
-TEST(TestbedBatch, GenerateAllReservesUpfront) {
-  sim::Testbed counting(plain_scenario());
-  const std::uint64_t slots = counting.polls_remaining();
-  sim::Testbed testbed(plain_scenario());
-  const auto all = testbed.generate_all();
-  // The drain must not have grown past the poll-slot reservation.
-  EXPECT_GE(slots, all.size());
-  EXPECT_LE(all.capacity(), static_cast<std::size_t>(slots));
-}
-
 // -- ClockSession batch lane ----------------------------------------------
 
 TEST(BatchLane, SingleLaneExactReducerBitIdentical) {
@@ -247,13 +209,13 @@ TEST(BatchLane, SingleLaneExactReducerBitIdentical) {
   ClockSession scalar(config, scalar_bed.nominal_period());
   ReducerSink scalar_reducer(scenario.poll_period);
   scalar.add_sink(scalar_reducer);
-  const auto scalar_summary = scalar.run(scalar_bed);
+  const auto scalar_summary = drain_per_exchange(scalar, scalar_bed);
 
   sim::Testbed batch_bed(scenario);
   ClockSession batched(config, batch_bed.nominal_period());
   ReducerSink batch_reducer(scenario.poll_period);
   batched.add_sink(batch_reducer);
-  const auto batch_summary = batched.run_batched(batch_bed);
+  const auto batch_summary = batched.run(batch_bed);
 
   EXPECT_EQ(scalar_summary.exchanges, batch_summary.exchanges);
   EXPECT_EQ(scalar_summary.lost, batch_summary.lost);
@@ -276,13 +238,13 @@ TEST(BatchLane, SingleLaneStreamingReducerBitIdentical) {
   ClockSession scalar(config, scalar_bed.nominal_period());
   StreamingReducerSink scalar_reducer(scenario.poll_period);
   scalar.add_sink(scalar_reducer);
-  scalar.run(scalar_bed);
+  drain_per_exchange(scalar, scalar_bed);
 
   sim::Testbed batch_bed(scenario);
   ClockSession batched(config, batch_bed.nominal_period());
   StreamingReducerSink batch_reducer(scenario.poll_period);
   batched.add_sink(batch_reducer);
-  batched.run_batched(batch_bed);
+  batched.run(batch_bed);
 
   expect_reduction_eq(scalar_reducer.reduce(), batch_reducer.reduce());
 }
@@ -295,13 +257,13 @@ TEST(BatchLane, StressScheduleBitIdentical) {
   ClockSession scalar(config, scalar_bed.nominal_period());
   ReducerSink scalar_reducer(scenario.poll_period);
   scalar.add_sink(scalar_reducer);
-  const auto scalar_summary = scalar.run(scalar_bed);
+  const auto scalar_summary = drain_per_exchange(scalar, scalar_bed);
 
   sim::Testbed batch_bed(scenario);
   ClockSession batched(config, batch_bed.nominal_period());
   ReducerSink batch_reducer(scenario.poll_period);
   batched.add_sink(batch_reducer);
-  const auto batch_summary = batched.run_batched(batch_bed);
+  const auto batch_summary = batched.run(batch_bed);
 
   EXPECT_EQ(scalar_summary.exchanges, batch_summary.exchanges);
   EXPECT_EQ(scalar_summary.lost, batch_summary.lost);
@@ -315,40 +277,53 @@ TEST(BatchLane, MultiLaneWithTraceRecordingBitIdentical) {
   const auto scenario = stress_scenario();
   const auto config = session_config_for(scenario);
 
-  const auto build = [&](MultiEstimatorSession& session, double nominal,
-                         std::vector<ReducerSink>& reducers) {
-    session.enable_trace_recording(config);
-    reducers.reserve(3);
-    const std::size_t robust = session.add_lane(
-        config, std::make_unique<TscNtpEstimator>(config.params, nominal));
-    const std::size_t swntp = session.add_lane(
-        config,
+  const auto estimators = [&](double nominal) {
+    std::vector<std::unique_ptr<ClockEstimator>> out;
+    out.push_back(std::make_unique<TscNtpEstimator>(config.params, nominal));
+    out.push_back(
         std::make_unique<SwNtpEstimator>(baseline::PllConfig{}, nominal));
-    const std::size_t naive =
-        session.add_lane(config, std::make_unique<NaiveEstimator>(nominal));
-    for (const std::size_t lane : {robust, swntp, naive}) {
-      reducers.emplace_back(scenario.poll_period);
-      session.add_sink(lane, reducers.back());
-    }
+    out.push_back(std::make_unique<NaiveEstimator>(nominal));
+    return out;
   };
 
+  // Reference: three independent ClockSessions and one TraceRecorder, fed
+  // the stream one exchange at a time.
   sim::Testbed scalar_bed(scenario);
-  MultiEstimatorSession scalar;
+  TraceRecorder scalar_recorder(config);
+  std::vector<std::unique_ptr<ClockSession>> scalar;
   std::vector<ReducerSink> scalar_reducers;
-  build(scalar, scalar_bed.nominal_period(), scalar_reducers);
-  scalar.run(scalar_bed);
+  scalar_reducers.reserve(3);
+  for (auto& estimator : estimators(scalar_bed.nominal_period())) {
+    scalar.push_back(
+        std::make_unique<ClockSession>(config, std::move(estimator)));
+    scalar_reducers.emplace_back(scenario.poll_period);
+    scalar.back()->add_sink(scalar_reducers.back());
+  }
+  while (auto ex = scalar_bed.next()) {
+    scalar_recorder.observe(*ex);
+    for (auto& lane : scalar) lane->process(*ex);
+  }
+  for (auto& lane : scalar)
+    lane->set_polls_enumerated(scalar_bed.polls_enumerated());
+  scalar_recorder.set_polls_enumerated(scalar_bed.polls_enumerated());
 
   sim::Testbed batch_bed(scenario);
   MultiEstimatorSession batched;
+  batched.enable_trace_recording(config);
   std::vector<ReducerSink> batch_reducers;
-  build(batched, batch_bed.nominal_period(), batch_reducers);
-  batched.run_batched(batch_bed);
+  batch_reducers.reserve(3);
+  for (auto& estimator : estimators(batch_bed.nominal_period())) {
+    const std::size_t lane = batched.add_lane(config, std::move(estimator));
+    batch_reducers.emplace_back(scenario.poll_period);
+    batched.add_sink(lane, batch_reducers.back());
+  }
+  batched.run(batch_bed);
 
   for (std::size_t lane = 0; lane < 3; ++lane) {
     SCOPED_TRACE(lane);
     expect_reduction_eq(scalar_reducers[lane].reduce(),
                         batch_reducers[lane].reduce());
-    const auto& a = scalar.lane(lane).summary();
+    const auto& a = scalar[lane]->summary();
     const auto& b = batched.lane(lane).summary();
     EXPECT_EQ(a.exchanges, b.exchanges);
     EXPECT_EQ(a.evaluated, b.evaluated);
@@ -356,7 +331,7 @@ TEST(BatchLane, MultiLaneWithTraceRecordingBitIdentical) {
   }
 
   // The shared recording must be sample-for-sample identical too.
-  const ReplayTrace& ta = scalar.trace();
+  const ReplayTrace& ta = scalar_recorder.trace();
   const ReplayTrace& tb = batched.trace();
   EXPECT_EQ(ta.exchanges, tb.exchanges);
   EXPECT_EQ(ta.lost, tb.lost);
@@ -380,7 +355,8 @@ TEST(BatchLane, MultiLaneWithTraceRecordingBitIdentical) {
 
 TEST(BatchLane, RecordSinkDegradesToScalarSequence) {
   // With a record-shaped sink attached, process_batch must emit the exact
-  // SampleRecord stream the scalar loop emits (per-record, in order).
+  // SampleRecord stream the per-exchange loop emits (per-record, in order),
+  // across chunk boundaries that do not divide the stream.
   const auto scenario = plain_scenario(97531);
   const auto config = session_config_for(scenario);
 
@@ -390,16 +366,20 @@ TEST(BatchLane, RecordSinkDegradesToScalarSequence) {
   ReducerSink scalar_reducer(scenario.poll_period);
   scalar.add_sink(scalar_collector);
   scalar.add_sink(scalar_reducer);
-  scalar.run(scalar_bed);
+  drain_per_exchange(scalar, scalar_bed);
 
   sim::Testbed batch_bed(scenario);
-  const auto all = batch_bed.generate_all();
   ClockSession batched(config, batch_bed.nominal_period());
   CollectorSink batch_collector;
   ReducerSink batch_reducer(scenario.poll_period);
   batched.add_sink(batch_collector);
   batched.add_sink(batch_reducer);
-  batched.process_batch(all);
+  sim::ExchangeBatch batch;
+  while (true) {
+    const std::size_t n = batch_bed.generate_batch(batch, 37);
+    batched.process_batch(batch);
+    if (n < 37) break;
+  }
   batched.set_polls_enumerated(batch_bed.polls_enumerated());
 
   // The mixed-sink path feeds the reducer through on_sample, identically.

@@ -114,8 +114,7 @@ TEST(FleetStream, SingleClientFleetSessionMatchesClockSessionBatched) {
   harness::ClockSession session(config, classic.nominal_period());
   harness::ReducerSink classic_reducer(scenario.poll_period);
   session.add_sink(classic_reducer);
-  const harness::SessionSummary classic_summary =
-      session.run_batched(classic);
+  const harness::SessionSummary classic_summary = session.run(classic);
 
   sim::FleetTestbed fleet(scenario, sim::FleetConfig{});
   harness::FleetSession fleet_session;
@@ -124,7 +123,7 @@ TEST(FleetStream, SingleClientFleetSessionMatchesClockSessionBatched) {
                                config.params, fleet.client(0).nominal_period()));
   harness::ReducerSink fleet_reducer(scenario.poll_period);
   fleet_session.add_sink(0, fleet_reducer);
-  fleet_session.run_batched(fleet);
+  fleet_session.run(fleet);
   const harness::SessionSummary fleet_summary =
       fleet_session.combined_summary();
 

@@ -271,10 +271,10 @@ TEST(ClockSessionWarmup, PoliciesCutOnTheirDocumentedTimebase) {
   std::size_t expect_truth = 0;
   {
     sim::Testbed testbed(scenario);
-    for (const auto& ex : testbed.generate_all()) {
-      if (ex.lost || !ex.ref_available) continue;
-      if (ex.tb_stamp >= cut) ++expect_observable;
-      if (ex.truth.tb >= cut) ++expect_truth;
+    while (const auto ex = testbed.next()) {
+      if (ex->lost || !ex->ref_available) continue;
+      if (ex->tb_stamp >= cut) ++expect_observable;
+      if (ex->truth.tb >= cut) ++expect_truth;
     }
   }
   ASSERT_GT(expect_observable, 0u);

@@ -72,11 +72,11 @@ LegacyOffline legacy_handrolled_offline(const sim::ScenarioConfig& scenario,
   std::vector<core::RawExchange> raws;
   std::vector<double> tg;
   std::vector<bool> warm;
-  for (const auto& ex : testbed.generate_all()) {
-    if (ex.lost || !ex.ref_available) continue;
-    raws.push_back({ex.ta_counts, ex.tb_stamp, ex.te_stamp, ex.tf_counts});
-    tg.push_back(ex.tg);
-    warm.push_back(ex.tb_stamp < discard_warmup);
+  while (const auto ex = testbed.next()) {
+    if (ex->lost || !ex->ref_available) continue;
+    raws.push_back({ex->ta_counts, ex->tb_stamp, ex->te_stamp, ex->tf_counts});
+    tg.push_back(ex->tg);
+    warm.push_back(ex->tb_stamp < discard_warmup);
   }
   const auto params = core::Params::for_poll_period(scenario.poll_period);
   const auto offline =
@@ -187,10 +187,11 @@ TEST(TraceRecorder, MultiSessionRecordsOnceForAllLanes) {
   const auto scenario = replay_scenario(901);
   const auto config = replay_config(scenario);
 
-  // Reference: a single recording session.
+  // Reference: a single recording session, fed one exchange at a time.
   sim::Testbed solo_testbed(scenario);
   ClockSession solo(config, solo_testbed.nominal_period());
-  solo.run(solo_testbed);
+  while (auto ex = solo_testbed.next()) solo.process(*ex);
+  solo.set_polls_enumerated(solo_testbed.polls_enumerated());
 
   // The multi-session records at the fan-out level (estimator-independent,
   // so one canonical recording regardless of lane count).

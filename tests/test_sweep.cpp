@@ -522,7 +522,8 @@ TEST(SpecGolden, BareRobustSpecBitIdenticalToDirectRobustLane) {
     ASSERT_FALSE(via_spec.failed);
     EXPECT_EQ(via_spec.estimator.label(), "robust");
 
-    // The pre-redesign lane, hand-rolled: no registry anywhere.
+    // The pre-redesign lane, hand-rolled: no registry anywhere, driven one
+    // exchange at a time.
     sim::Testbed testbed(scenario.config);
     harness::SessionConfig config;
     config.params =
@@ -534,7 +535,9 @@ TEST(SpecGolden, BareRobustSpecBitIdenticalToDirectRobustLane) {
                     config.params, testbed.nominal_period()));
     harness::ReducerSink reducer(scenario.config.poll_period);
     session.add_sink(reducer);
-    const auto& summary = session.run(testbed);
+    while (auto ex = testbed.next()) session.process(*ex);
+    session.set_polls_enumerated(testbed.polls_enumerated());
+    const auto& summary = session.summary();
     const auto reduction = reducer.reduce();
 
     EXPECT_EQ(via_spec.exchanges, summary.exchanges);

@@ -4,7 +4,8 @@
 // relative-only export of the same stream scores under the
 // GroundTruthMode::kRelativeOnly semantics (structurally empty clock
 // series, tracking residual θ̂ − θ̂_naive in the offset columns, ADEV over
-// the residual).
+// the residual). A reloaded file also feeds core::smooth_offsets directly,
+// the offline workflow without a replay estimator.
 #include "trace/trace_io.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/offline.hpp"
 #include "harness/replay.hpp"
@@ -235,6 +237,51 @@ TEST(TraceReplayGolden, RelativeOnlyExportScoresTrackingResidual) {
   EXPECT_TRUE(
       same_bits(stream_reduction.adev_long, outcome.reduction.adev_long));
   fs::remove(path);
+}
+
+TEST(TraceReplayGolden, SupportsOfflineWorkflow) {
+  // The intended offline pipeline without any replay estimator: record a
+  // stream, persist it, reload it and smooth the reloaded quadruples
+  // directly with core::smooth_offsets.
+  sim::ScenarioConfig scenario;
+  scenario.duration = 2 * duration::kHour;
+  scenario.seed = 99;
+  sim::Testbed testbed(scenario);
+  harness::SessionConfig config;
+  config.params = core::Params::for_poll_period(scenario.poll_period);
+  config.record_trace = true;
+  harness::ClockSession session(config, testbed.nominal_period());
+  session.run(testbed);
+
+  TraceMeta meta;
+  meta.mode = harness::GroundTruthMode::kReference;
+  meta.nominal_period = testbed.nominal_period();
+  meta.poll_period = scenario.poll_period;
+  const auto path = temp_path("offline_workflow.trace");
+  write_trace(path.string(), meta, session.trace());
+  const ReadTrace loaded = read_trace(path.string());
+  fs::remove(path);
+
+  std::vector<core::RawExchange> raws;
+  for (const auto& sample : loaded.trace.samples)
+    if (!sample.lost) raws.push_back(sample.raw);
+  core::Params params;
+  params.poll_period = loaded.meta.poll_period;
+  const auto result =
+      core::smooth_offsets(raws, params, loaded.meta.nominal_period);
+  EXPECT_EQ(result.offsets.size(), raws.size());
+  // Smoothed offsets track the reference within tens of µs.
+  std::size_t checked = 0;
+  std::size_t k = 0;
+  for (const auto& sample : loaded.trace.samples) {
+    if (sample.lost) continue;
+    const std::size_t i = k++;
+    if (!sample.ref_available || i < 50) continue;
+    const Seconds theta_g = result.timescale.read(sample.raw.tf) - sample.tg;
+    EXPECT_NEAR(result.offsets[i], theta_g, 120e-6);
+    ++checked;
+  }
+  EXPECT_GT(checked, 300u);
 }
 
 }  // namespace
