@@ -1,8 +1,10 @@
 #include "common/serialize.hpp"
 
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -21,12 +23,26 @@ std::string format_double_exact(double value) {
 
 double parse_double_exact(std::string_view text) {
   if (text.empty()) throw std::runtime_error("empty number field");
-  const std::string copy(text);  // strtod needs NUL termination
-  char* end = nullptr;
-  const double value = std::strtod(copy.c_str(), &end);
-  if (end != copy.c_str() + copy.size()) {
-    throw std::runtime_error("malformed number '" + copy + "'");
+  const auto malformed = [&] {
+    return std::runtime_error("malformed number '" + std::string(text) + "'");
+  };
+  // strtod would skip leading whitespace; refuse it like trailing garbage.
+  if (std::isspace(static_cast<unsigned char>(text.front()))) throw malformed();
+  // strtod needs NUL termination: a stack copy for every token the formats
+  // hold (hexfloats are at most 24 characters), the heap beyond that.
+  char stack_copy[64];
+  std::string heap_copy;
+  const char* begin = stack_copy;
+  if (text.size() < sizeof stack_copy) {
+    std::memcpy(stack_copy, text.data(), text.size());
+    stack_copy[text.size()] = '\0';
+  } else {
+    heap_copy.assign(text);
+    begin = heap_copy.c_str();
   }
+  char* end = nullptr;
+  const double value = std::strtod(begin, &end);
+  if (end != begin + text.size()) throw malformed();
   return value;
 }
 

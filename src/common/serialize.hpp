@@ -26,7 +26,8 @@ namespace tscclock {
 std::string format_double_exact(double value);
 
 /// Inverse of format_double_exact; also accepts plain decimal. Throws
-/// std::runtime_error on empty input, trailing garbage or no conversion.
+/// std::runtime_error on empty input, leading or trailing whitespace,
+/// trailing garbage, an embedded NUL or no conversion.
 double parse_double_exact(std::string_view text);
 
 /// Strict non-negative integer parse: digits only, no sign, no whitespace,

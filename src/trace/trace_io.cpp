@@ -1,6 +1,12 @@
 #include "trace/trace_io.hpp"
 
-#include <sstream>
+#include <array>
+#include <charconv>
+#include <cmath>
+#include <cstdio>
+#include <filesystem>
+#include <string_view>
+#include <system_error>
 
 #include "common/serialize.hpp"
 #include "common/time_types.hpp"
@@ -24,15 +30,101 @@ std::string record_context(std::size_t index) {
   return "record " + std::to_string(index);
 }
 
-}  // namespace
+// -- Record formatting -------------------------------------------------------
+//
+// The appenders below produce exactly the text of operator<< (integers) and
+// format_double_exact (doubles), without a temporary string per field.
 
-// -- TraceWriter -------------------------------------------------------------
+void append_u64(std::string& out, std::uint64_t value) {
+  char buffer[20];
+  const auto result = std::to_chars(buffer, buffer + sizeof buffer, value);
+  out.append(buffer, result.ptr);
+}
 
-TraceWriter::TraceWriter(const std::string& path, const TraceMeta& meta)
-    : out_(path, std::ios::binary | std::ios::trunc),
-      path_(path),
-      meta_(meta) {
-  if (!out_) {
+void append_double(std::string& out, double value) {
+  if (std::isnan(value)) {
+    out += "nan";
+  } else if (std::isinf(value)) {
+    out += value > 0 ? "inf" : "-inf";
+  } else {
+    char buffer[64];
+    const int length = std::snprintf(buffer, sizeof buffer, "%a", value);
+    out.append(buffer, static_cast<std::size_t>(length));
+  }
+}
+
+/// The header block, from the magic line through `samples`.
+void append_header(std::string& out, const TraceMeta& meta) {
+  out += kTraceMagic;
+  out += ' ';
+  append_u64(out, kTraceFormatVersion);
+  out += "\nground_truth ";
+  out += mode_token(meta.mode);
+  out += "\nnominal_period ";
+  append_double(out, meta.nominal_period);
+  out += "\npoll_period ";
+  append_double(out, meta.poll_period);
+  out += "\nclient ";
+  append_u64(out, meta.client_id);
+  out += '\n';
+  if (!meta.label.empty()) {
+    out += "label ";
+    out += escape_field(meta.label);
+    out += '\n';
+  }
+  out += "samples\n";
+}
+
+/// One `x` record. Without `reference` the truth columns are left out and
+/// the reference flag is written as 0.
+void append_record(std::string& out, const harness::ReplaySample& sample,
+                   bool reference) {
+  const bool ref = reference && sample.ref_available;
+  out += "x\t";
+  append_u64(out, sample.index);
+  out += sample.lost ? "\t1\t" : "\t0\t";
+  out += sample.in_warmup ? "1\t" : "0\t";
+  out += sample.server_changed ? "1\t" : "0\t";
+  out += ref ? "1\t" : "0\t";
+  append_u64(out, sample.raw.ta);
+  out += '\t';
+  append_double(out, sample.raw.tb);
+  out += '\t';
+  append_double(out, sample.raw.te);
+  out += '\t';
+  append_u64(out, sample.raw.tf);
+  out += '\t';
+  append_u64(out, sample.tf_counts_corrected);
+  if (reference) {
+    out += '\t';
+    append_double(out, sample.truth_ta);
+    out += '\t';
+    append_double(out, sample.truth_tb);
+    out += '\t';
+    append_double(out, sample.tg);
+  }
+  out += '\n';
+}
+
+void append_end(std::string& out, std::uint64_t exchanges, std::uint64_t lost,
+                std::uint64_t polls_enumerated) {
+  out += "end ";
+  append_u64(out, exchanges);
+  out += ' ';
+  append_u64(out, lost);
+  out += ' ';
+  append_u64(out, polls_enumerated);
+  out += '\n';
+}
+
+void write_text(std::ofstream& out, const std::string& text) {
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+}
+
+/// Opens `path` (overwriting), validates `meta` and writes the header.
+std::ofstream open_trace(const std::string& path, const TraceMeta& meta) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) {
     throw TraceIoError("cannot open trace " + path + " for writing");
   }
   if (!(meta.nominal_period > 0)) {
@@ -41,36 +133,31 @@ TraceWriter::TraceWriter(const std::string& path, const TraceMeta& meta)
   if (!(meta.poll_period > 0)) {
     throw TraceIoError("trace meta: poll_period must be positive");
   }
-  out_.exceptions(std::ios::badbit | std::ios::failbit);
-  out_ << kTraceMagic << ' ' << kTraceFormatVersion << '\n';
-  out_ << "ground_truth " << mode_token(meta_.mode) << '\n';
-  out_ << "nominal_period " << format_double_exact(meta_.nominal_period)
-       << '\n';
-  out_ << "poll_period " << format_double_exact(meta_.poll_period) << '\n';
-  out_ << "client " << meta_.client_id << '\n';
-  if (!meta_.label.empty()) {
-    out_ << "label " << escape_field(meta_.label) << '\n';
-  }
-  out_ << "samples\n";
+  out.exceptions(std::ios::badbit | std::ios::failbit);
+  std::string header;
+  append_header(header, meta);
+  write_text(out, header);
+  return out;
+}
+
+bool is_reference(const TraceMeta& meta) {
+  return meta.mode == harness::GroundTruthMode::kReference;
+}
+
+}  // namespace
+
+// -- TraceWriter -------------------------------------------------------------
+
+TraceWriter::TraceWriter(const std::string& path, const TraceMeta& meta)
+    : out_(open_trace(path, meta)), path_(path), meta_(meta) {
   out_.flush();
 }
 
 void TraceWriter::write(const harness::ReplaySample& sample) {
   if (closed_) throw TraceIoError("trace " + path_ + " already closed");
-  const bool reference = meta_.mode == harness::GroundTruthMode::kReference;
-  const bool ref = reference && sample.ref_available;
-  out_ << "x\t" << sample.index << '\t' << (sample.lost ? 1 : 0) << '\t'
-       << (sample.in_warmup ? 1 : 0) << '\t'
-       << (sample.server_changed ? 1 : 0) << '\t' << (ref ? 1 : 0) << '\t'
-       << sample.raw.ta << '\t' << format_double_exact(sample.raw.tb) << '\t'
-       << format_double_exact(sample.raw.te) << '\t' << sample.raw.tf << '\t'
-       << sample.tf_counts_corrected;
-  if (reference) {
-    out_ << '\t' << format_double_exact(sample.truth_ta) << '\t'
-         << format_double_exact(sample.truth_tb) << '\t'
-         << format_double_exact(sample.tg);
-  }
-  out_ << '\n';
+  line_.clear();
+  append_record(line_, sample, is_reference(meta_));
+  write_text(out_, line_);
   ++exchanges_;
   if (sample.lost) ++lost_;
   // One flush per record bounds a kill's loss window to the in-flight line,
@@ -80,17 +167,30 @@ void TraceWriter::write(const harness::ReplaySample& sample) {
 
 void TraceWriter::close(std::uint64_t polls_enumerated) {
   if (closed_) return;
-  out_ << "end " << exchanges_ << ' ' << lost_ << ' ' << polls_enumerated
-       << '\n';
+  line_.clear();
+  append_end(line_, exchanges_, lost_, polls_enumerated);
+  write_text(out_, line_);
   out_.close();
   closed_ = true;
 }
 
 void write_trace(const std::string& path, const TraceMeta& meta,
                  const harness::ReplayTrace& trace) {
-  TraceWriter writer(path, meta);
-  for (const auto& sample : trace.samples) writer.write(sample);
-  writer.close(trace.polls_enumerated);
+  std::ofstream out = open_trace(path, meta);
+  const bool reference = is_reference(meta);
+  // No flush per record: the ofstream's own buffer does the chunking.
+  std::string line;
+  std::uint64_t lost = 0;
+  for (const auto& sample : trace.samples) {
+    line.clear();
+    append_record(line, sample, reference);
+    write_text(out, line);
+    if (sample.lost) ++lost;
+  }
+  line.clear();
+  append_end(line, trace.samples.size(), lost, trace.polls_enumerated);
+  write_text(out, line);
+  out.close();
 }
 
 // -- read_trace --------------------------------------------------------------
@@ -98,55 +198,89 @@ void write_trace(const std::string& path, const TraceMeta& meta,
 namespace {
 
 /// Minimal clone of result_io's line reader (that one is file-local there
-/// on purpose: each artifact format owns its torn-tail policy).
+/// on purpose: each artifact format owns its torn-tail policy). Lines are
+/// views into the file content, which must outlive them.
 class LineReader {
  public:
-  explicit LineReader(const std::string& content) : content_(content) {}
+  explicit LineReader(std::string_view content) : content_(content) {}
 
-  bool next_line(std::string& line) {
+  bool next_line(std::string_view& line) {
     if (offset_ >= content_.size()) return false;
     const std::size_t newline = content_.find('\n', offset_);
-    if (newline == std::string::npos) {
+    if (newline == std::string_view::npos) {
       torn_ = true;
       return false;
     }
-    line.assign(content_, offset_, newline - offset_);
+    line = content_.substr(offset_, newline - offset_);
     offset_ = newline + 1;
     return true;
   }
 
   [[nodiscard]] bool torn() const { return torn_; }
-  [[nodiscard]] bool exhausted() const {
-    return !torn_ && offset_ >= content_.size();
-  }
 
  private:
-  const std::string& content_;
+  std::string_view content_;
   std::size_t offset_ = 0;
   bool torn_ = false;
 };
 
+/// The fields of one record line as views into it. `count` is the true
+/// number of fields; only the first kReferenceFields are kept, which is all
+/// a well-formed record of either mode has.
+struct Fields {
+  std::array<std::string_view, kReferenceFields> at;
+  std::size_t count = 0;
+};
+
+Fields split_record(std::string_view line, char sep) {
+  Fields fields;
+  std::size_t start = 0;
+  for (;;) {
+    const std::size_t pos = line.find(sep, start);
+    if (fields.count < fields.at.size()) {
+      fields.at[fields.count] = line.substr(
+          start, pos == std::string_view::npos ? pos : pos - start);
+    }
+    ++fields.count;
+    if (pos == std::string_view::npos) return fields;
+    start = pos + 1;
+  }
+}
+
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw TraceIoError("trace " + path + ": cannot open");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) throw TraceIoError("trace " + path + ": read error");
-  return buffer.str();
+  // A regular file's size is known, so one read asking for a byte more
+  // reaches end of file; an unsized input (a pipe) doubles the buffer
+  // until a read comes up short. A read error also ends the content
+  // early, and the end-marker check then refuses the file.
+  std::error_code unsized;
+  const std::uintmax_t size = std::filesystem::file_size(path, unsized);
+  std::string content(unsized ? std::size_t{1} << 16 : size + 1, '\0');
+  std::size_t used = 0;
+  for (;;) {
+    in.read(content.data() + used,
+            static_cast<std::streamsize>(content.size() - used));
+    used += static_cast<std::size_t>(in.gcount());
+    if (used < content.size()) break;
+    content.resize(2 * content.size());
+  }
+  content.resize(used);
+  return content;
 }
 
-double parse_positive(const std::string& text, const char* key,
+double parse_positive(std::string_view text, const char* key,
                       const std::string& context) {
   double value = 0;
   try {
     value = parse_double_exact(text);
   } catch (const std::exception& e) {
-    throw TraceIoError(context + ": malformed " + key + " '" + text +
-                       "': " + e.what());
+    throw TraceIoError(context + ": malformed " + key + " '" +
+                       std::string(text) + "': " + e.what());
   }
   if (!(value > 0)) {
     throw TraceIoError(context + ": " + key + " must be positive, got '" +
-                       text + "'");
+                       std::string(text) + "'");
   }
   return value;
 }
@@ -157,8 +291,8 @@ ReadTrace read_trace(const std::string& path) {
   const std::string content = read_file(path);
   const std::string context = "trace " + path;
   LineReader lines(content);
-  std::string line;
-  const auto next_line = [&]() -> const std::string& {
+  std::string_view line;
+  const auto next_line = [&] {
     if (!lines.next_line(line)) {
       throw TraceIoError(context + (lines.torn()
                                         ? ": torn trailing line (the file "
@@ -166,18 +300,17 @@ ReadTrace read_trace(const std::string& path) {
                                         : ": truncated (unexpected end of "
                                           "file)"));
     }
-    return line;
   };
 
   // Magic + version gate, naming both versions on skew.
   {
     const std::string expected_prefix = std::string(kTraceMagic) + " ";
     next_line();
-    if (line.compare(0, expected_prefix.size(), expected_prefix) != 0) {
+    if (!line.starts_with(expected_prefix)) {
       throw TraceIoError(context + ": not a " + kTraceMagic +
-                         " file (first line '" + line + "')");
+                         " file (first line '" + std::string(line) + "')");
     }
-    const std::string version = line.substr(expected_prefix.size());
+    const std::string version(line.substr(expected_prefix.size()));
     if (version != std::to_string(kTraceFormatVersion)) {
       throw TraceIoError(context + ": format version " + version +
                          " is not supported by this build (expected version " +
@@ -195,14 +328,16 @@ ReadTrace read_trace(const std::string& path) {
     next_line();
     if (line == "samples") break;
     const std::size_t space = line.find(' ');
-    if (space == std::string::npos || space == 0) {
-      throw TraceIoError(context + ": malformed header line '" + line + "'");
+    if (space == std::string_view::npos || space == 0) {
+      throw TraceIoError(context + ": malformed header line '" +
+                         std::string(line) + "'");
     }
-    const std::string key = line.substr(0, space);
-    const std::string value = line.substr(space + 1);
+    const std::string_view key = line.substr(0, space);
+    const std::string_view value = line.substr(space + 1);
     const auto require_fresh = [&](bool& have) {
       if (have) {
-        throw TraceIoError(context + ": duplicate header key '" + key + "'");
+        throw TraceIoError(context + ": duplicate header key '" +
+                           std::string(key) + "'");
       }
       have = true;
     };
@@ -213,7 +348,8 @@ ReadTrace read_trace(const std::string& path) {
       } else if (value == "relative") {
         out.meta.mode = harness::GroundTruthMode::kRelativeOnly;
       } else {
-        throw TraceIoError(context + ": unknown ground_truth mode '" + value +
+        throw TraceIoError(context + ": unknown ground_truth mode '" +
+                           std::string(value) +
                            "' (expected 'reference' or 'relative')");
       }
     } else if (key == "nominal_period") {
@@ -230,8 +366,8 @@ ReadTrace read_trace(const std::string& path) {
         if (id > 0xffffffffull) throw std::runtime_error("out of range");
         out.meta.client_id = static_cast<std::uint32_t>(id);
       } catch (const std::exception& e) {
-        throw TraceIoError(context + ": malformed client id '" + value +
-                           "': " + e.what());
+        throw TraceIoError(context + ": malformed client id '" +
+                           std::string(value) + "': " + e.what());
       }
     } else if (key == "label") {
       if (!out.meta.label.empty()) {
@@ -243,7 +379,8 @@ ReadTrace read_trace(const std::string& path) {
         throw TraceIoError(context + ": malformed label: " + e.what());
       }
     } else {
-      throw TraceIoError(context + ": unknown header key '" + key + "'");
+      throw TraceIoError(context + ": unknown header key '" +
+                         std::string(key) + "'");
     }
   }
   if (!have_mode) throw TraceIoError(context + ": missing ground_truth");
@@ -251,14 +388,18 @@ ReadTrace read_trace(const std::string& path) {
   if (!have_poll) throw TraceIoError(context + ": missing poll_period");
   if (!have_client) throw TraceIoError(context + ": missing client");
 
-  const bool reference =
-      out.meta.mode == harness::GroundTruthMode::kReference;
+  const bool reference = is_reference(out.meta);
   const std::size_t expected_fields =
       reference ? kReferenceFields : kRelativeFields;
   harness::ReplayTrace& trace = out.trace;
   trace.ground_truth = out.meta.mode;
 
-  // Sample records until the end marker.
+  // Sample records until the end marker. The "trace <path>, record N"
+  // prefix is built only once a record is being refused.
+  const auto record_error = [&](const std::string& what) {
+    return TraceIoError(context + ", " + record_context(trace.samples.size()) +
+                        ": " + what);
+  };
   bool have_end = false;
   std::uint64_t end_exchanges = 0, end_lost = 0, end_polls = 0;
   bool prev_arrived = false;
@@ -267,39 +408,38 @@ ReadTrace read_trace(const std::string& path) {
   Seconds prev_tb = 0;
   while (!have_end) {
     next_line();
-    if (line.compare(0, 4, "end ") == 0) {
-      const auto fields = split_fields(line.substr(4), ' ');
-      if (fields.size() != 3) {
-        throw TraceIoError(context + ": malformed end marker '" + line + "'");
+    if (line.starts_with("end ")) {
+      const Fields fields = split_record(line.substr(4), ' ');
+      if (fields.count != 3) {
+        throw TraceIoError(context + ": malformed end marker '" +
+                           std::string(line) + "'");
       }
       try {
-        end_exchanges = parse_u64_exact(fields[0]);
-        end_lost = parse_u64_exact(fields[1]);
-        end_polls = parse_u64_exact(fields[2]);
+        end_exchanges = parse_u64_exact(fields.at[0]);
+        end_lost = parse_u64_exact(fields.at[1]);
+        end_polls = parse_u64_exact(fields.at[2]);
       } catch (const std::exception& e) {
-        throw TraceIoError(context + ": malformed end marker '" + line +
-                           "': " + e.what());
+        throw TraceIoError(context + ": malformed end marker '" +
+                           std::string(line) + "': " + e.what());
       }
       have_end = true;
       break;
     }
-    if (line.compare(0, 2, "x\t") != 0) {
-      throw TraceIoError(context + ", " + record_context(trace.samples.size()) +
-                         ": expected a sample record, got '" + line + "'");
+    if (!line.starts_with("x\t")) {
+      throw record_error("expected a sample record, got '" +
+                         std::string(line) + "'");
     }
-    const auto fields = split_fields(std::string_view(line).substr(2));
-    const std::string rec = context + ", " +
-                            record_context(trace.samples.size());
-    if (fields.size() != expected_fields) {
-      if (!reference && fields.size() == kReferenceFields) {
-        throw TraceIoError(rec + ": carries reference-mode truth fields in a "
-                                 "relative-only trace");
+    const Fields fields = split_record(line.substr(2), '\t');
+    if (fields.count != expected_fields) {
+      if (!reference && fields.count == kReferenceFields) {
+        throw record_error(
+            "carries reference-mode truth fields in a relative-only trace");
       }
-      if (reference && fields.size() == kRelativeFields) {
-        throw TraceIoError(rec + ": missing the truth fields a "
-                                 "reference-mode trace declares");
+      if (reference && fields.count == kRelativeFields) {
+        throw record_error(
+            "missing the truth fields a reference-mode trace declares");
       }
-      throw TraceIoError(rec + ": has " + std::to_string(fields.size()) +
+      throw record_error("has " + std::to_string(fields.count) +
                          " fields, expected " +
                          std::to_string(expected_fields));
     }
@@ -307,39 +447,39 @@ ReadTrace read_trace(const std::string& path) {
     try {
       std::size_t f = 0;
       const auto next_bool = [&]() {
-        const std::string& token = fields[f++];
+        const std::string_view token = fields.at[f++];
         if (token == "0") return false;
         if (token == "1") return true;
-        throw std::runtime_error("malformed bool field '" + token + "'");
+        throw std::runtime_error("malformed bool field '" +
+                                 std::string(token) + "'");
       };
-      sample.index = parse_u64_exact(fields[f++]);
+      sample.index = parse_u64_exact(fields.at[f++]);
       sample.lost = next_bool();
       sample.in_warmup = next_bool();
       sample.server_changed = next_bool();
       sample.ref_available = next_bool();
-      sample.raw.ta = parse_u64_exact(fields[f++]);
-      sample.raw.tb = parse_double_exact(fields[f++]);
-      sample.raw.te = parse_double_exact(fields[f++]);
-      sample.raw.tf = parse_u64_exact(fields[f++]);
-      sample.tf_counts_corrected = parse_u64_exact(fields[f++]);
+      sample.raw.ta = parse_u64_exact(fields.at[f++]);
+      sample.raw.tb = parse_double_exact(fields.at[f++]);
+      sample.raw.te = parse_double_exact(fields.at[f++]);
+      sample.raw.tf = parse_u64_exact(fields.at[f++]);
+      sample.tf_counts_corrected = parse_u64_exact(fields.at[f++]);
       if (reference) {
-        sample.truth_ta = parse_double_exact(fields[f++]);
-        sample.truth_tb = parse_double_exact(fields[f++]);
-        sample.tg = parse_double_exact(fields[f++]);
+        sample.truth_ta = parse_double_exact(fields.at[f++]);
+        sample.truth_tb = parse_double_exact(fields.at[f++]);
+        sample.tg = parse_double_exact(fields.at[f++]);
       }
     } catch (const std::exception& e) {
-      throw TraceIoError(rec + ": " + e.what());
+      throw record_error(e.what());
     }
     if (!reference && sample.ref_available) {
-      throw TraceIoError(rec + ": declares a reference sample inside a "
-                               "relative-only trace");
+      throw record_error(
+          "declares a reference sample inside a relative-only trace");
     }
     sample.client_id = out.meta.client_id;
     if (!sample.lost) {
       sample.t_day = sample.raw.tb / duration::kDay;
       if (prev_arrived && sample.raw.ta <= prev_ta) {
-        throw TraceIoError(rec + ": send time Ta " +
-                           std::to_string(sample.raw.ta) +
+        throw record_error("send time Ta " + std::to_string(sample.raw.ta) +
                            " is not after the previous arrival's " +
                            std::to_string(prev_ta) +
                            " (records out of order, or two interleaved "
@@ -379,8 +519,8 @@ ReadTrace read_trace(const std::string& path) {
   }
   trace.polls_enumerated = end_polls;
   if (lines.next_line(line)) {
-    throw TraceIoError(context + ": content after the end marker ('" + line +
-                       "')");
+    throw TraceIoError(context + ": content after the end marker ('" +
+                       std::string(line) + "')");
   }
   if (lines.torn()) {
     throw TraceIoError(context + ": torn trailing line after the end marker");

@@ -39,6 +39,12 @@
 // (the reader never guesses). The end marker is the completeness witness:
 // counts must match what was read, and a missing/torn final line is
 // refused as a kill-mid-write signature (same contract as sweep/result_io).
+//
+// The two writers differ only in when bytes reach the file. TraceWriter
+// flushes after every record, so a killed live collector leaves every
+// completed line on disk; write_trace leaves the chunking to the stream's
+// own buffer and flushes once, when the file is complete. Both produce the
+// same bytes.
 #pragma once
 
 #include <cstdint>
@@ -115,14 +121,15 @@ class TraceWriter {
   std::ofstream out_;
   std::string path_;
   TraceMeta meta_;
+  std::string line_;  ///< reused formatting buffer for one record
   std::size_t exchanges_ = 0;
   std::size_t lost_ = 0;
   bool closed_ = false;
 };
 
 /// One-shot export of a recorded trace (TraceRecorder output or a replayed
-/// import). Equivalent to TraceWriter + write per sample +
-/// close(trace.polls_enumerated).
+/// import). Writes the same bytes as TraceWriter + write per sample +
+/// close(trace.polls_enumerated), but buffered: no per-record flush.
 void write_trace(const std::string& path, const TraceMeta& meta,
                  const harness::ReplayTrace& trace);
 

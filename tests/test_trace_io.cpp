@@ -1,11 +1,16 @@
 // The trace file format (trace/trace_io.hpp): bit-identical round trips
 // through the hexfloat edge cases (−0.0, denormals, ±inf, NaN), the
 // per-mode field-count contract, torn tails and version skew, end-marker
-// completeness witnessing, and the warning (exit-1) taxonomy.
+// completeness witnessing, and the warning (exit-1) taxonomy. Also pins the
+// two writers' flush behaviour: write_trace's buffered export is
+// byte-identical to the streaming TraceWriter, which flushes every record
+// before close().
 #include "trace/trace_io.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
+#include <csignal>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -13,8 +18,10 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/serialize.hpp"
 #include "common/time_types.hpp"
 
 namespace tscclock::trace {
@@ -215,6 +222,170 @@ TEST(TraceIo, StreamingWriterMatchesOneShotExport) {
   EXPECT_EQ(read_file(one_shot), read_file(streamed));
   fs::remove(one_shot);
   fs::remove(streamed);
+}
+
+TEST(TraceIo, RecordsSpellFieldsLikeTheSerializePrimitives) {
+  // The writer formats in place; its text must stay that of std::to_string
+  // and format_double_exact, field for field, hard doubles included.
+  const auto path = temp_path("spelling.trace");
+  const harness::ReplayTrace trace = gnarly_trace();
+  write_trace(path.string(), reference_meta(), trace);
+  const std::string content = read_file(path);
+  EXPECT_NE(content.find("\nnominal_period " +
+                         format_double_exact(reference_meta().nominal_period) +
+                         "\npoll_period 0x1p+4\nclient 3\n"),
+            std::string::npos);
+  for (const auto& s : trace.samples) {
+    SCOPED_TRACE(s.index);
+    const auto flag = [](bool b) { return b ? "1\t" : "0\t"; };
+    const std::string line =
+        "\nx\t" + std::to_string(s.index) + "\t" + flag(s.lost) +
+        flag(s.in_warmup) + flag(s.server_changed) + flag(s.ref_available) +
+        std::to_string(s.raw.ta) + "\t" + format_double_exact(s.raw.tb) +
+        "\t" + format_double_exact(s.raw.te) + "\t" +
+        std::to_string(s.raw.tf) + "\t" +
+        std::to_string(s.tf_counts_corrected) + "\t" +
+        format_double_exact(s.truth_ta) + "\t" +
+        format_double_exact(s.truth_tb) + "\t" + format_double_exact(s.tg) +
+        "\n";
+    EXPECT_NE(content.find(line), std::string::npos) << line;
+  }
+  EXPECT_TRUE(content.ends_with("\nend 8 1 10\n"));
+  fs::remove(path);
+}
+
+/// A reference trace of `n` full-precision records, every 97th lost.
+harness::ReplayTrace long_trace(std::size_t n) {
+  harness::ReplayTrace trace;
+  trace.ground_truth = harness::GroundTruthMode::kReference;
+  for (std::size_t i = 0; i < n; ++i) {
+    harness::ReplaySample s = make_sample(
+        i, 1'000'000'000'000ull + 16'000'000'123ull * i,
+        16.000123456789 * static_cast<double>(i + 1));
+    if (i % 97 == 96) {
+      s.lost = true;
+      s.ref_available = false;
+      ++trace.lost;
+    }
+    trace.samples.push_back(s);
+  }
+  trace.exchanges = n;
+  trace.polls_enumerated = n + 5;
+  return trace;
+}
+
+TEST(TraceIo, LargeExportMatchesStreamingWriterAcrossChunks) {
+  const auto one_shot = temp_path("large_oneshot.trace");
+  const auto streamed = temp_path("large_streamed.trace");
+  const TraceMeta meta = reference_meta();
+  const harness::ReplayTrace trace = long_trace(24000);
+  write_trace(one_shot.string(), meta, trace);
+  {
+    TraceWriter writer(streamed.string(), meta);
+    for (const auto& sample : trace.samples) writer.write(sample);
+    writer.close(trace.polls_enumerated);
+  }
+  const std::string content = read_file(one_shot);
+  // Several megabytes, so the export crosses its stream buffer many times.
+  ASSERT_GT(content.size(), std::size_t{3} << 20);
+  EXPECT_EQ(content, read_file(streamed));
+
+  const ReadTrace loaded = read_trace(one_shot.string());
+  EXPECT_TRUE(loaded.warnings.empty());
+  EXPECT_EQ(loaded.trace.exchanges, trace.exchanges);
+  EXPECT_EQ(loaded.trace.lost, trace.lost);
+  EXPECT_EQ(loaded.trace.polls_enumerated, trace.polls_enumerated);
+  ASSERT_EQ(loaded.trace.samples.size(), trace.samples.size());
+  for (std::size_t i = 0; i < trace.samples.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_sample_bits(loaded.trace.samples[i], trace.samples[i]);
+  }
+
+  // A bad flag deep in the file: the error names exactly that record.
+  std::string corrupt = content;
+  const std::size_t rec = corrupt.find("\nx\t15000\t");
+  ASSERT_NE(rec, std::string::npos);
+  const std::size_t lost_flag = rec + std::strlen("\nx\t15000\t");
+  ASSERT_EQ(corrupt[lost_flag], '0');
+  corrupt[lost_flag] = '2';
+  write_file(one_shot, corrupt);
+  EXPECT_EQ(read_error(one_shot),
+            "trace " + one_shot.string() +
+                ", record 15000: malformed bool field '2'");
+  fs::remove(one_shot);
+  fs::remove(streamed);
+}
+
+TEST(TraceIo, LiveWriterFlushesEveryRecordBeforeClose) {
+  const auto live = temp_path("live_unclosed.trace");
+  const auto complete = temp_path("live_complete.trace");
+  const TraceMeta meta = reference_meta();
+  const harness::ReplayTrace trace = long_trace(5);
+  write_trace(complete.string(), meta, trace);
+  const std::string full = read_file(complete);
+  // The header and every record, without the end marker.
+  const std::string expected = full.substr(0, full.rfind("end "));
+
+  TraceWriter writer(live.string(), meta);
+  for (const auto& sample : trace.samples) writer.write(sample);
+  // No close(): what a killed collector leaves behind.
+  const std::string on_disk = read_file(live);
+  EXPECT_EQ(on_disk, expected);
+  std::size_t records = 0;
+  for (std::size_t at = on_disk.find("\nx\t"); at != std::string::npos;
+       at = on_disk.find("\nx\t", at + 1)) {
+    ++records;
+  }
+  EXPECT_EQ(records, trace.samples.size());
+  const std::string what = read_error(live);
+  EXPECT_NE(what.find("truncated"), std::string::npos) << what;
+  fs::remove(live);
+  fs::remove(complete);
+}
+
+TEST(TraceIo, ReadsAPipeLikeAFile) {
+  // A FIFO has no size up front, so the reader grows its buffer until end
+  // of file; the trace is far past the first read's size.
+  const auto file = temp_path("pipe_source.trace");
+  const auto fifo = temp_path("pipe.fifo");
+  write_trace(file.string(), reference_meta(), long_trace(2000));
+  const std::string content = read_file(file);
+  ASSERT_GT(content.size(), std::size_t{4} << 16);
+  fs::remove(fifo);
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  // A reader that stops early must fail this test, not kill the process.
+  std::signal(SIGPIPE, SIG_IGN);
+  std::thread feeder(
+      [&] { std::ofstream(fifo, std::ios::binary) << content; });
+  ReadTrace from_pipe;
+  std::string what;
+  try {
+    from_pipe = read_trace(fifo.string());
+  } catch (const TraceIoError& e) {
+    what = e.what();
+  }
+  feeder.join();
+  ASSERT_EQ(what, "");
+  const ReadTrace from_file = read_trace(file.string());
+  ASSERT_EQ(from_pipe.trace.samples.size(), from_file.trace.samples.size());
+  for (std::size_t i = 0; i < from_file.trace.samples.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_sample_bits(from_pipe.trace.samples[i], from_file.trace.samples[i]);
+  }
+  EXPECT_EQ(from_pipe.trace.polls_enumerated, from_file.trace.polls_enumerated);
+  fs::remove(fifo);
+  fs::remove(file);
+}
+
+TEST(TraceIo, RefusesMissingFileAndDirectory) {
+  const auto missing = temp_path("no_such.trace");
+  fs::remove(missing);
+  EXPECT_EQ(read_error(missing), "trace " + missing.string() + ": cannot open");
+  const auto dir = temp_path("a_directory");
+  fs::create_directories(dir);
+  const std::string what = read_error(dir);
+  EXPECT_EQ(what.rfind("trace " + dir.string() + ": ", 0), 0u) << what;
+  fs::remove(dir);
 }
 
 // -- Structural validation ---------------------------------------------------
