@@ -96,11 +96,13 @@ void StreamingGapAdev::finish_stretch() {
 }
 
 void StreamingGapAdev::add(double time, double value) {
-  if (samples_ > 0) TSC_EXPECTS(time > prev_time_);
   ++samples_;
 
-  const bool gap =
-      stretch_samples_ > 0 && time - prev_time_ > gap_factor_ * tau0_;
+  // A sample not strictly after the previous one (a backwards server step,
+  // a repeated stamp, NaN) ends the stretch just like a gap does.
+  const bool gap = stretch_samples_ > 0 &&
+                   (!(time > prev_time_) ||
+                    time - prev_time_ > gap_factor_ * tau0_);
   if (gap) finish_stretch();
 
   if (stretch_samples_ == 0) {

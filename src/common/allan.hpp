@@ -45,7 +45,8 @@ std::vector<double> resample_linear(std::span<const double> times,
 
 /// Streaming equivalent of the buffered gap-aware ADEV pipeline
 ///
-///     split the (t, x) series at gaps > gap_factor·tau0,
+///     split the (t, x) series at gaps > gap_factor·tau0 and before every
+///     sample whose time is not strictly after its predecessor's,
 ///     take the longest stretch (earliest wins ties, by raw sample count),
 ///     resample_linear() it onto the tau0 grid,
 ///     allan_deviation() at the given averaging factors
@@ -61,8 +62,9 @@ class StreamingGapAdev {
   StreamingGapAdev(double tau0, std::vector<std::size_t> factors,
                    double gap_factor = 4.0);
 
-  /// Consume one sample. `time` must be strictly greater than the previous
-  /// sample's time.
+  /// Consume one sample. A time that is not strictly greater than the
+  /// previous sample's (`!(time > prev)`, which also catches NaN) ends the
+  /// current stretch, exactly like a gap over gap_factor·tau0.
   void add(double time, double value);
 
   [[nodiscard]] std::size_t samples() const { return samples_; }

@@ -10,15 +10,25 @@
 
 namespace tscclock {
 
+void append_double_exact(std::string& out, double value) {
+  if (std::isnan(value)) {
+    out += "nan";
+  } else if (std::isinf(value)) {
+    out += value > 0 ? "inf" : "-inf";
+  } else {
+    // %a hexfloat: the shortest exact representation strtod round-trips to
+    // the identical bits on every IEEE-754 platform. (%.17g would round-trip
+    // too, but hexfloat cannot even be mis-rounded by a sloppy libc.)
+    char buffer[64];
+    const int length = std::snprintf(buffer, sizeof buffer, "%a", value);
+    out.append(buffer, static_cast<std::size_t>(length));
+  }
+}
+
 std::string format_double_exact(double value) {
-  if (std::isnan(value)) return "nan";
-  if (std::isinf(value)) return value > 0 ? "inf" : "-inf";
-  // %a hexfloat: the shortest exact representation strtod round-trips to
-  // the identical bits on every IEEE-754 platform. (%.17g would round-trip
-  // too, but hexfloat cannot even be mis-rounded by a sloppy libc.)
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%a", value);
-  return buffer;
+  std::string out;
+  append_double_exact(out, value);
+  return out;
 }
 
 double parse_double_exact(std::string_view text) {

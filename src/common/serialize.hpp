@@ -6,7 +6,7 @@
 // rendered from deserialized results must equal the table rendered from the
 // in-memory originals. That forces two properties on these helpers:
 //
-//   * doubles round-trip bit-exactly — format_double_exact emits C99
+//   * doubles round-trip bit-exactly — append_double_exact emits C99
 //     hexfloat (%a), which strtod parses back to the identical bits,
 //     including ±0, denormals, ±inf and NaN;
 //   * free-form strings (scenario names, exception texts) survive embedding
@@ -21,8 +21,12 @@
 
 namespace tscclock {
 
-/// Render a double so that parse_double_exact returns the identical bits
-/// (hexfloat for finite values; "inf"/"-inf"/"nan" otherwise).
+/// Append a double to `out` so that parse_double_exact returns the identical
+/// bits (hexfloat for finite values; "inf"/"-inf"/"nan" otherwise). The one
+/// spelling of an exact double; record writers call it to format in place.
+void append_double_exact(std::string& out, double value);
+
+/// append_double_exact's text as a new string.
 std::string format_double_exact(double value);
 
 /// Inverse of format_double_exact; also accepts plain decimal. Throws

@@ -43,7 +43,9 @@ namespace {
 /// across an outage would fabricate collinear samples whose second
 /// differences are exactly zero, biasing ADEV low for precisely the
 /// robustness schedules a sweep is meant to compare. Ordinary packet loss
-/// (a 2·tau0 hole) stays within one stretch.
+/// (a 2·tau0 hole) stays within one stretch. A sample whose time is not
+/// strictly after its predecessor's (a backwards server step, NaN) ends the
+/// stretch too — the same rule as StreamingGapAdev::add.
 void fill_adev(const std::vector<double>& times,
                const std::vector<double>& errors, double tau0,
                std::size_t short_factor, std::size_t long_factor,
@@ -53,7 +55,8 @@ void fill_adev(const std::vector<double>& times,
   std::size_t best_len = 0;
   std::size_t begin = 0;
   for (std::size_t i = 1; i <= times.size(); ++i) {
-    if (i == times.size() || times[i] - times[i - 1] > 4 * tau0) {
+    if (i == times.size() || !(times[i] > times[i - 1]) ||
+        times[i] - times[i - 1] > 4 * tau0) {
       if (i - begin > best_len) {
         best_len = i - begin;
         best_begin = begin;

@@ -20,7 +20,7 @@
 //
 // Seed-identity contract: client 0 uses the scenario seed verbatim; client
 // k > 0 uses splitmix64(seed ^ fnv1a64("client<k>")). A 1-client fleet with
-// every other knob at its default therefore reproduces today's Testbed
+// every other knob at its default therefore reproduces the Testbed
 // stream bit for bit (pinned by tests/test_fleet.cpp).
 #pragma once
 

@@ -201,27 +201,6 @@ void ExchangeBatch::resize(std::size_t rows) {
   d_backward.resize(rows);
 }
 
-void ExchangeBatch::reserve(std::size_t rows) {
-  index.reserve(rows);
-  lost.reserve(rows);
-  ta_counts.reserve(rows);
-  tf_counts.reserve(rows);
-  tb_stamp.reserve(rows);
-  te_stamp.reserve(rows);
-  tf_counts_corrected.reserve(rows);
-  server_id.reserve(rows);
-  server_stratum.reserve(rows);
-  ref_available.reserve(rows);
-  tg.reserve(rows);
-  truth_ta.reserve(rows);
-  truth_tb.reserve(rows);
-  truth_te.reserve(rows);
-  truth_tf.reserve(rows);
-  d_forward.reserve(rows);
-  d_server.reserve(rows);
-  d_backward.reserve(rows);
-}
-
 void ExchangeBatch::materialize(std::size_t i, Exchange& out) const {
   TSC_EXPECTS(i < size());
   out.index = index[i];
@@ -441,110 +420,10 @@ bool ClientNode::next_into(Exchange& out) {
 
 std::size_t ClientNode::generate_batch(ExchangeBatch& out,
                                        std::size_t max_rows) {
-  // Size the columns up front and write rows by index through raw pointers —
-  // every column is written exactly once per row, so any stale tail from a
-  // reused batch is fully overwritten and then trimmed away.
   out.resize(max_rows);
   std::size_t rows = 0;
-  // Per-batch invariants hoisted out of the row loop; the draw sequence and
-  // arithmetic below MUST stay in lockstep with next_into() — the batch-lane
-  // goldens pin the two streams row-for-row bit-identical.
-  const Seconds poll_period = config_.poll_period;
-  const Seconds poll_jitter = config_.poll_jitter;
-  const Seconds duration = config_.duration;
-  const bool wire = config_.use_wire_format;
-  const bool check_wire = config_.check_wire;
-
-  while (rows < max_rows) {
-    const Seconds base = static_cast<double>(poll_index_) * poll_period;
-    if (base >= duration) break;
-    const Seconds poll_time =
-        base + rng_.uniform(-poll_jitter, poll_jitter) + poll_jitter;
-    const std::uint64_t index = poll_index_++;
-    if (outage_cursor_.in_outage(poll_time)) continue;  // gap: no exchange
-
-    auto& attachment = active_attachment(poll_time);
-
-    // Row scratch: zero-initialized like a fresh Exchange, written in the
-    // scalar path's order, pushed to every column exactly once per row.
-    bool lost = false;
-    TscCount tf_counts = 0;
-    TscCount tf_counts_corrected = 0;
-    Seconds tb_stamp = 0;
-    Seconds te_stamp = 0;
-    bool ref_available = false;
-    Seconds tg = 0;
-    Seconds truth_te = 0;
-    Seconds truth_tf = 0;
-    Seconds d_server = 0;
-    Seconds d_backward = 0;
-
-    const TscCount ta_counts = oscillator_.read(poll_time);
-    const Seconds send_lead = host_.draw_send_lead();
-    const Seconds truth_ta = poll_time + send_lead;
-
-    const auto fwd = attachment.path.forward(truth_ta);
-    const Seconds d_forward = fwd.delay;
-    const Seconds truth_tb = truth_ta + fwd.delay;
-
-    if (fwd.lost || (bridge_ && truth_tb < bridge_->start)) {
-      lost = true;
-    } else {
-      const auto reply = attachment.server.handle(truth_tb);
-      truth_te = reply.te_true;
-      d_server = reply.te_true - truth_tb;
-      tb_stamp = reply.tb_stamp;
-      te_stamp = reply.te_stamp;
-      if (bridge_) {
-        tb_stamp += bridge_->error_at(truth_tb);
-        te_stamp += bridge_->error_at(truth_te);
-      }
-      const Seconds tb_raw = tb_stamp;
-      const Seconds te_raw = te_stamp;
-      if (wire) {
-        tb_stamp = quantize_stamp(tb_stamp);
-        te_stamp = quantize_stamp(te_stamp);
-        if (check_wire)
-          check_wire_equivalence(poll_time, tb_raw, te_raw, tb_stamp, te_stamp,
-                                 attachment.server.config().stratum,
-                                 attachment.kind);
-      }
-
-      const auto bwd = attachment.path.backward(truth_te);
-      d_backward = bwd.delay;
-      truth_tf = truth_te + bwd.delay;
-      if (bwd.lost) {
-        lost = true;
-      } else {
-        const auto recv_lag = host_.draw_recv_lag_detailed();
-        const auto dag_stamp = dag_.observe(truth_tf);
-        tf_counts_corrected = oscillator_.read(truth_tf + recv_lag.base);
-        tf_counts = oscillator_.read(truth_tf + recv_lag.total);
-        ref_available = dag_stamp.available;
-        tg = dag_stamp.corrected;
-      }
-    }
-
-    out.index[rows] = index;
-    out.lost[rows] = lost ? 1 : 0;
-    out.ta_counts[rows] = ta_counts;
-    out.tf_counts[rows] = tf_counts;
-    out.tb_stamp[rows] = tb_stamp;
-    out.te_stamp[rows] = te_stamp;
-    out.tf_counts_corrected[rows] = tf_counts_corrected;
-    out.server_id[rows] = attachment.id;
-    out.server_stratum[rows] = attachment.server.config().stratum;
-    out.ref_available[rows] = ref_available ? 1 : 0;
-    out.tg[rows] = tg;
-    out.truth_ta[rows] = truth_ta;
-    out.truth_tb[rows] = truth_tb;
-    out.truth_te[rows] = truth_te;
-    out.truth_tf[rows] = truth_tf;
-    out.d_forward[rows] = d_forward;
-    out.d_server[rows] = d_server;
-    out.d_backward[rows] = d_backward;
-    ++rows;
-  }
+  Exchange row;
+  while (rows < max_rows && next_into(row)) out.store(rows++, row);
   out.resize(rows);
   return rows;
 }

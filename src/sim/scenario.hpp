@@ -18,9 +18,9 @@
 // and two temperature environments reproduce §3.1 (laboratory/machine room).
 //
 // The per-client machinery lives in ClientNode so a fleet (sim/fleet.hpp)
-// can own N of them; Testbed is the single-client special case, a thin
-// wrapper around one ClientNode — which is what makes the 1-client fleet
-// reproduce today's Testbed stream bit for bit by construction.
+// can own N of them; Testbed is another name for a ClientNode built with its
+// defaults (client 0, no bridge) — which is what makes the 1-client fleet
+// reproduce the Testbed stream bit for bit by construction.
 #pragma once
 
 #include <optional>
@@ -124,12 +124,12 @@ struct Exchange {
   ExchangeTruth truth;
 };
 
-/// Struct-of-arrays exchange stream: one column per Exchange field, filled
-/// directly by ClientNode::generate_batch so the generator writes columns
-/// and the session's batched fast lane reads them without ever materializing
-/// ~200-byte Exchange rows. Row i across all columns reconstructs exactly
-/// the Exchange next() would have produced (materialize(); columns a loss
-/// left unproduced hold the same zeros as a default Exchange field).
+/// Struct-of-arrays exchange stream: one column per Exchange field. The
+/// generators store each Exchange they produce as one row (store()), and the
+/// session's batched fast lane reads the columns directly. Row i across all
+/// columns reconstructs exactly the Exchange next() would have produced
+/// (materialize(); columns a loss left unproduced hold the same zeros as a
+/// default Exchange field).
 struct ExchangeBatch {
   std::vector<std::uint64_t> index;
   std::vector<std::uint8_t> lost;
@@ -154,9 +154,8 @@ struct ExchangeBatch {
   [[nodiscard]] std::size_t size() const { return index.size(); }
   [[nodiscard]] bool empty() const { return index.empty(); }
   void clear();
-  void reserve(std::size_t rows);
   /// Set every column to `rows` elements (new tail value-initialized).
-  /// generate_batch() sizes the batch up front and writes rows by index —
+  /// generate_batch() sizes the batch up front and stores rows by index —
   /// cheaper than 18 push_backs per row — then trims to the produced count.
   void resize(std::size_t rows);
 
@@ -191,10 +190,10 @@ struct BridgeLink {
 };
 
 /// The per-client half of the simulation: one host oscillator + driver
-/// timestamping + poll schedule + server attachment walk. Exactly the state
-/// a Testbed used to own; a fleet owns N of these. The RNG fork layout is
-/// part of the determinism contract — for a given ScenarioConfig a
-/// ClientNode's stream is bit-identical to the historical Testbed's.
+/// timestamping + poll schedule + server attachment walk. A single-client
+/// drive uses one (as Testbed); a fleet owns N of these. The RNG fork layout
+/// is part of the determinism contract — the goldens pin each
+/// ScenarioConfig's stream bit for bit.
 class ClientNode {
  public:
   explicit ClientNode(const ScenarioConfig& config, std::uint32_t client_id = 0,
@@ -207,15 +206,13 @@ class ClientNode {
 
   /// Generate the next exchange directly into `out` (no optional round-trip,
   /// no return-value copy). Returns false — leaving `out` untouched — when
-  /// `duration` is exhausted. The produced stream is identical to next()'s.
+  /// `duration` is exhausted. This is the one exchange generator: next() and
+  /// generate_batch() both drain it.
   bool next_into(Exchange& out);
 
-  /// Generate up to `max_rows` exchanges straight into SoA columns (the
-  /// batched drives' hot path: per-batch invariants are hoisted and no
-  /// Exchange row is ever built). Clears `out` first; returns the row count
-  /// (< max_rows only when the duration ran out). Row-for-row identical to
-  /// the next() stream — pinned by the batch-lane goldens, and must be kept
-  /// in lockstep with next_into() (same draw sequence, same arithmetic).
+  /// Generate up to `max_rows` exchanges into SoA columns, one next_into()
+  /// row at a time. Replaces the contents of `out`; returns the row count
+  /// (< max_rows only when the duration ran out).
   std::size_t generate_batch(ExchangeBatch& out, std::size_t max_rows);
 
   /// Poll slots enumerated so far, including outage-skipped ones (after a
@@ -237,7 +234,7 @@ class ClientNode {
     return oscillator_.nominal_period();
   }
 
-  /// Position of this client in its fleet (0 for a standalone Testbed).
+  /// Position of this client in its fleet (0 for a standalone node).
   [[nodiscard]] std::uint32_t client_id() const { return client_id_; }
   /// Set when this client is a hierarchy slave attached to a bridge.
   [[nodiscard]] const std::optional<BridgeLink>& bridge() const {
@@ -270,37 +267,9 @@ class ClientNode {
   std::optional<BridgeLink> bridge_;  ///< upstream bridge, when a slave
 };
 
-/// The single-client testbed: one ClientNode against the configured server
-/// pool. Kept as the canonical entry point for every single-client drive
-/// (sessions, benches, goldens); delegates wholesale to its node.
-class Testbed {
- public:
-  explicit Testbed(const ScenarioConfig& config) : node_(config) {}
-
-  std::optional<Exchange> next() { return node_.next(); }
-  bool next_into(Exchange& out) { return node_.next_into(out); }
-  std::size_t generate_batch(ExchangeBatch& out, std::size_t max_rows) {
-    return node_.generate_batch(out, max_rows);
-  }
-  [[nodiscard]] std::uint64_t polls_enumerated() const {
-    return node_.polls_enumerated();
-  }
-
-  [[nodiscard]] const ScenarioConfig& config() const { return node_.config(); }
-  [[nodiscard]] const Oscillator& oscillator() const {
-    return node_.oscillator();
-  }
-  [[nodiscard]] Oscillator& oscillator() { return node_.oscillator(); }
-  [[nodiscard]] const PathModel& path() const { return node_.path(); }
-  [[nodiscard]] double true_period() const { return node_.true_period(); }
-  [[nodiscard]] double nominal_period() const {
-    return node_.nominal_period();
-  }
-  [[nodiscard]] const ClientNode& node() const { return node_; }
-  [[nodiscard]] ClientNode& node() { return node_; }
-
- private:
-  ClientNode node_;
-};
+/// The single-client testbed: a ClientNode with its defaults (client 0, no
+/// bridge). The canonical name for every single-client drive (sessions,
+/// benches, goldens).
+using Testbed = ClientNode;
 
 }  // namespace tscclock::sim

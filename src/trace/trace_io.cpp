@@ -32,25 +32,13 @@ std::string record_context(std::size_t index) {
 
 // -- Record formatting -------------------------------------------------------
 //
-// The appenders below produce exactly the text of operator<< (integers) and
-// format_double_exact (doubles), without a temporary string per field.
+// Integers are appended with the text of operator<<, doubles with
+// append_double_exact, without a temporary string per field.
 
 void append_u64(std::string& out, std::uint64_t value) {
   char buffer[20];
   const auto result = std::to_chars(buffer, buffer + sizeof buffer, value);
   out.append(buffer, result.ptr);
-}
-
-void append_double(std::string& out, double value) {
-  if (std::isnan(value)) {
-    out += "nan";
-  } else if (std::isinf(value)) {
-    out += value > 0 ? "inf" : "-inf";
-  } else {
-    char buffer[64];
-    const int length = std::snprintf(buffer, sizeof buffer, "%a", value);
-    out.append(buffer, static_cast<std::size_t>(length));
-  }
 }
 
 /// The header block, from the magic line through `samples`.
@@ -61,9 +49,9 @@ void append_header(std::string& out, const TraceMeta& meta) {
   out += "\nground_truth ";
   out += mode_token(meta.mode);
   out += "\nnominal_period ";
-  append_double(out, meta.nominal_period);
+  append_double_exact(out, meta.nominal_period);
   out += "\npoll_period ";
-  append_double(out, meta.poll_period);
+  append_double_exact(out, meta.poll_period);
   out += "\nclient ";
   append_u64(out, meta.client_id);
   out += '\n';
@@ -88,20 +76,20 @@ void append_record(std::string& out, const harness::ReplaySample& sample,
   out += ref ? "1\t" : "0\t";
   append_u64(out, sample.raw.ta);
   out += '\t';
-  append_double(out, sample.raw.tb);
+  append_double_exact(out, sample.raw.tb);
   out += '\t';
-  append_double(out, sample.raw.te);
+  append_double_exact(out, sample.raw.te);
   out += '\t';
   append_u64(out, sample.raw.tf);
   out += '\t';
   append_u64(out, sample.tf_counts_corrected);
   if (reference) {
     out += '\t';
-    append_double(out, sample.truth_ta);
+    append_double_exact(out, sample.truth_ta);
     out += '\t';
-    append_double(out, sample.truth_tb);
+    append_double_exact(out, sample.truth_tb);
     out += '\t';
-    append_double(out, sample.tg);
+    append_double_exact(out, sample.tg);
   }
   out += '\n';
 }
@@ -278,8 +266,9 @@ double parse_positive(std::string_view text, const char* key,
     throw TraceIoError(context + ": malformed " + key + " '" +
                        std::string(text) + "': " + e.what());
   }
-  if (!(value > 0)) {
-    throw TraceIoError(context + ": " + key + " must be positive, got '" +
+  if (!(value > 0) || !std::isfinite(value)) {
+    throw TraceIoError(context + ": " + key +
+                       " must be positive and finite, got '" +
                        std::string(text) + "'");
   }
   return value;
@@ -453,20 +442,31 @@ ReadTrace read_trace(const std::string& path) {
         throw std::runtime_error("malformed bool field '" +
                                  std::string(token) + "'");
       };
+      // Every double column must be finite: a NaN or infinite stamp cannot
+      // be scored, only fail deep inside the reduction.
+      const auto next_finite = [&](const char* name) {
+        const std::string_view token = fields.at[f++];
+        const double value = parse_double_exact(token);
+        if (!std::isfinite(value)) {
+          throw std::runtime_error(std::string("non-finite ") + name + " '" +
+                                   std::string(token) + "'");
+        }
+        return value;
+      };
       sample.index = parse_u64_exact(fields.at[f++]);
       sample.lost = next_bool();
       sample.in_warmup = next_bool();
       sample.server_changed = next_bool();
       sample.ref_available = next_bool();
       sample.raw.ta = parse_u64_exact(fields.at[f++]);
-      sample.raw.tb = parse_double_exact(fields.at[f++]);
-      sample.raw.te = parse_double_exact(fields.at[f++]);
+      sample.raw.tb = next_finite("tb");
+      sample.raw.te = next_finite("te");
       sample.raw.tf = parse_u64_exact(fields.at[f++]);
       sample.tf_counts_corrected = parse_u64_exact(fields.at[f++]);
       if (reference) {
-        sample.truth_ta = parse_double_exact(fields.at[f++]);
-        sample.truth_tb = parse_double_exact(fields.at[f++]);
-        sample.tg = parse_double_exact(fields.at[f++]);
+        sample.truth_ta = next_finite("truth_ta");
+        sample.truth_tb = next_finite("truth_tb");
+        sample.tg = next_finite("tg");
       }
     } catch (const std::exception& e) {
       throw record_error(e.what());

@@ -16,9 +16,9 @@
 //     can produce) structurally has none — see GroundTruthMode in
 //     harness/replay.hpp for what that does to the reduction;
 //   * precise validation errors on read — version skew, torn tails, mixed
-//     clients, non-monotone send times — naming the offending record, plus
-//     recoverable warnings (unscorable length, zero reference coverage)
-//     that tools/trace-import surfaces as exit 1.
+//     clients, non-monotone send times, non-finite numbers — naming the
+//     offending record, plus recoverable warnings (unscorable length, zero
+//     reference coverage) that tools/trace-import surfaces as exit 1.
 //
 // Layout (tab-separated, newline-terminated, strings escape_field-encoded):
 //
@@ -135,8 +135,9 @@ void write_trace(const std::string& path, const TraceMeta& meta,
 
 /// Parse and validate a trace file. Throws TraceIoError with a precise
 /// message (naming the record index where applicable) on: unreadable file,
-/// version skew, unknown/duplicate/missing header keys, wrong per-mode
-/// field count, a reference sample declared inside a relative-only trace,
+/// version skew, unknown/duplicate/missing header keys, a non-positive or
+/// non-finite header period, wrong per-mode field count, a non-finite
+/// double field, a reference sample declared inside a relative-only trace,
 /// client ids mixing mid-file, non-monotone Ta across non-lost records,
 /// torn tails, missing end marker, end-marker count mismatches, and
 /// trailing content after `end`. Recoverable oddities land in warnings.

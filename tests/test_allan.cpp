@@ -119,8 +119,9 @@ TEST(ResampleLinear, RejectsBadInput) {
 
 // -- StreamingGapAdev ------------------------------------------------------
 
-/// The buffered reference: split at gaps > 4·tau0, longest stretch first-
-/// wins, resample, overlapping ADEV — the exact pipeline ReducerSink uses.
+/// The buffered reference: split at gaps > 4·tau0 and before every sample
+/// not strictly after its predecessor, longest stretch first-wins, resample,
+/// overlapping ADEV — the exact pipeline ReducerSink uses.
 std::vector<AllanPoint> buffered_gap_adev(const std::vector<double>& times,
                                           const std::vector<double>& values,
                                           double tau0,
@@ -130,7 +131,8 @@ std::vector<AllanPoint> buffered_gap_adev(const std::vector<double>& times,
   std::size_t best_len = 0;
   std::size_t begin = 0;
   for (std::size_t i = 1; i <= times.size(); ++i) {
-    if (i == times.size() || times[i] - times[i - 1] > 4 * tau0) {
+    if (i == times.size() || !(times[i] > times[i - 1]) ||
+        times[i] - times[i - 1] > 4 * tau0) {
       if (i - begin > best_len) {
         best_len = i - begin;
         best_begin = begin;
@@ -171,21 +173,29 @@ TEST(StreamingGapAdev, BitIdenticalToBufferedPipeline) {
   const double tau0 = 16.0;
   make_gappy_series(rng, 4000, tau0, times, values);
 
-  const std::size_t ms[] = {16, 256};
-  const auto reference = buffered_gap_adev(times, values, tau0, ms);
-  ASSERT_EQ(reference.size(), 2u);
+  // The same series with a backwards server step and a repeated stamp inside
+  // its longest stretch: each must end the stretch in both engines.
+  std::vector<double> stepped = times;
+  stepped[2000] = stepped[1999] - 3.0;
+  stepped[2600] = stepped[2599];
 
-  StreamingGapAdev streaming(tau0, {16, 256});
-  for (std::size_t k = 0; k < times.size(); ++k)
-    streaming.add(times[k], values[k]);
-  const auto result = streaming.result();
-  ASSERT_EQ(result.size(), reference.size());
-  for (std::size_t i = 0; i < result.size(); ++i) {
-    EXPECT_EQ(result[i].tau, reference[i].tau);
-    // Bit-level equality: the streaming resampler and accumulator replicate
-    // the buffered arithmetic exactly.
-    EXPECT_EQ(result[i].deviation, reference[i].deviation);
-    EXPECT_EQ(result[i].terms, reference[i].terms);
+  const std::size_t ms[] = {16, 256};
+  for (const auto* series : {&times, &stepped}) {
+    const auto reference = buffered_gap_adev(*series, values, tau0, ms);
+    ASSERT_EQ(reference.size(), 2u);
+
+    StreamingGapAdev streaming(tau0, {16, 256});
+    for (std::size_t k = 0; k < series->size(); ++k)
+      streaming.add((*series)[k], values[k]);
+    const auto result = streaming.result();
+    ASSERT_EQ(result.size(), reference.size());
+    for (std::size_t i = 0; i < result.size(); ++i) {
+      EXPECT_EQ(result[i].tau, reference[i].tau);
+      // Bit-level equality: the streaming resampler and accumulator
+      // replicate the buffered arithmetic exactly.
+      EXPECT_EQ(result[i].deviation, reference[i].deviation);
+      EXPECT_EQ(result[i].terms, reference[i].terms);
+    }
   }
 }
 

@@ -225,6 +225,48 @@ TEST(FleetMerge, StreamIsOrderedBySendTime) {
   EXPECT_EQ(seen.size(), 4u) << "every client contributes to the merge";
 }
 
+TEST(FleetMerge, EveryClientStreamEqualsAStandaloneNode) {
+  // The merge is a pure reordering: demultiplexing the merged stream by
+  // client gives, row for row, what a standalone ClientNode with that
+  // client's derived config, id and bridge generates on its own.
+  const auto specs = sweep::parse_fleet_specs(
+      "fleet(n=4,shared_congestion=1),fleet(n=4,hierarchy=1)");
+  ASSERT_EQ(specs.size(), 2u);
+  for (const auto& spec : specs) {
+    SCOPED_TRACE(spec.config.hierarchy ? "hierarchy" : "shared_congestion");
+    sim::FleetTestbed fleet(fast_scenario(), spec.config);
+    ASSERT_EQ(fleet.client_count(), 4u);
+    std::vector<std::vector<sim::Exchange>> merged(4);
+    sim::FleetBatch batch;
+    while (fleet.generate_batch(batch, 256) > 0) {
+      for (std::size_t row = 0; row < batch.size(); ++row) {
+        sim::Exchange ex;
+        batch.exchanges.materialize(row, ex);
+        merged.at(batch.client_id[row]).push_back(ex);
+      }
+    }
+
+    for (std::uint32_t k = 0; k < 4; ++k) {
+      SCOPED_TRACE(k);
+      const sim::ClientNode& client = fleet.client(k);
+      sim::ClientNode standalone(client.config(), k, client.bridge());
+      sim::ExchangeBatch chunk;
+      sim::Exchange ex;
+      std::size_t i = 0;
+      while (standalone.generate_batch(chunk, 37) > 0) {
+        for (std::size_t row = 0; row < chunk.size(); ++row, ++i) {
+          ASSERT_LT(i, merged[k].size()) << "standalone node ran long";
+          chunk.materialize(row, ex);
+          expect_exchanges_identical(merged[k][i], ex, i);
+        }
+      }
+      EXPECT_EQ(i, merged[k].size()) << "standalone node ran dry early";
+      EXPECT_GT(i, 100u);
+      EXPECT_EQ(standalone.polls_enumerated(), client.polls_enumerated());
+    }
+  }
+}
+
 sweep::GridSpec fleet_grid() {
   sweep::GridSpec grid;
   grid.servers = {sim::ServerKind::kInt};

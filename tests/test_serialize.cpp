@@ -38,6 +38,10 @@ TEST(Serialize, DoubleRoundTripIsBitExactAtTheEdges) {
     const std::string text = format_double_exact(value);
     SCOPED_TRACE(text);
     EXPECT_TRUE(same_bits(parse_double_exact(text), value));
+    // The in-place appender writes the same text after what is there.
+    std::string appended = "x\t";
+    append_double_exact(appended, value);
+    EXPECT_EQ(appended, "x\t" + text);
   }
   EXPECT_EQ(format_double_exact(std::numeric_limits<double>::infinity()),
             "inf");

@@ -1,6 +1,7 @@
 // The trace file format (trace/trace_io.hpp): bit-identical round trips
-// through the hexfloat edge cases (−0.0, denormals, ±inf, NaN), the
-// per-mode field-count contract, torn tails and version skew, end-marker
+// through the finite hexfloat edge cases (−0.0, denormals, extremes), the
+// spelling of ±inf and NaN on write and their refusal on read, the per-mode
+// field-count contract, torn tails and version skew, end-marker
 // completeness witnessing, and the warning (exit-1) taxonomy. Also pins the
 // two writers' flush behaviour: write_trace's buffered export is
 // byte-identical to the streaming TraceWriter, which flushes every record
@@ -83,14 +84,21 @@ harness::ReplaySample make_sample(std::size_t index, TscCount ta,
 
 /// A reference trace exercising the serialization's hard cases in the
 /// unconstrained double columns (te, tg, truth_ta, truth_tb) while Ta/Tb
-/// stay monotone so the file reads back warning-free.
-harness::ReplayTrace gnarly_trace() {
+/// stay monotone so the file reads back warning-free. With `non_finite` the
+/// cases include ±inf and NaN, which the writer spells but read_trace
+/// refuses; without it they are the finite extremes instead.
+harness::ReplayTrace gnarly_trace(bool non_finite = true) {
   harness::ReplayTrace trace;
   trace.ground_truth = harness::GroundTruthMode::kReference;
-  const double gnarly[] = {-0.0, std::numeric_limits<double>::denorm_min(),
-                           std::numeric_limits<double>::infinity(),
-                           -std::numeric_limits<double>::infinity(),
-                           std::numeric_limits<double>::quiet_NaN(), 0.1};
+  const double big = std::numeric_limits<double>::max();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double gnarly[] = {-0.0,
+                           std::numeric_limits<double>::denorm_min(),
+                           non_finite ? inf : big,
+                           non_finite ? -inf : -big,
+                           non_finite ? std::numeric_limits<double>::quiet_NaN()
+                                      : std::numeric_limits<double>::min(),
+                           0.1};
   for (std::size_t i = 0; i < 6; ++i) {
     harness::ReplaySample s = make_sample(i, 1000 + 100 * i, 16.0 * (i + 1));
     s.tg = gnarly[i];
@@ -148,7 +156,7 @@ std::string read_error(const fs::path& path) {
 TEST(TraceIo, ReferenceRoundTripIsBitIdentical) {
   const auto path = temp_path("ref_roundtrip.trace");
   const TraceMeta meta = reference_meta();
-  const harness::ReplayTrace trace = gnarly_trace();
+  const harness::ReplayTrace trace = gnarly_trace(false);
   write_trace(path.string(), meta, trace);
 
   const ReadTrace loaded = read_trace(path.string());
@@ -189,7 +197,7 @@ TEST(TraceIo, RelativeWriterStripsGroundTruth) {
   meta.label.clear();
   // Exporting reference-bearing samples through a relative writer is the
   // "what would the field see" path: truth columns dropped, ref forced 0.
-  write_trace(path.string(), meta, gnarly_trace());
+  write_trace(path.string(), meta, gnarly_trace(false));
 
   const ReadTrace loaded = read_trace(path.string());
   EXPECT_TRUE(loaded.warnings.empty());
@@ -537,6 +545,54 @@ TEST(TraceIo, RefusesNonMonotoneSendTimes) {
   EXPECT_NE(what.find("1500"), std::string::npos) << what;
   EXPECT_NE(what.find("2000"), std::string::npos) << what;
   fs::remove(path);
+}
+
+/// canonical_file() with tab-separated column `column` of record `record`
+/// replaced by `token` (column 0 is the `x` tag).
+std::string with_record_field(std::size_t record, std::size_t column,
+                              const std::string& token) {
+  std::string content = canonical_file();
+  const std::string tag = "\nx\t" + std::to_string(record) + "\t";
+  std::size_t begin = content.find(tag) + 1;
+  for (std::size_t c = 0; c < column; ++c)
+    begin = content.find('\t', begin) + 1;
+  const std::size_t end = content.find_first_of("\t\n", begin);
+  content.replace(begin, end - begin, token);
+  return content;
+}
+
+TEST(TraceIo, RefusesNonFiniteRecordFields) {
+  const struct {
+    std::size_t column;
+    const char* token;
+    const char* field;
+  } cases[] = {{7, "nan", "tb"},        {8, "-inf", "te"},
+               {11, "nan", "truth_ta"}, {12, "inf", "truth_tb"},
+               {13, "inf", "tg"}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.field);
+    const std::string what =
+        mutated_error(with_record_field(2, c.column, c.token), "nonfinite");
+    EXPECT_NE(what.find(", record 2: non-finite " + std::string(c.field) +
+                        " '" + c.token + "'"),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(TraceIo, RefusesNonFiniteHeaderPeriods) {
+  for (const char* key : {"nominal_period", "poll_period"}) {
+    SCOPED_TRACE(key);
+    std::string content = canonical_file();
+    const std::size_t value = content.find(std::string(key) + " ") +
+                              std::strlen(key) + 1;
+    content.replace(value, content.find('\n', value) - value, "inf");
+    const std::string what = mutated_error(content, "infperiod");
+    EXPECT_NE(what.find(std::string(key) +
+                        " must be positive and finite, got 'inf'"),
+              std::string::npos)
+        << what;
+  }
 }
 
 // -- Warnings (the trace-import exit-1 taxonomy) -----------------------------

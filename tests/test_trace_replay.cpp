@@ -23,6 +23,8 @@
 #include "harness/replay.hpp"
 #include "harness/sinks.hpp"
 #include "sim/scenario.hpp"
+#include "sweep/scenario_grid.hpp"
+#include "sweep/sweep.hpp"
 
 namespace tscclock::trace {
 namespace {
@@ -236,6 +238,58 @@ TEST(TraceReplayGolden, RelativeOnlyExportScoresTrackingResidual) {
                         outcome.reduction.adev_short));
   EXPECT_TRUE(
       same_bits(stream_reduction.adev_long, outcome.reduction.adev_long));
+  fs::remove(path);
+}
+
+TEST(TraceReplayGolden, BackwardsServerStepScoresUnderBothReductionEngines) {
+  // One record whose server receive stamp steps backwards (a server clock
+  // step): read_trace only warns, and both reduction engines must score the
+  // cell — the back-step ends an ADEV stretch instead of failing the cell.
+  const auto scenario = trace_scenario();
+  const auto config = trace_config(scenario);
+  sim::Testbed testbed(scenario);
+  harness::ClockSession session(config, testbed.nominal_period());
+  session.run(testbed);
+  harness::ReplayTrace stepped = session.trace();
+  // The second arrived record past the midpoint steps 1 s behind the first.
+  std::vector<std::size_t> arrived;
+  for (std::size_t i = stepped.samples.size() / 2;
+       i < stepped.samples.size() && arrived.size() < 2; ++i)
+    if (!stepped.samples[i].lost) arrived.push_back(i);
+  ASSERT_EQ(arrived.size(), 2u);
+  stepped.samples[arrived[1]].raw.tb = stepped.samples[arrived[0]].raw.tb - 1.0;
+
+  TraceMeta meta;
+  meta.mode = harness::GroundTruthMode::kReference;
+  meta.nominal_period = testbed.nominal_period();
+  meta.poll_period = scenario.poll_period;
+  const auto path = temp_path("back_step.trace");
+  write_trace(path.string(), meta, stepped);
+  ASSERT_EQ(read_trace(path.string()).warnings.size(), 1u);
+
+  sweep::GridSpec grid;
+  grid.servers = {sim::ServerKind::kInt};
+  grid.environments = {sim::Environment::kLaboratory};
+  grid.poll_periods = {16.0};
+  grid.duration = 2 * duration::kHour;
+  grid.estimators = {harness::EstimatorSpec{"offline", {}}};
+  grid.trace_inputs = {path.string()};
+  const sweep::ScenarioSweep sweep(grid);
+  for (const bool streaming : {false, true}) {
+    SCOPED_TRACE(streaming ? "streaming reduction" : "exact reduction");
+    sweep::SweepOptions options;
+    options.threads = 1;
+    options.discard_warmup = 600.0;
+    options.streaming_reduction = streaming;
+    const auto results = sweep.run(options);
+    ASSERT_EQ(results.size(), 2u);
+    for (const auto& result : results) {
+      EXPECT_FALSE(result.failed) << result.name << ": " << result.error;
+      EXPECT_GT(result.evaluated, 0u) << result.name;
+      EXPECT_GT(result.adev_short, 0.0) << result.name;
+    }
+    EXPECT_TRUE(results.back().from_trace);
+  }
   fs::remove(path);
 }
 

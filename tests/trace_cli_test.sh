@@ -78,6 +78,24 @@ run_expect 2 "validate: per-mode field-count violation" "$TRACE_IMPORT" -- \
   --validate "$WORK/badrecord.trace"
 expect_in_output "diagnostic names the offending record" "record 0"
 
+# A non-finite number is malformed, not a warning: a NaN server stamp could
+# only fail deep inside the reduction.
+cat > "$WORK/nan.trace" <<'EOF'
+tscclock-trace 1
+ground_truth relative
+nominal_period 0x1p-30
+poll_period 0x1p+4
+client 0
+samples
+x	0	0	0	0	0	100	0x1p+0	0x1.8p+0	200	200
+x	1	0	0	0	0	300	nan	0x1.2p+4	400	400
+end 2 0 2
+EOF
+run_expect 2 "validate: non-finite record field" "$TRACE_IMPORT" -- \
+  --validate "$WORK/nan.trace"
+expect_in_output "diagnostic names the record and field" \
+  "record 1: non-finite tb"
+
 # A warning-but-valid file: a single exchange is well-formed yet unscorable.
 cat > "$WORK/short.trace" <<'EOF'
 tscclock-trace 1
