@@ -79,13 +79,14 @@ class RingBuffer {
   using iterator = Iterator<RingBuffer, T>;
   using const_iterator = Iterator<const RingBuffer, const T>;
 
-  /// capacity == 0 means unbounded.
-  explicit RingBuffer(std::size_t capacity = 0) : capacity_(capacity) {}
+  explicit RingBuffer(std::size_t capacity) : capacity_(capacity) {
+    TSC_EXPECTS(capacity >= 1);
+  }
 
   /// Append; evicts the oldest element when at capacity.
   void push_back(T value) {
     if (size_ == slots_.size()) {
-      if (capacity_ != 0 && size_ == capacity_) {
+      if (size_ == capacity_) {
         // Physically full and logically at capacity: the new tail slot IS
         // the old head slot (possible only when the physical size equals
         // the bound), so overwrite in place and rotate.
@@ -96,29 +97,11 @@ class RingBuffer {
       grow();
     }
     slots_[wrap(head_ + size_)] = std::move(value);
-    if (capacity_ != 0 && size_ == capacity_) {
+    if (size_ == capacity_) {
       head_ = wrap(head_ + 1);  // evict the oldest; size stays at capacity
     } else {
       ++size_;
     }
-  }
-
-  void pop_front() {
-    TSC_EXPECTS(size_ > 0);
-    release(head_);
-    head_ = wrap(head_ + 1);
-    --size_;
-  }
-
-  /// Drop the oldest `n` elements (n may exceed size; then clears).
-  void drop_front(std::size_t n) {
-    if (n >= size_) {
-      clear();
-      return;
-    }
-    for (std::size_t k = 0; k < n; ++k) release(wrap(head_ + k));
-    head_ = wrap(head_ + n);
-    size_ -= n;
   }
 
   [[nodiscard]] const T& front() const {
@@ -186,7 +169,7 @@ class RingBuffer {
     head_ = 0;
   }
 
-  std::size_t capacity_;  ///< logical bound; 0 = unbounded
+  std::size_t capacity_;  ///< logical bound, >= 1
   std::vector<T> slots_;  ///< physical storage, always a power of two
   std::size_t head_ = 0;  ///< physical index of the logical front
   std::size_t size_ = 0;

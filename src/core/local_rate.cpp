@@ -13,10 +13,7 @@ LocalRateEstimator::LocalRateEstimator(const Params& params)
     : params_(params),
       // Window spans ages up to τ̄(1 + 1/W); keep a little slack for poll
       // jitter so the far sub-window is never starved by rounding.
-      window_(params.packets(params.local_rate_window *
-                             (1.0 + 1.0 / static_cast<double>(
-                                              params.local_rate_subwindows))) +
-              2),
+      window_(params.packets(params.local_rate_span()) + 2),
       errors_(window_.capacity()) {
   params.validate();
 }

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <initializer_list>
 
 #include "common/contracts.hpp"
 #include "common/time_types.hpp"
@@ -94,11 +95,33 @@ struct Params {
   bool enable_weighting = true;     ///< false: last-good-packet estimate only
 
   // -- Derived helpers -----------------------------------------------------
+  /// Largest packet count a window may convert to: 2^53, the largest count
+  /// a double holds exactly. Far beyond any run, and it keeps the
+  /// double → size_t conversion in packets() defined.
+  static constexpr double kMaxWindowPackets = 0x1p53;
+
   /// Convert a nominal window duration to a packet count (at least 1).
   [[nodiscard]] std::size_t packets(Seconds interval) const {
     TSC_EXPECTS(poll_period > 0.0);
-    const auto n = static_cast<std::size_t>(interval / poll_period);
-    return n > 0 ? n : 1;
+    const double n = interval / poll_period;
+    TSC_EXPECTS(n >= 0.0 && n <= kMaxWindowPackets);
+    const auto count = static_cast<std::size_t>(n);
+    return count > 0 ? count : 1;
+  }
+
+  /// Longest age the local-rate window spans, τ̄(1 + 1/W).
+  [[nodiscard]] Seconds local_rate_span() const {
+    return local_rate_window *
+           (1.0 + 1.0 / static_cast<double>(local_rate_subwindows));
+  }
+
+  /// True when every window the estimators size by packets() converts to
+  /// at most kMaxWindowPackets at this poll period. False for NaN.
+  [[nodiscard]] bool window_counts_fit() const {
+    for (const Seconds window :
+         {top_window, local_rate_span(), offset_window, shift_window})
+      if (!(window / poll_period <= kMaxWindowPackets)) return false;
+    return true;
   }
 
   [[nodiscard]] Seconds extreme_quality() const {
@@ -127,6 +150,7 @@ struct Params {
     TSC_EXPECTS(offset_sanity > 0.0);
     TSC_EXPECTS(rate_sanity_release_count >= 2);
     TSC_EXPECTS(poll_period > 0.0);
+    TSC_EXPECTS(window_counts_fit());
     TSC_EXPECTS(top_window >= local_rate_window);
     TSC_EXPECTS(warmup_samples >= 2);
   }

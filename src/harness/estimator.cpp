@@ -1,6 +1,7 @@
 #include "harness/estimator.hpp"
 
 #include "common/contracts.hpp"
+#include "common/table.hpp"
 #include "core/naive.hpp"
 #include "harness/estimator_spec.hpp"
 
@@ -153,6 +154,18 @@ void detail::register_builtin_online_estimators(EstimatorRegistry& registry) {
             "poll period [s] the windows are sized for (0: the scenario's "
             "own poll period) - the Fig. 9(c) mis-sizing ablation",
             0.0),
+    };
+    // The session's base Params keep the paper's window lengths, so a poll
+    // period is checked against those: a tiny one would overflow the
+    // window packet counts.
+    robust.check = [](const ResolvedSpec& spec) -> std::string {
+      if (!spec.is_overridden("poll_period")) return {};
+      core::Params params;
+      params.poll_period = spec.get_double("poll_period");
+      if (params.window_counts_fit()) return {};
+      return "poll_period " + strfmt("%g", params.poll_period) +
+             " is too small: the default windows would exceed " +
+             strfmt("%.0f", core::Params::kMaxWindowPackets) + " packets";
     };
     // Only overridden keys are applied on top of the session's base Params:
     // a bare `robust` spec is bit-identical to constructing TscNtpEstimator

@@ -296,6 +296,10 @@ EstimatorSpec EstimatorRegistry::parse(std::string_view text) const {
     if (it->second == tunable.default_value) continue;
     spec.overrides.emplace_back(tunable.key, it->second);
   }
+  if (entry.check) {
+    const std::string error = entry.check(resolve(spec));
+    if (!error.empty()) throw EstimatorSpecError(context + ": " + error);
+  }
   return spec;
 }
 

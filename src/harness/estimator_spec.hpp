@@ -164,6 +164,10 @@ class EstimatorRegistry {
     /// must not be.
     int order = 100;
     std::vector<TunableSpec> tunables;
+    /// Optional parse-time check over the resolved values: returns an error
+    /// message, empty when valid. For limits a per-key minimum cannot
+    /// state, so such specs also die as usage errors, not FAILED cells.
+    std::function<std::string(const ResolvedSpec& spec)> check;
     OnlineFactory make_online;  ///< required when !replay
     ReplayFactory make_replay;  ///< required when replay
   };
@@ -185,7 +189,8 @@ class EstimatorRegistry {
   /// Parse one spec: `family` or `family(key=value,…)`, whitespace tolerated
   /// around every token. Throws EstimatorSpecError with a precise message on
   /// unbalanced parens, unknown family, unknown/duplicate keys, empty or
-  /// ill-typed values. The result is canonical (see EstimatorSpec::label).
+  /// ill-typed values, or values the family's check refuses. The result is
+  /// canonical (see EstimatorSpec::label).
   [[nodiscard]] EstimatorSpec parse(std::string_view text) const;
 
   /// Parse a comma-separated spec list; commas inside parens do not split

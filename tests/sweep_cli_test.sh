@@ -67,6 +67,14 @@ expect_status 2 "boundary value the PLL would reject at runtime" -- \
   --estimators "swntp(step_threshold=0)"
 expect_status 2 "duplicate lanes by canonical label" -- \
   --estimators "robust,robust()"
+expect_status 2 "poll period whose window counts overflow" -- \
+  --estimators "robust(poll_period=1e-300)"
+if ! grep -qF "poll_period" /tmp/sweep_cli_out.$$; then
+  echo "FAIL: overflowing poll_period refusal does not name poll_period" >&2
+  failures=$((failures + 1))
+else
+  echo "ok: overflowing poll_period refusal names poll_period"
+fi
 
 # -- Malformed fleet specs are usage errors ----------------------------------
 expect_status 2 "malformed --fleet: n=0" -- \

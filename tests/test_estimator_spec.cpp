@@ -136,7 +136,14 @@ TEST(EstimatorSpecParse, RejectsMalformedShapesWithPreciseMessages) {
   EXPECT_NE(error_of("robust(poll_period=-16)").find("must be >= 0"),
             std::string::npos);
   // Boundary values that would only explode downstream must die at parse
-  // time (exit 2 in the CLI), not as runtime FAILED cells.
+  // time (exit 2 in the CLI), not as runtime FAILED cells. A tiny poll
+  // period overflows the window packet counts.
+  EXPECT_NE(error_of("robust(poll_period=1e-300)").find("poll_period"),
+            std::string::npos);
+  EXPECT_NE(error_of("robust(poll_period=1e-300)").find("too small"),
+            std::string::npos);
+  EXPECT_EQ(registry().parse("robust(poll_period=1e300)").label(),
+            "robust(poll_period=1e+300)");
   EXPECT_NE(error_of("swntp(step_threshold=0)").find("must be > 0"),
             std::string::npos);
   EXPECT_NE(error_of("swntp(stepout=0)").find("must be > 0"),

@@ -45,6 +45,25 @@ TEST(Params, ForPollPeriodKeepsTimeWindows) {
   EXPECT_EQ(p.packets(p.offset_window), 15u);
 }
 
+// A poll period so small that a window's packet count leaves the range a
+// double holds exactly is refused: the double -> size_t conversion would be
+// undefined beyond size_t, and a wrapped count would be silently wrong.
+TEST(Params, RefusesPollPeriodWhoseWindowCountsDoNotFit) {
+  Params p;
+  p.poll_period = 1e-300;
+  EXPECT_FALSE(p.window_counts_fit());
+  EXPECT_THROW(p.validate(), ContractViolation);
+  EXPECT_THROW((void)p.packets(p.top_window), ContractViolation);
+  p.poll_period = 1e-12;  // a week is 6e17 packets, above 2^53
+  EXPECT_THROW(p.validate(), ContractViolation);
+  p.poll_period = 0x1p-30;  // 6.5e14 packets still fit
+  EXPECT_NO_THROW(p.validate());
+  EXPECT_EQ(p.packets(1.0), std::size_t{1} << 30);
+  p.poll_period = 1e300;  // every window is one packet: valid
+  EXPECT_NO_THROW(p.validate());
+  EXPECT_EQ(p.packets(p.top_window), 1u);
+}
+
 TEST(Params, ValidationCatchesNonsense) {
   Params p;
   p.delta = 0.0;

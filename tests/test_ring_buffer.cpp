@@ -27,37 +27,15 @@ TEST(RingBuffer, EvictsOldestAtCapacity) {
   EXPECT_EQ(rb.back(), 5);
 }
 
-TEST(RingBuffer, UnboundedWhenCapacityZero) {
-  RingBuffer<int> rb(0);
-  for (int i = 0; i < 1000; ++i) rb.push_back(i);
-  EXPECT_EQ(rb.size(), 1000u);
-  EXPECT_EQ(rb.front(), 0);
-}
-
-TEST(RingBuffer, DropFront) {
-  RingBuffer<int> rb(0);
-  for (int i = 0; i < 10; ++i) rb.push_back(i);
-  rb.drop_front(4);
-  EXPECT_EQ(rb.size(), 6u);
-  EXPECT_EQ(rb.front(), 4);
-  rb.drop_front(100);  // more than size clears
-  EXPECT_TRUE(rb.empty());
-}
-
-TEST(RingBuffer, PopFront) {
-  RingBuffer<int> rb(2);
-  rb.push_back(1);
-  rb.push_back(2);
-  rb.pop_front();
-  EXPECT_EQ(rb.front(), 2);
-}
-
 TEST(RingBuffer, ContractsOnEmptyAccess) {
   RingBuffer<int> rb(2);
   EXPECT_THROW((void)rb.front(), ContractViolation);
   EXPECT_THROW((void)rb.back(), ContractViolation);
-  EXPECT_THROW(rb.pop_front(), ContractViolation);
   EXPECT_THROW((void)rb[0], ContractViolation);
+}
+
+TEST(RingBuffer, RefusesZeroCapacity) {
+  EXPECT_THROW(RingBuffer<int>(0), ContractViolation);
 }
 
 TEST(RingBuffer, IterationInOrder) {
