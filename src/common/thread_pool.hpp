@@ -1,12 +1,17 @@
-// Work-stealing thread pool for the scenario sweep engine.
+// Work-stealing thread pool shared by the scenario sweep and the fleet drive.
 //
 // Each worker owns a deque: it pops work from the front of its own queue and,
-// when empty, steals from the back of a sibling's queue. Tasks are submitted
-// round-robin across workers, so a sweep over scenarios of wildly different
-// cost (a week of ServerExt vs. an hour of ServerLoc) still keeps every core
-// busy until the queue drains. Determinism is the caller's job: tasks must
-// write to disjoint result slots, so the schedule (which worker runs what,
-// in what order) cannot influence the reduced output.
+// when empty, steals from the back of a sibling's queue. Submitted tasks are
+// spread round-robin across workers. Determinism is the caller's job: tasks
+// must write to disjoint result slots, so the schedule (which worker runs
+// what, in what order) cannot influence the reduced output.
+//
+// parallel_for is the fork-join primitive on top. Each call is its own
+// group, with its own completion latch and exception slot, so two groups in
+// flight at once (two fleet cells of one sweep) never see each other's
+// completion or failure. It may be called from inside a pool task: the
+// calling worker then claims indices of its own group instead of blocking,
+// so nesting cannot deadlock, even on a one-worker pool.
 #pragma once
 
 #include <condition_variable>
@@ -19,16 +24,12 @@
 #include <thread>
 #include <vector>
 
-namespace tscclock::sweep {
+namespace tscclock {
 
 class ThreadPool {
  public:
   /// `threads` = 0 selects std::thread::hardware_concurrency() (min 1).
   explicit ThreadPool(std::size_t threads = 0);
-
-  /// The worker count a given request resolves to (the constructor's
-  /// default policy, exposed so callers can cap it, e.g. by task count).
-  [[nodiscard]] static std::size_t resolve_thread_count(std::size_t requested);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -42,6 +43,8 @@ class ThreadPool {
   /// Block until every submitted task has finished executing. If any task
   /// threw, the first captured exception is rethrown here (the remaining
   /// tasks still ran to completion); a worker never dies on a throwing task.
+  /// parallel_for groups report their failures to their own caller, never
+  /// here.
   void wait_idle();
 
   [[nodiscard]] std::size_t thread_count() const { return workers_.size(); }
@@ -52,9 +55,16 @@ class ThreadPool {
     std::mutex mutex;
   };
 
+  friend void parallel_for(ThreadPool& pool, std::size_t n,
+                           const std::function<void(std::size_t)>& fn);
+
   void worker_loop(std::size_t self);
   bool try_pop_own(std::size_t self, std::function<void()>& task);
   bool try_steal(std::size_t self, std::function<void()>& task);
+  /// True on one of this pool's worker threads.
+  [[nodiscard]] bool on_worker_thread() const;
+  /// Workers asleep for lack of queued tasks right now.
+  [[nodiscard]] std::size_t idle_workers();
 
   std::vector<std::unique_ptr<Worker>> queues_;
   std::vector<std::thread> workers_;
@@ -63,14 +73,23 @@ class ThreadPool {
   std::condition_variable work_available_;
   std::condition_variable all_idle_;
   std::size_t pending_ = 0;  ///< submitted but not yet completed
+  /// Pushed but not yet popped. Workers sleep on `queued_ > 0` under
+  /// state_mutex_, so a submit between a worker's empty-queue scan and its
+  /// wait is never missed. A pop can land before the matching submit's
+  /// increment, so the count may dip below zero for a moment.
+  std::ptrdiff_t queued_ = 0;
+  std::size_t idle_ = 0;  ///< workers waiting on work_available_
   std::size_t next_queue_ = 0;
   bool shutdown_ = false;
   std::exception_ptr first_error_;  ///< first task exception, for wait_idle
 };
 
 /// Run `fn(i)` for every i in [0, n) on `pool`, blocking until all complete.
-/// Each index is an independent task; `fn` must confine writes to slot i.
+/// `fn` must confine writes to slot i. Every index runs even when some
+/// throw; afterwards the exception of the lowest throwing index is rethrown,
+/// so the error a caller sees does not depend on the schedule. Callable from
+/// inside a task of the same pool (the caller then runs indices itself).
 void parallel_for(ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& fn);
 
-}  // namespace tscclock::sweep
+}  // namespace tscclock

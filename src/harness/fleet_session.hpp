@@ -1,18 +1,27 @@
-// Fleet drive: one FleetTestbed's merged exchange stream fanned into one
-// ClockSession per client, plus fleet-level reducers over the population.
+// Fleet drive: one FleetTestbed's clients, each scored by its own
+// ClockSession lane, plus fleet-level reducers over the population.
 //
-// The session demultiplexes the merged FleetBatch chunk by chunk into
-// per-client SoA batches and feeds each client's ClockSession through the
-// existing batched lanes — a 1-client FleetSession therefore performs
-// exactly the calls ClockSession::run(Testbed&) performs, with the identical
-// chunking (kBatchChunk), which is what pins the single-client fleet drive
-// bit-identical to the classic one (tests/test_fleet.cpp).
+// The paper's clock is a per-host algorithm: a client's estimate uses only
+// its own exchanges, and the fleet generator gives every client its own RNG
+// streams. So run() drives the clients in parallel, in time epochs, and
+// still reproduces the serial merge drive bit for bit: the stream merged by
+// send time and cut into kBatchChunk-row chunks, each chunk demultiplexed
+// into per-client segments and fed lane by lane. Each epoch generates every
+// client's exchanges up to a horizon (parallel), merges the buffered rows
+// into whole chunks (serial), runs each lane over its segments of those
+// chunks (parallel), then feeds the shared sinks what the lanes emitted,
+// chunk by chunk and client by client (one task, beside the next epoch's
+// lanes). A 1-client FleetSession
+// therefore performs exactly the calls ClockSession::run(Testbed&) performs,
+// which pins the single-client fleet drive bit-identical to the classic one
+// (tests/test_fleet.cpp).
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "common/stats.hpp"
+#include "common/thread_pool.hpp"
 #include "harness/session.hpp"
 #include "sim/fleet.hpp"
 
@@ -61,6 +70,11 @@ class FleetClientProbe final : public SampleSink {
 /// FleetClientProbe per lane feeding fleet_reduction().
 class FleetSession {
  public:
+  FleetSession();
+  ~FleetSession();
+  FleetSession(const FleetSession&) = delete;
+  FleetSession& operator=(const FleetSession&) = delete;
+
   /// Add the lane for the next client (lanes must be added in client order;
   /// the lane's config.client_id is overwritten with its position). Returns
   /// the client index.
@@ -73,15 +87,22 @@ class FleetSession {
     return *clients_[k];
   }
 
-  /// Attach a sink to client k's lane (after its built-in probe).
+  /// Attach a sink to client k's lane alone. It is fed on the thread that
+  /// runs the lane, so it must not be attached to any other lane.
   void add_sink(std::size_t k, SampleSink& sink);
-  /// Attach one sink to every lane (fleet-wide reducers, trace dumps).
+  /// Attach one sink to every lane (fleet-wide reducers, trace dumps). It is
+  /// fed by one task at a time in the serial drive's order: chunk by chunk,
+  /// client by client within a chunk, in the shape the lane emitted (records
+  /// or batches). It sees each epoch's output while the lanes run the next
+  /// epoch, so it must not read lane state.
   void add_shared_sink(SampleSink& sink);
 
-  /// Drain the fleet: pull merged kBatchChunk-row chunks, demultiplex by
-  /// client, feed each client's batched lane, then publish per-client
-  /// poll-slot counts.
-  void run(sim::FleetTestbed& fleet);
+  /// Drain the fleet in epochs of kBatchChunk × poll_period / client_count
+  /// seconds, then publish per-client poll-slot counts. The per-client steps
+  /// run on `pool` when one is given, else on the calling thread; the
+  /// results are identical either way. When several clients throw in one
+  /// step, the lowest client's exception propagates.
+  void run(sim::FleetTestbed& fleet, ThreadPool* pool = nullptr);
 
   [[nodiscard]] FleetReduction fleet_reduction() const;
 
@@ -90,10 +111,17 @@ class FleetSession {
   [[nodiscard]] SessionSummary combined_summary() const;
 
  private:
+  class SharedCapture;  // lane-side stand-in for the shared sinks
+
+  /// Record `sink` as attached, refusing one attached before: a sink on
+  /// two lanes would be fed from two threads.
+  void claim(const SampleSink& sink);
+
   std::vector<std::unique_ptr<ClockSession>> clients_;
   std::vector<std::unique_ptr<FleetClientProbe>> probes_;
-  sim::FleetBatch batch_;
-  std::vector<sim::ExchangeBatch> demux_;
+  std::vector<std::unique_ptr<SharedCapture>> captures_;
+  std::vector<SampleSink*> shared_;
+  std::vector<const SampleSink*> attached_;
 };
 
 }  // namespace tscclock::harness

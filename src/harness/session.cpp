@@ -127,12 +127,18 @@ void ClockSession::process(const sim::Exchange& ex) {
 }
 
 void ClockSession::process_batch(const sim::ExchangeBatch& batch) {
+  process_batch(batch, 0, batch.size());
+}
+
+void ClockSession::process_batch(const sim::ExchangeBatch& batch,
+                                 std::size_t begin, std::size_t end) {
+  TSC_EXPECTS(begin <= end && end <= batch.size());
   for (auto* sink : sinks_) {
     if (!sink->wants_batch()) {
       // A record-shaped sink is attached: materialize each row and run the
       // per-exchange sequence, so every sink observes the stream exactly as
       // process() emits it.
-      for (std::size_t i = 0; i < batch.size(); ++i) {
+      for (std::size_t i = begin; i < end; ++i) {
         batch.materialize(i, scratch_);
         process(scratch_);
       }
@@ -146,8 +152,8 @@ void ClockSession::process_batch(const sim::ExchangeBatch& batch) {
   // accumulated value is computed by the very expressions process() uses,
   // so the lane is bit-identical to the per-exchange one.
   batch_.clear();
-  batch_.reserve(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
+  batch_.reserve(end - begin);
+  for (std::size_t i = begin; i < end; ++i) {
     if (recorder_) {
       batch.materialize(i, scratch_);
       recorder_->observe(scratch_);

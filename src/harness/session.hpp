@@ -254,6 +254,11 @@ class ClockSession {
   /// it as of its own record.
   void process_batch(const sim::ExchangeBatch& batch);
 
+  /// The same over rows [begin, end) of `batch` (the fleet drive hands each
+  /// lane its segment of a client's epoch buffer without copying it).
+  void process_batch(const sim::ExchangeBatch& batch, std::size_t begin,
+                     std::size_t end);
+
   /// Pull one exchange from the testbed and process it. Returns false when
   /// the testbed's configured duration is exhausted.
   bool step(sim::Testbed& testbed);

@@ -1,6 +1,7 @@
 #include "sim/fleet.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 
 #include "common/contracts.hpp"
@@ -154,6 +155,21 @@ std::size_t FleetTestbed::generate_batch(FleetBatch& out,
   }
   out.resize(rows);
   return rows;
+}
+
+void FleetTestbed::generate_until(std::size_t k, Seconds horizon,
+                                  ExchangeBatch& out) {
+  TSC_EXPECTS(k < pending_.size());
+  while (pending_[k].valid && pending_[k].ex.truth.ta < horizon) {
+    out.push(pending_[k].ex);
+    refill(k);
+  }
+}
+
+Seconds FleetTestbed::next_send_time(std::size_t k) const {
+  TSC_EXPECTS(k < pending_.size());
+  return pending_[k].valid ? pending_[k].ex.truth.ta
+                           : std::numeric_limits<Seconds>::infinity();
 }
 
 std::uint64_t FleetTestbed::polls_enumerated() const {

@@ -94,6 +94,16 @@ class FleetTestbed {
   /// to the next_into() stream.
   std::size_t generate_batch(FleetBatch& out, std::size_t max_rows);
 
+  /// Append client k's exchanges whose send time truth.ta lies below
+  /// `horizon` to `out`, in generation order, from the same one-exchange
+  /// lookahead the merge reads. Calls for distinct clients touch disjoint
+  /// state and may run concurrently.
+  void generate_until(std::size_t k, Seconds horizon, ExchangeBatch& out);
+
+  /// Send time of client k's next exchange; +infinity once its duration
+  /// is exhausted.
+  [[nodiscard]] Seconds next_send_time(std::size_t k) const;
+
   /// Poll slots enumerated so far, summed over clients.
   [[nodiscard]] std::uint64_t polls_enumerated() const;
 
@@ -110,8 +120,9 @@ class FleetTestbed {
 
   /// One-exchange lookahead per client, feeding the k-way merge. Clients
   /// draw from independent RNG streams, so pulling ahead on one client
-  /// never perturbs another's stream.
-  struct Lookahead {
+  /// never perturbs another's stream. Cache-line aligned: generate_until
+  /// refills different clients' lookaheads from different cores.
+  struct alignas(64) Lookahead {
     Exchange ex;
     bool valid = false;
   };

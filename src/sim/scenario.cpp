@@ -160,45 +160,11 @@ ServerConfig ScenarioConfig::server_preset(ServerKind kind) {
 }
 
 void ExchangeBatch::clear() {
-  index.clear();
-  lost.clear();
-  ta_counts.clear();
-  tf_counts.clear();
-  tb_stamp.clear();
-  te_stamp.clear();
-  tf_counts_corrected.clear();
-  server_id.clear();
-  server_stratum.clear();
-  ref_available.clear();
-  tg.clear();
-  truth_ta.clear();
-  truth_tb.clear();
-  truth_te.clear();
-  truth_tf.clear();
-  d_forward.clear();
-  d_server.clear();
-  d_backward.clear();
+  for_each_column([](auto& column) { column.clear(); });
 }
 
 void ExchangeBatch::resize(std::size_t rows) {
-  index.resize(rows);
-  lost.resize(rows);
-  ta_counts.resize(rows);
-  tf_counts.resize(rows);
-  tb_stamp.resize(rows);
-  te_stamp.resize(rows);
-  tf_counts_corrected.resize(rows);
-  server_id.resize(rows);
-  server_stratum.resize(rows);
-  ref_available.resize(rows);
-  tg.resize(rows);
-  truth_ta.resize(rows);
-  truth_tb.resize(rows);
-  truth_te.resize(rows);
-  truth_tf.resize(rows);
-  d_forward.resize(rows);
-  d_server.resize(rows);
-  d_backward.resize(rows);
+  for_each_column([rows](auto& column) { column.resize(rows); });
 }
 
 void ExchangeBatch::materialize(std::size_t i, Exchange& out) const {
@@ -265,6 +231,20 @@ void ExchangeBatch::push_row(const ExchangeBatch& src, std::size_t i) {
   d_forward.push_back(src.d_forward[i]);
   d_server.push_back(src.d_server[i]);
   d_backward.push_back(src.d_backward[i]);
+}
+
+void ExchangeBatch::push(const Exchange& in) {
+  const std::size_t row = size();
+  resize(row + 1);
+  store(row, in);
+}
+
+void ExchangeBatch::erase_front(std::size_t rows) {
+  TSC_EXPECTS(rows <= size());
+  for_each_column([rows](auto& column) {
+    column.erase(column.begin(),
+                 column.begin() + static_cast<std::ptrdiff_t>(rows));
+  });
 }
 
 ClientNode::ClientNode(const ScenarioConfig& config, std::uint32_t client_id,

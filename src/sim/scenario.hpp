@@ -171,6 +171,24 @@ struct ExchangeBatch {
   /// Append row i of `src` to this batch (the fleet demux path: one merged
   /// stream scattered back into per-client column batches).
   void push_row(const ExchangeBatch& src, std::size_t i);
+
+  /// Append `in` as a new last row (a client's epoch buffer in the fleet
+  /// drive).
+  void push(const Exchange& in);
+
+  /// Drop the first `rows` rows, keeping the rest in order.
+  void erase_front(std::size_t rows);
+
+ private:
+  /// Apply `fn` to every column vector.
+  template <typename Fn>
+  void for_each_column(Fn&& fn) {
+    fn(index), fn(lost), fn(ta_counts), fn(tf_counts), fn(tb_stamp),
+        fn(te_stamp), fn(tf_counts_corrected), fn(server_id),
+        fn(server_stratum), fn(ref_available), fn(tg), fn(truth_ta),
+        fn(truth_tb), fn(truth_te), fn(truth_tf), fn(d_forward), fn(d_server),
+        fn(d_backward);
+  }
 };
 
 /// Deterministic model of the clock a bridge client *serves* to downstream

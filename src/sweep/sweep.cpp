@@ -14,12 +14,12 @@
 
 #include "common/contracts.hpp"
 #include "common/table.hpp"
+#include "common/thread_pool.hpp"
 #include "harness/fleet_session.hpp"
 #include "harness/replay.hpp"
 #include "harness/sinks.hpp"
 #include "sim/fleet.hpp"
 #include "sweep/result_io.hpp"
-#include "sweep/thread_pool.hpp"
 #include "trace/trace_io.hpp"
 
 namespace tscclock::sweep {
@@ -177,16 +177,16 @@ ScenarioResult score_replay_lane(const SweepScenario& scenario,
 }
 
 /// The fleet-cell drive behind run_scenario_multi: one FleetTestbed +
-/// FleetSession per estimator spec instead of one shared Testbed drain.
-/// Each spec regenerates the fleet's merged stream from scratch — the
-/// generator is deterministic in the scenario identity, so every spec
-/// scores the identical packets (the estimator axis never reseeds), at the
-/// cost of one extra generation pass per extra spec.
+/// FleetSession per estimator spec instead of one shared Testbed drain,
+/// with the clients spread over `pool`. Each spec regenerates the fleet's
+/// streams from scratch — the generator is deterministic in the scenario
+/// identity, so every spec scores the identical packets (the estimator axis
+/// never reseeds), at the cost of one extra generation pass per extra spec.
 std::vector<ScenarioResult> run_fleet_scenario_multi(
     const SweepScenario& scenario,
     std::span<const harness::EstimatorSpec> estimators,
     Seconds discard_warmup, std::span<harness::SampleSink* const> trace_sinks,
-    bool streaming_reduction) {
+    bool streaming_reduction, ThreadPool& pool) {
   const harness::EstimatorRegistry& registry = harness::estimator_registry();
   for (const auto& spec : estimators) {
     if (registry.is_replay(spec)) {
@@ -206,7 +206,7 @@ std::vector<ScenarioResult> run_fleet_scenario_multi(
         lane_config(scenario.config.poll_period, discard_warmup, trace);
     sim::FleetTestbed fleet(scenario.config, scenario.fleet.config);
     harness::FleetSession session;
-    FleetPoolSink pool(streaming_reduction);
+    FleetPoolSink population(streaming_reduction);
     LaneReducer reference(scenario.config.poll_period, streaming_reduction);
     for (std::size_t k = 0; k < fleet.client_count(); ++k) {
       session.add_client(config, registry.make_online(
@@ -217,18 +217,18 @@ std::vector<ScenarioResult> run_fleet_scenario_multi(
     // (a gap-aware ADEV over the interleaved-oscillator pool would be
     // meaningless). The trace sink sees every lane, rows tagged by the
     // client column.
-    session.add_shared_sink(pool);
+    session.add_shared_sink(population);
     session.add_sink(0, reference.sink());
     if (trace != nullptr) session.add_shared_sink(*trace);
-    session.run(fleet);
+    session.run(fleet, &pool);
 
     ScenarioResult result =
         scored_result(scenario, estimators[e], session.combined_summary(),
                       reference.reduce());
     for (std::size_t k = 0; k < session.client_count(); ++k)
       result.steps += session.client(k).estimator().steps();
-    result.clock_error = pool.clock_error();
-    result.offset_error = pool.offset_error();
+    result.clock_error = population.clock_error();
+    result.offset_error = population.offset_error();
 
     const harness::FleetReduction fleet_reduction = session.fleet_reduction();
     result.clients = fleet_reduction.clients;
@@ -290,7 +290,8 @@ std::vector<ScenarioResult> run_scenario_multi(
     const SweepScenario& scenario,
     std::span<const harness::EstimatorSpec> estimators,
     Seconds discard_warmup, std::span<harness::SampleSink* const> trace_sinks,
-    bool streaming_reduction, const std::string& trace_export_path) {
+    bool streaming_reduction, const std::string& trace_export_path,
+    ThreadPool* pool) {
   TSC_EXPECTS(!estimators.empty());
   TSC_EXPECTS(trace_sinks.empty() || trace_sinks.size() == estimators.size());
 
@@ -310,8 +311,10 @@ std::vector<ScenarioResult> run_scenario_multi(
           "--trace-out cannot export a multi-client fleet cell: a trace "
           "file holds exactly one client's stream");
     }
+    std::optional<ThreadPool> own_pool;
+    if (pool == nullptr) pool = &own_pool.emplace();
     return run_fleet_scenario_multi(scenario, estimators, discard_warmup,
-                                    trace_sinks, streaming_reduction);
+                                    trace_sinks, streaming_reduction, *pool);
   }
 
   // The drive loop is the shared harness layer — the same canonical
@@ -559,9 +562,9 @@ std::vector<ScenarioResult> ScenarioSweep::run(
   const bool need_drainer = dump_csv || checkpoint.has_value();
 
   if (remaining > 0) {
-    // No point spawning more workers than there are scenarios left.
-    ThreadPool pool(std::min(
-        ThreadPool::resolve_thread_count(options.threads), remaining));
+    // One thread budget: cells run on the pool, and a fleet cell spreads
+    // its clients over the same workers.
+    ThreadPool pool(options.threads);
     const Seconds warmup = options.discard_warmup;
     parallel_for(pool, remaining, [&](std::size_t j) {
       const std::size_t slot = committed + j;
@@ -578,7 +581,7 @@ std::vector<ScenarioResult> ScenarioSweep::run(
         auto cell_results = run_scenario_multi(scenario, estimators, warmup,
                                                trace_sinks,
                                                options.streaming_reduction,
-                                               options.trace_out);
+                                               options.trace_out, &pool);
         for (std::size_t e = 0; e < lanes; ++e)
           results[slot * lanes + e] = std::move(cell_results[e]);
       } catch (const std::exception& e) {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/stats.hpp"
+#include "common/thread_pool.hpp"
 #include "core/clock.hpp"
 #include "harness/estimator_spec.hpp"
 #include "harness/session.hpp"
@@ -173,13 +174,16 @@ ScenarioResult run_scenario(const SweepScenario& scenario,
 /// of driving a Testbed (every spec must be a replay family there — the CLI
 /// guarantees it). `trace_export_path`, when non-empty, additionally writes
 /// the drain's recorded trace as a reference-bearing trace file.
+/// A fleet cell spreads its clients over `pool`; without one it makes a
+/// pool with one thread per core for the call. Other cells run on the
+/// calling thread. The results do not depend on the pool.
 std::vector<ScenarioResult> run_scenario_multi(
     const SweepScenario& scenario,
     std::span<const harness::EstimatorSpec> estimators,
     Seconds discard_warmup,
     std::span<harness::SampleSink* const> trace_sinks = {},
     bool streaming_reduction = false,
-    const std::string& trace_export_path = {});
+    const std::string& trace_export_path = {}, ThreadPool* pool = nullptr);
 
 class ScenarioSweep {
  public:

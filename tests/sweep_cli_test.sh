@@ -12,7 +12,8 @@
 # section pins the --shard / --checkpoint / sweep-merge exit contracts:
 # malformed shard shapes and incompatible checkpoints exit 2, and
 # sweep-merge exits 2 on missing shards, duplicate shard indices and
-# version-skewed dumps.
+# version-skewed dumps, and requires a fleet sweep's report, trace CSV and
+# result dump to be byte-identical at --threads 1 and --threads 0.
 set -u
 
 SWEEP="$1"
@@ -200,6 +201,35 @@ expect_status 2 "empty --dump-results path" -- --dump-results ""
 
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
+
+# -- Fleet cells are identical on one worker and on every core ----------------
+# Fleet cells spread their clients over the sweep's workers; the report,
+# the per-exchange CSV and the result dump must not depend on how many.
+# Each run writes into its own directory under the same file names, so even
+# the report's trailing "per-exchange trace dump" line must match.
+SWEEP_ABS="$(cd "$(dirname "$SWEEP")" && pwd)/$(basename "$SWEEP")"
+FLEET_ARGS=(--servers int --envs machine --polls 16,64 --duration-hours 2
+            --warmup-s 600 --estimators robust,swntp
+            --fleet "fleet(n=8,shared_congestion=1),fleet(n=5,hierarchy=1)")
+for threads in 1 0; do
+  mkdir -p "$WORK/threads$threads"
+  if (cd "$WORK/threads$threads" && "$SWEEP_ABS" "${FLEET_ARGS[@]}" \
+      --threads "$threads" --csv trace.csv --dump-results cells.dump \
+      > report.txt 2>&1); then
+    echo "ok: fleet sweep at --threads $threads"
+  else
+    echo "FAIL: fleet sweep at --threads $threads exited non-zero" >&2
+    failures=$((failures + 1))
+  fi
+done
+for artifact in report.txt trace.csv cells.dump; do
+  if cmp -s "$WORK/threads1/$artifact" "$WORK/threads0/$artifact"; then
+    echo "ok: fleet $artifact identical at --threads 1 and 0"
+  else
+    echo "FAIL: fleet $artifact differs between --threads 1 and 0" >&2
+    failures=$((failures + 1))
+  fi
+done
 
 # The last 1-based shard is valid — and a shard of a grid smaller than the
 # fleet is a valid empty run, not an error.

@@ -1,6 +1,7 @@
 // Fleet simulation tests: the seed-identity contract (a 1-client fleet is
 // bit-identical to the classic single-client Testbed/ClockSession drive),
-// merge determinism across thread counts and shard slices, the correlated
+// merge determinism across thread counts and shard slices, the
+// client-parallel epoch drive against the serial merge drive, the correlated
 // shared-congestion coupling, the bridge-hierarchy warm-up ordering, the
 // mixed-client replay rejection, and the fleet(...) spec parser.
 #include "sim/fleet.hpp"
@@ -17,6 +18,10 @@
 #include <string>
 #include <vector>
 
+#include "common/contracts.hpp"
+#include "common/serialize.hpp"
+#include "common/stats.hpp"
+#include "common/thread_pool.hpp"
 #include "harness/estimator.hpp"
 #include "harness/fleet_session.hpp"
 #include "harness/replay.hpp"
@@ -401,6 +406,306 @@ TEST(FleetSweep, FleetMetricsPopulatedAndPrinted) {
   EXPECT_NE(report.str().find("dispersion [us]"), std::string::npos);
   EXPECT_NE(report.str().find("fleet(n=3,shared_congestion=1)"),
             std::string::npos);
+}
+
+// -- Serial-merge oracle ------------------------------------------------------
+
+/// The serial merge drive the epoch drive replaced, kept as its reference:
+/// the fleet's send-time-merged stream in kBatchChunk-row chunks, each chunk
+/// demultiplexed by client and fed lane by lane. Shared sinks are attached
+/// to every lane directly, so they see the records as the lanes emit them.
+void serial_merge_drive(harness::FleetSession& session,
+                        sim::FleetTestbed& fleet) {
+  sim::FleetBatch batch;
+  std::vector<sim::ExchangeBatch> demux(session.client_count());
+  while (true) {
+    const std::size_t n = fleet.generate_batch(batch, harness::kBatchChunk);
+    if (n > 0) {
+      for (auto& lane_batch : demux) lane_batch.clear();
+      for (std::size_t i = 0; i < n; ++i)
+        demux[batch.client_id[i]].push_row(batch.exchanges, i);
+      for (std::size_t k = 0; k < demux.size(); ++k)
+        if (!demux[k].empty()) session.client(k).process_batch(demux[k]);
+    }
+    if (n < harness::kBatchChunk) break;
+  }
+  for (std::size_t k = 0; k < session.client_count(); ++k)
+    session.client(k).set_polls_enumerated(fleet.client(k).polls_enumerated());
+}
+
+/// The sweep's pooled population summary of a fleet cell.
+class PopulationSink final : public harness::SampleSink {
+ public:
+  explicit PopulationSink(bool streaming) : streaming_(streaming) {}
+  void on_sample(const harness::SampleRecord& record) override {
+    if (record.evaluated) add(record.abs_clock_error, record.offset_error);
+  }
+  [[nodiscard]] bool wants_batch() const override { return true; }
+  void on_batch(const harness::SampleBatch& batch) override {
+    for (std::size_t i = 0; i < batch.size(); ++i)
+      add(batch.abs_clock_error[i], batch.offset_error[i]);
+  }
+  [[nodiscard]] SeriesSummary clock_error() const {
+    return streaming_ ? clock_stream_.summary() : summarize(clock_);
+  }
+  [[nodiscard]] SeriesSummary offset_error() const {
+    return streaming_ ? offset_stream_.summary() : summarize(offset_);
+  }
+
+ private:
+  void add(double clock_error, double offset_error) {
+    clock_stream_.add(clock_error);
+    offset_stream_.add(offset_error);
+    clock_.push_back(clock_error);
+    offset_.push_back(offset_error);
+  }
+  bool streaming_;
+  std::vector<double> clock_;
+  std::vector<double> offset_;
+  StreamingSeriesSummary clock_stream_;
+  StreamingSeriesSummary offset_stream_;
+};
+
+struct OracleCell {
+  sweep::ScenarioResult result;
+  std::vector<harness::SampleRecord> records;
+};
+
+/// One fleet cell as the sweep scores it (same lanes, sinks and result
+/// fields), driven by serial_merge_drive.
+OracleCell oracle_cell(const sweep::SweepScenario& scenario,
+                       const harness::EstimatorSpec& spec, Seconds warmup,
+                       bool streaming) {
+  const harness::EstimatorRegistry& registry = harness::estimator_registry();
+  harness::SessionConfig config;
+  config.params = core::Params::for_poll_period(scenario.config.poll_period);
+  config.discard_warmup = warmup;
+  config.warmup_policy = harness::WarmupPolicy::kObservable;
+  config.emit_unevaluated = true;  // a trace sink is attached
+  sim::FleetTestbed fleet(scenario.config, scenario.fleet.config);
+  harness::FleetSession session;
+  for (std::size_t k = 0; k < fleet.client_count(); ++k)
+    session.add_client(config,
+                       registry.make_online(spec, config.params,
+                                            fleet.client(k).nominal_period()));
+  PopulationSink population(streaming);
+  harness::CollectorSink trace;
+  const double tau0 = scenario.config.poll_period;
+  harness::ReducerSink exact(tau0, 16, 256);
+  harness::StreamingReducerSink stream(tau0, 16, 256);
+  for (std::size_t k = 0; k < session.client_count(); ++k) {
+    session.client(k).add_sink(population);
+    session.client(k).add_sink(trace);
+  }
+  harness::SampleSink& reference =
+      streaming ? static_cast<harness::SampleSink&>(stream) : exact;
+  session.client(0).add_sink(reference);
+  serial_merge_drive(session, fleet);
+
+  OracleCell out;
+  sweep::ScenarioResult& r = out.result;
+  r.scenario_index = scenario.index;
+  r.name = scenario.name;
+  r.seed = scenario.config.seed;
+  r.server = scenario.config.server;
+  r.environment = scenario.config.environment;
+  r.estimator = spec;
+  const harness::SessionSummary summary = session.combined_summary();
+  r.exchanges = summary.exchanges;
+  r.lost = summary.lost;
+  r.evaluated = summary.evaluated;
+  r.polls = static_cast<std::size_t>(summary.polls_enumerated);
+  r.skipped = r.polls - r.exchanges;
+  r.final_status = summary.final_status;
+  const auto reduction = streaming ? stream.reduce() : exact.reduce();
+  r.adev_short_tau = reduction.adev_short_tau;
+  r.adev_short = reduction.adev_short;
+  r.adev_long_tau = reduction.adev_long_tau;
+  r.adev_long = reduction.adev_long;
+  for (std::size_t k = 0; k < session.client_count(); ++k)
+    r.steps += session.client(k).estimator().steps();
+  r.clock_error = population.clock_error();
+  r.offset_error = population.offset_error();
+  const harness::FleetReduction fleet_metrics = session.fleet_reduction();
+  r.clients = fleet_metrics.clients;
+  r.fleet_dispersion = fleet_metrics.dispersion;
+  r.fleet_worst_p99 = fleet_metrics.worst_p99;
+  r.fleet_pairwise_spread = fleet_metrics.pairwise_spread;
+  out.records = trace.records();
+  return out;
+}
+
+void expect_records_identical(const std::vector<harness::SampleRecord>& a,
+                              const std::vector<harness::SampleRecord>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const harness::SampleRecord& x = a[i];
+    const harness::SampleRecord& y = b[i];
+    ASSERT_EQ(x.index, y.index) << "record " << i;
+    ASSERT_EQ(x.client_id, y.client_id) << "record " << i;
+    ASSERT_EQ(x.lost, y.lost) << "record " << i;
+    ASSERT_EQ(x.ref_available, y.ref_available) << "record " << i;
+    ASSERT_EQ(x.in_warmup, y.in_warmup) << "record " << i;
+    ASSERT_EQ(x.evaluated, y.evaluated) << "record " << i;
+    ASSERT_EQ(x.server_changed, y.server_changed) << "record " << i;
+    ASSERT_EQ(x.raw.ta, y.raw.ta) << "record " << i;
+    ASSERT_EQ(x.raw.tb, y.raw.tb) << "record " << i;
+    ASSERT_EQ(x.raw.te, y.raw.te) << "record " << i;
+    ASSERT_EQ(x.raw.tf, y.raw.tf) << "record " << i;
+    ASSERT_EQ(x.tf_counts_corrected, y.tf_counts_corrected) << "record " << i;
+    ASSERT_EQ(x.tg, y.tg) << "record " << i;
+    ASSERT_EQ(x.truth_ta, y.truth_ta) << "record " << i;
+    ASSERT_EQ(x.truth_tb, y.truth_tb) << "record " << i;
+    ASSERT_EQ(x.report.offset_estimate, y.report.offset_estimate)
+        << "record " << i;
+    ASSERT_EQ(x.warmed_up, y.warmed_up) << "record " << i;
+    ASSERT_EQ(x.period, y.period) << "record " << i;
+    ASSERT_EQ(x.offset_error, y.offset_error) << "record " << i;
+    ASSERT_EQ(x.naive_error, y.naive_error) << "record " << i;
+    ASSERT_EQ(x.abs_clock_error, y.abs_clock_error) << "record " << i;
+  }
+}
+
+TEST(FleetParallel, EpochDriveMatchesTheSerialMergeDrive) {
+  // The client-parallel drive against the serial merge drive it replaced,
+  // for pools of 1, 2 and 4 workers: the three topologies, two polling
+  // periods, both reduction engines, two estimator families, and a
+  // record-shaped shared sink (the trace collector) beside the batch-shaped
+  // population summary. Twelve hours give every cell several merged chunks.
+  sweep::GridSpec grid;
+  grid.servers = {sim::ServerKind::kInt};
+  grid.environments = {sim::Environment::kMachineRoom};
+  grid.poll_periods = {16.0, 64.0};
+  grid.duration = 12 * duration::kHour;
+  grid.master_seed = 20040704;
+  grid.fleets = sweep::parse_fleet_specs(
+      "fleet(n=16,shared_congestion=1),fleet(n=5,hierarchy=1),fleet(n=3)");
+  const std::vector<harness::EstimatorSpec> specs = {
+      harness::EstimatorSpec{"robust", {}},
+      harness::EstimatorSpec{"swntp", {}}};
+  const Seconds warmup = 30 * duration::kMinute;
+  const auto scenarios = sweep::expand_grid(grid);
+  ASSERT_EQ(scenarios.size(), 6u);
+
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (const std::size_t workers : {1u, 2u, 4u})
+    pools.push_back(std::make_unique<ThreadPool>(workers));
+  for (const auto& scenario : scenarios) {
+    for (const bool streaming : {false, true}) {
+      SCOPED_TRACE(scenario.name + (streaming ? " streaming" : " exact"));
+      std::vector<OracleCell> oracle;
+      for (const auto& spec : specs)
+        oracle.push_back(oracle_cell(scenario, spec, warmup, streaming));
+      for (const auto& pool : pools) {
+        SCOPED_TRACE(pool->thread_count());
+        std::vector<harness::CollectorSink> traces(specs.size());
+        std::vector<harness::SampleSink*> sinks;
+        for (auto& trace : traces) sinks.push_back(&trace);
+        const auto results = sweep::run_scenario_multi(
+            scenario, specs, warmup, sinks, streaming, {}, pool.get());
+        ASSERT_EQ(results.size(), specs.size());
+        for (std::size_t e = 0; e < specs.size(); ++e) {
+          ASSERT_FALSE(results[e].failed) << results[e].error;
+          EXPECT_EQ(sweep::serialize_result(results[e]),
+                    sweep::serialize_result(oracle[e].result));
+          expect_records_identical(traces[e].records(), oracle[e].records);
+        }
+      }
+    }
+  }
+}
+
+TEST(FleetParallel, CongestedCellDigestIsPinned) {
+  // A 16-client shared-congestion cell over three days on four workers, as
+  // the serial merge drive scored it (digest over the result dump line,
+  // captured before the epoch drive existed). Three days is long enough for
+  // an epoch to hold two merged chunks, so the pooled P2 summary also pins
+  // the chunk-major order of the shared-sink feed.
+  sweep::GridSpec grid;
+  grid.servers = {sim::ServerKind::kInt};
+  grid.environments = {sim::Environment::kMachineRoom};
+  grid.poll_periods = {16.0};
+  grid.duration = 3 * duration::kDay;
+  grid.master_seed = 20040704;
+  grid.fleets = sweep::parse_fleet_specs("fleet(n=16,shared_congestion=1)");
+  sweep::SweepOptions options;
+  options.threads = 4;
+  options.discard_warmup = duration::kHour;
+  options.streaming_reduction = true;
+  const auto results = sweep::ScenarioSweep(grid).run(options);
+  ASSERT_EQ(results.size(), 1u);
+  ASSERT_FALSE(results[0].failed) << results[0].error;
+  EXPECT_EQ(results[0].exchanges, 259200u);
+  EXPECT_EQ(fnv1a64(sweep::serialize_result(results[0]) + "\n"),
+            0x4eb79b45c9bfd704ull);
+}
+
+/// The robust clock, refusing its `fail_at`-th exchange with a
+/// ContractViolation that names its client.
+class FailingEstimator final : public harness::ClockEstimator {
+ public:
+  FailingEstimator(std::unique_ptr<harness::ClockEstimator> inner,
+                   std::size_t client, std::size_t fail_at)
+      : inner_(std::move(inner)), client_(client), fail_at_(fail_at) {}
+  [[nodiscard]] std::string_view name() const override { return "failing"; }
+  core::ProcessReport process_exchange(
+      const core::RawExchange& exchange) override {
+    if (++seen_ == fail_at_)
+      throw ContractViolation("client " + std::to_string(client_) +
+                              " refused exchange " + std::to_string(seen_));
+    return inner_->process_exchange(exchange);
+  }
+  [[nodiscard]] Seconds uncorrected_time(TscCount count) const override {
+    return inner_->uncorrected_time(count);
+  }
+  [[nodiscard]] Seconds absolute_time(TscCount count) const override {
+    return inner_->absolute_time(count);
+  }
+  [[nodiscard]] double period() const override { return inner_->period(); }
+  [[nodiscard]] bool warmed_up() const override { return inner_->warmed_up(); }
+  [[nodiscard]] core::ClockStatus status() const override {
+    return inner_->status();
+  }
+
+ private:
+  std::unique_ptr<harness::ClockEstimator> inner_;
+  std::size_t client_;
+  std::size_t fail_at_;
+  std::size_t seen_ = 0;
+};
+
+TEST(FleetParallel, LowestFailingClientWinsAtEveryThreadCount) {
+  // Clients 3 and 1 both hit a ContractViolation in the same epoch; the
+  // drive must surface client 1's, whichever lane threw first, so a FAILED
+  // fleet row reads the same at any thread count.
+  const sim::ScenarioConfig scenario = fast_scenario();
+  const harness::SessionConfig config = fast_session_config(scenario);
+  sim::FleetConfig topology;
+  topology.n_clients = 4;
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  pools.push_back(nullptr);  // the calling thread
+  for (const std::size_t workers : {1u, 2u, 4u})
+    pools.push_back(std::make_unique<ThreadPool>(workers));
+  for (const auto& pool : pools) {
+    SCOPED_TRACE(pool ? pool->thread_count() : 0);
+    sim::FleetTestbed fleet(scenario, topology);
+    harness::FleetSession session;
+    for (std::size_t k = 0; k < topology.n_clients; ++k) {
+      std::unique_ptr<harness::ClockEstimator> estimator =
+          std::make_unique<harness::TscNtpEstimator>(
+              config.params, fleet.client(k).nominal_period());
+      if (k == 1 || k == 3)
+        estimator = std::make_unique<FailingEstimator>(std::move(estimator),
+                                                       k, 100);
+      session.add_client(config, std::move(estimator));
+    }
+    try {
+      session.run(fleet, pool.get());
+      FAIL() << "expected a ContractViolation";
+    } catch (const ContractViolation& e) {
+      EXPECT_STREQ(e.what(), "client 1 refused exchange 100");
+    }
+  }
 }
 
 // -- Correlated path conditions ----------------------------------------------

@@ -11,13 +11,14 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/contracts.hpp"
+#include "common/thread_pool.hpp"
 #include "harness/sinks.hpp"
 #include "sweep/scenario_grid.hpp"
-#include "sweep/thread_pool.hpp"
 
 namespace tscclock::sweep {
 namespace {
@@ -168,6 +169,73 @@ TEST(ThreadPool, SingleThreadedPoolWorks) {
   std::atomic<int> total{0};
   parallel_for(pool, 64, [&](std::size_t) { total.fetch_add(1); });
   EXPECT_EQ(total.load(), 64);
+}
+
+TEST(ThreadPool, NestedParallelForCompletesOnEveryPoolSize) {
+  // A parallel_for inside a pool task must not wait for workers that are
+  // all busy in the outer loop: on one worker, the caller runs every inner
+  // index itself.
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE(workers);
+    ThreadPool pool(workers);
+    std::vector<std::vector<int>> hits(6, std::vector<int>(9, 0));
+    parallel_for(pool, hits.size(), [&](std::size_t i) {
+      parallel_for(pool, hits[i].size(), [&](std::size_t j) { ++hits[i][j]; });
+    });
+    for (const auto& row : hits)
+      EXPECT_EQ(std::count(row.begin(), row.end(), 1),
+                static_cast<long>(row.size()));
+
+    // The same from a task submitted directly, drained by wait_idle.
+    std::atomic<int> total{0};
+    pool.submit([&] {
+      parallel_for(pool, 32, [&](std::size_t) { total.fetch_add(1); });
+    });
+    pool.wait_idle();
+    EXPECT_EQ(total.load(), 32);
+  }
+}
+
+TEST(ThreadPool, ParallelForRethrowsTheLowestThrowingIndex) {
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE(workers);
+    ThreadPool pool(workers);
+    std::vector<int> ran(16, 0);
+    try {
+      parallel_for(pool, ran.size(), [&](std::size_t i) {
+        ran[i] = 1;
+        if (i == 11 || i == 2 || i == 7)
+          throw std::runtime_error("index " + std::to_string(i));
+      });
+      FAIL() << "expected a rethrow";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "index 2");
+    }
+    EXPECT_EQ(std::count(ran.begin(), ran.end(), 1), 16) << "every index ran";
+    EXPECT_NO_THROW(pool.wait_idle()) << "the group's error is not the pool's";
+  }
+}
+
+TEST(ThreadPool, ParallelForExceptionStaysInItsOwnGroup) {
+  // Two groups in flight at once, as two fleet cells of one sweep: the
+  // failing group's caller sees its own error, the other finishes cleanly.
+  ThreadPool pool(4);
+  std::vector<std::string> outcome(2);
+  parallel_for(pool, outcome.size(), [&](std::size_t cell) {
+    try {
+      parallel_for(pool, 24, [&](std::size_t i) {
+        if (cell == 0 && i % 5 == 3)
+          throw std::runtime_error("cell 0 index " + std::to_string(i));
+        std::this_thread::yield();
+      });
+      outcome[cell] = "ok";
+    } catch (const std::exception& e) {
+      outcome[cell] = e.what();
+    }
+  });
+  EXPECT_EQ(outcome[0], "cell 0 index 3");
+  EXPECT_EQ(outcome[1], "ok");
+  EXPECT_NO_THROW(pool.wait_idle());
 }
 
 // -- Determinism contract --------------------------------------------------
