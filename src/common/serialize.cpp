@@ -1,8 +1,9 @@
 #include "common/serialize.hpp"
 
+#include <bit>
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -10,19 +11,115 @@
 
 namespace tscclock {
 
+namespace {
+
+constexpr int kMantissaBits = 52;
+constexpr int kMantissaDigits = kMantissaBits / 4;  // hex digits after the dot
+constexpr int kExponentBias = 1023;
+constexpr int kMinNormalExponent = 1 - kExponentBias;  // also the subnormals'
+constexpr std::uint64_t kMantissaMask = (std::uint64_t{1} << kMantissaBits) - 1;
+constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
+
+/// Value of a lowercase hex digit (the only case %a writes), or -1.
+int hex_digit_value(char c) {
+  if (c >= '0' && c <= '9') return c - '0';
+  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+  return -1;
+}
+
+/// parse_double_exact's fast path: the text append_double_exact writes for
+/// a finite value, decoded from its digits with integer arithmetic only —
+/// `[-]0x1[.h{1,13}]p±d{1,4}` with the exponent in the normal range, and
+/// `[-]0x0[.h{1,13}]p±d{1,4}` holding zero or a subnormal at p-1022. Every
+/// string it accepts denotes an exactly representable double, so the bits
+/// are the ones strtod returns. Returns false on any other text (decimal,
+/// uppercase, a leading '+', more digits, other exponents, nan/inf), which
+/// the caller then hands to strtod.
+bool parse_canonical_hexfloat(std::string_view text, double& value) {
+  const bool negative = text.starts_with('-');
+  std::size_t i = negative ? 1 : 0;
+  if (text.size() < i + 3 || text[i] != '0' || text[i + 1] != 'x') return false;
+  const char lead = text[i + 2];
+  if (lead != '0' && lead != '1') return false;
+  i += 3;
+  std::uint64_t mantissa = 0;
+  if (i < text.size() && text[i] == '.') {
+    int digits = 0;
+    for (++i; i < text.size() && digits < kMantissaDigits; ++i, ++digits) {
+      const int digit = hex_digit_value(text[i]);
+      if (digit < 0) break;
+      mantissa = mantissa << 4 | static_cast<std::uint64_t>(digit);
+    }
+    if (digits == 0) return false;
+    mantissa <<= 4 * (kMantissaDigits - digits);
+  }
+  // A 14th mantissa digit lands here instead of the 'p' and is refused.
+  if (text.size() < i + 3 || text[i] != 'p') return false;
+  const char sign = text[i + 1];
+  if (sign != '+' && sign != '-') return false;
+  i += 2;
+  if (text.size() - i > 4) return false;
+  int exponent = 0;
+  for (; i < text.size(); ++i) {
+    if (text[i] < '0' || text[i] > '9') return false;
+    exponent = exponent * 10 + (text[i] - '0');
+  }
+  if (sign == '-') exponent = -exponent;
+
+  std::uint64_t bits = mantissa;
+  if (lead == '1') {
+    if (exponent < kMinNormalExponent || exponent > kExponentBias) {
+      return false;
+    }
+    bits |= static_cast<std::uint64_t>(exponent + kExponentBias)
+            << kMantissaBits;
+  } else if (mantissa != 0 && exponent != kMinNormalExponent) {
+    return false;  // 0x0.h… elsewhere than p-1022 may need rounding
+  }
+  value = std::bit_cast<double>(negative ? bits | kSignBit : bits);
+  return true;
+}
+
+}  // namespace
+
 void append_double_exact(std::string& out, double value) {
   if (std::isnan(value)) {
     out += "nan";
-  } else if (std::isinf(value)) {
-    out += value > 0 ? "inf" : "-inf";
-  } else {
-    // %a hexfloat: the shortest exact representation strtod round-trips to
-    // the identical bits on every IEEE-754 platform. (%.17g would round-trip
-    // too, but hexfloat cannot even be mis-rounded by a sloppy libc.)
-    char buffer[64];
-    const int length = std::snprintf(buffer, sizeof buffer, "%a", value);
-    out.append(buffer, static_cast<std::size_t>(length));
+    return;
   }
+  if (std::isinf(value)) {
+    out += value > 0 ? "inf" : "-inf";
+    return;
+  }
+  // glibc's %a hexfloat, built from the bits: the shortest exact spelling,
+  // which strtod reads back to the identical bits on every IEEE-754
+  // platform. Normals print as 0x1.<mantissa>p<exp>, subnormals as
+  // 0x0.<mantissa>p-1022, zero as 0x0p+0; the mantissa loses its trailing
+  // zero digits, and its dot when none are left.
+  const auto bits = std::bit_cast<std::uint64_t>(value);
+  const auto biased = static_cast<int>(bits >> kMantissaBits & 0x7ff);
+  const std::uint64_t mantissa = bits & kMantissaMask;
+  char buffer[32];
+  char* p = buffer;
+  if (bits & kSignBit) *p++ = '-';
+  *p++ = '0';
+  *p++ = 'x';
+  *p++ = biased == 0 ? '0' : '1';
+  if (mantissa != 0) {
+    *p++ = '.';
+    const int digits = kMantissaDigits - std::countr_zero(mantissa) / 4;
+    for (int k = 0; k < digits; ++k) {
+      *p++ = "0123456789abcdef"[mantissa >> (kMantissaBits - 4 - 4 * k) & 0xf];
+    }
+  }
+  const int exponent = biased != 0   ? biased - kExponentBias
+                       : mantissa != 0 ? kMinNormalExponent
+                                       : 0;
+  *p++ = 'p';
+  *p++ = exponent < 0 ? '-' : '+';
+  const int magnitude = exponent < 0 ? -exponent : exponent;
+  p = std::to_chars(p, buffer + sizeof buffer, magnitude).ptr;
+  out.append(buffer, p);
 }
 
 std::string format_double_exact(double value) {
@@ -33,6 +130,8 @@ std::string format_double_exact(double value) {
 
 double parse_double_exact(std::string_view text) {
   if (text.empty()) throw std::runtime_error("empty number field");
+  double value = 0;
+  if (parse_canonical_hexfloat(text, value)) return value;
   const auto malformed = [&] {
     return std::runtime_error("malformed number '" + std::string(text) + "'");
   };
@@ -51,7 +150,7 @@ double parse_double_exact(std::string_view text) {
     begin = heap_copy.c_str();
   }
   char* end = nullptr;
-  const double value = std::strtod(begin, &end);
+  value = std::strtod(begin, &end);
   if (end != begin + text.size()) throw malformed();
   return value;
 }

@@ -7,8 +7,11 @@
 // in-memory originals. That forces two properties on these helpers:
 //
 //   * doubles round-trip bit-exactly — append_double_exact emits C99
-//     hexfloat (%a), which strtod parses back to the identical bits,
-//     including ±0, denormals, ±inf and NaN;
+//     hexfloat, the exact text of glibc's %a, built from the bits with
+//     integer arithmetic; parse_double_exact reads that canonical form back
+//     the same way and hands any other spelling to strtod, so it accepts
+//     exactly what strtod accepts and returns strtod's bits, including ±0,
+//     denormals, ±inf and NaN;
 //   * free-form strings (scenario names, exception texts) survive embedding
 //     in a tab-separated record — escape_field turns the record separators
 //     into backslash escapes and unescape_field inverts it exactly.
@@ -29,7 +32,8 @@ void append_double_exact(std::string& out, double value);
 /// append_double_exact's text as a new string.
 std::string format_double_exact(double value);
 
-/// Inverse of format_double_exact; also accepts plain decimal. Throws
+/// Inverse of format_double_exact; also accepts anything else strtod reads
+/// in full (plain decimal, uppercase hex, ...). Throws
 /// std::runtime_error on empty input, leading or trailing whitespace,
 /// trailing garbage, an embedded NUL or no conversion.
 double parse_double_exact(std::string_view text);

@@ -1,5 +1,7 @@
 #include "common/thread_pool.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <utility>
@@ -75,10 +77,24 @@ struct ForGroup {
   }
 };
 
+/// CPUs the calling thread may run on, as `nproc` counts them: the
+/// affinity mask honours taskset and cpusets, which
+/// hardware_concurrency() ignores. Falls back to the latter if the mask
+/// cannot be read.
+std::size_t available_cpus() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof mask, &mask) == 0) {
+    const int count = CPU_COUNT(&mask);
+    if (count > 0) return static_cast<std::size_t>(count);
+  }
+  return std::thread::hardware_concurrency();
+}
+
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) threads = std::thread::hardware_concurrency();
+  if (threads == 0) threads = available_cpus();
   if (threads == 0) threads = 1;
   queues_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i)

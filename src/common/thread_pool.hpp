@@ -28,7 +28,8 @@ namespace tscclock {
 
 class ThreadPool {
  public:
-  /// `threads` = 0 selects std::thread::hardware_concurrency() (min 1).
+  /// `threads` = 0 selects one thread per CPU in the calling thread's
+  /// affinity mask, as `nproc` counts them (min 1).
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/contracts.hpp"
 #include "core/naive.hpp"
@@ -57,7 +58,8 @@ double whole_trace_period(std::span<const RawExchange> trace,
 }  // namespace
 
 OfflineResult smooth_offsets(std::span<const RawExchange> trace,
-                             const Params& params, double nominal_period) {
+                             const Params& params, double nominal_period,
+                             ThreadPool* pool) {
   params.validate();
   TSC_EXPECTS(trace.size() >= 2);
   TSC_EXPECTS(nominal_period > 0.0);
@@ -93,45 +95,70 @@ OfflineResult smooth_offsets(std::span<const RawExchange> trace,
 
   // Two-sided weighted smoothing: for packet k use every packet within
   // ± τ'/2 (the same total window width as the on-line estimator), with
-  // total error E_i + ε·|t_i − t_k|.
+  // total error E_i + ε·|t_i − t_k|. The window's left edge `lo` follows a
+  // recurrence over k that stays exact when Tf is non-monotone, so a serial
+  // pass records it at the start of every block; each block then resumes
+  // the recurrence from there, on the pool or not.
   result.offsets.resize(n);
   const Seconds half_window = params.offset_window / 2;
-  std::size_t lo = 0;
-  for (std::size_t k = 0; k < n; ++k) {
+  const CounterTimescale& timescale = result.timescale;
+  const auto advance_lo = [&](std::size_t lo, std::size_t k) {
     while (lo < k &&
-           result.timescale.between(trace[lo].tf, trace[k].tf) > half_window)
+           timescale.between(trace[lo].tf, trace[k].tf) > half_window)
       ++lo;
-    double weight_sum = 0;
-    double weighted = 0;
-    Seconds best_total = std::numeric_limits<double>::infinity();
-    std::size_t best_idx = k;
-    for (std::size_t i = lo; i < n; ++i) {
-      const Seconds distance =
-          std::fabs(result.timescale.between(trace[i].tf, trace[k].tf));
-      if (i > k && distance > half_window) break;
-      const Seconds total =
-          point_error[i] + (params.enable_aging
-                                ? params.aging_rate * distance
-                                : 0.0);
-      if (total < best_total) {
-        best_total = total;
-        best_idx = i;
-      }
-      const double z = total / params.offset_quality;
-      const double w = std::exp(-z * z);
-      weight_sum += w;
-      weighted += w * naive[i];
-    }
-    if (best_total <= params.extreme_quality() && weight_sum > 0.0) {
-      result.offsets[k] = weighted / weight_sum;
-    } else {
-      // Whole window poor: fall back to the best packet in it (two-sided,
-      // so this is already the nearest good information in either
-      // direction).
-      result.offsets[k] = naive[best_idx];
-      ++result.poor_windows;
-    }
+    return lo;
+  };
+  const std::size_t blocks = (n + kSmoothBlock - 1) / kSmoothBlock;
+  std::vector<std::size_t> block_lo(blocks);
+  std::vector<std::size_t> block_poor(blocks);
+  for (std::size_t k = 0, lo = 0; k < n; ++k) {
+    lo = advance_lo(lo, k);
+    if (k % kSmoothBlock == 0) block_lo[k / kSmoothBlock] = lo;
   }
+
+  const auto smooth_block = [&](std::size_t block) {
+    const std::size_t end = std::min(n, (block + 1) * kSmoothBlock);
+    std::size_t lo = block_lo[block];
+    for (std::size_t k = block * kSmoothBlock; k < end; ++k) {
+      lo = advance_lo(lo, k);
+      double weight_sum = 0;
+      double weighted = 0;
+      Seconds best_total = std::numeric_limits<double>::infinity();
+      std::size_t best_idx = k;
+      for (std::size_t i = lo; i < n; ++i) {
+        const Seconds distance =
+            std::fabs(timescale.between(trace[i].tf, trace[k].tf));
+        if (i > k && distance > half_window) break;
+        const Seconds total =
+            point_error[i] + (params.enable_aging
+                                  ? params.aging_rate * distance
+                                  : 0.0);
+        if (total < best_total) {
+          best_total = total;
+          best_idx = i;
+        }
+        const double z = total / params.offset_quality;
+        const double w = std::exp(-z * z);
+        weight_sum += w;
+        weighted += w * naive[i];
+      }
+      if (best_total <= params.extreme_quality() && weight_sum > 0.0) {
+        result.offsets[k] = weighted / weight_sum;
+      } else {
+        // Whole window poor: fall back to the best packet in it (two-sided,
+        // so this is already the nearest good information in either
+        // direction).
+        result.offsets[k] = naive[best_idx];
+        ++block_poor[block];
+      }
+    }
+  };
+  if (pool != nullptr && blocks > 1) {
+    parallel_for(*pool, blocks, smooth_block);
+  } else {
+    for (std::size_t block = 0; block < blocks; ++block) smooth_block(block);
+  }
+  for (const std::size_t poor : block_poor) result.poor_windows += poor;
   return result;
 }
 

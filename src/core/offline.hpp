@@ -16,6 +16,7 @@
 #include <span>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "common/time_types.hpp"
 #include "core/params.hpp"
 #include "core/records.hpp"
@@ -36,9 +37,19 @@ struct OfflineResult {
                                  ///< back to the nearest good packet)
 };
 
+/// Packets per block of smooth_offsets' window pass: enough that a block's
+/// windows (about τ'/poll packets each) dwarf the cost of handing it to a
+/// worker, few enough that a month-scale trace makes dozens of blocks.
+inline constexpr std::size_t kSmoothBlock = 4096;
+
 /// Smooth a complete trace. The exchanges must be in send order.
 /// Throws ContractViolation for traces with fewer than two packets.
+///
+/// With a `pool`, the per-packet windows run in fixed-size blocks on it;
+/// each packet's arithmetic is the same as without one, so the result is
+/// bit-identical at every worker count.
 OfflineResult smooth_offsets(std::span<const RawExchange> trace,
-                             const Params& params, double nominal_period);
+                             const Params& params, double nominal_period,
+                             ThreadPool* pool = nullptr);
 
 }  // namespace tscclock::core

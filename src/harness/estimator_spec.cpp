@@ -372,10 +372,10 @@ std::unique_ptr<ClockEstimator> EstimatorRegistry::make_online(
 
 std::unique_ptr<ReplayEstimator> EstimatorRegistry::make_replay(
     const EstimatorSpec& spec, const core::Params& params,
-    double nominal_period) const {
+    double nominal_period, ThreadPool* pool) const {
   const Family& entry = family(spec.family);
   TSC_EXPECTS(entry.replay);
-  return entry.make_replay(resolve(spec), params, nominal_period);
+  return entry.make_replay(resolve(spec), params, nominal_period, pool);
 }
 
 }  // namespace tscclock::harness

@@ -46,6 +46,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "core/params.hpp"
 
 namespace tscclock::harness {
@@ -148,9 +149,11 @@ class EstimatorRegistry {
   using OnlineFactory = std::function<std::unique_ptr<ClockEstimator>(
       const ResolvedSpec& spec, const core::Params& params,
       double nominal_period)>;
+  /// `pool` may be null; a replay estimator that can spread its work uses
+  /// it, and its output must not depend on it.
   using ReplayFactory = std::function<std::unique_ptr<ReplayEstimator>(
       const ResolvedSpec& spec, const core::Params& params,
-      double nominal_period)>;
+      double nominal_period, ThreadPool* pool)>;
 
   /// One registered estimator family.
   struct Family {
@@ -215,9 +218,10 @@ class EstimatorRegistry {
       double nominal_period) const;
 
   /// Replay-lane counterpart of make_online. Precondition: is_replay(spec).
+  /// The estimator runs its work on `pool` when given one.
   [[nodiscard]] std::unique_ptr<ReplayEstimator> make_replay(
       const EstimatorSpec& spec, const core::Params& params,
-      double nominal_period) const;
+      double nominal_period, ThreadPool* pool = nullptr) const;
 
  private:
   std::map<std::string, Family, std::less<>> families_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -48,12 +50,52 @@ void TraceRecorder::observe(const sim::Exchange& ex) {
 
 OfflineSmootherEstimator::OfflineSmootherEstimator(const core::Params& params,
                                                    double nominal_period,
-                                                   Split split)
-    : params_(params), nominal_period_(nominal_period), split_(split) {
+                                                   Split split,
+                                                   ThreadPool* pool)
+    : params_(params),
+      nominal_period_(nominal_period),
+      split_(split),
+      pool_(pool) {
   TSC_EXPECTS(nominal_period > 0.0);
 }
 
 namespace {
+
+/// Minimum of `values` over a window [begin, end) that slides right one
+/// index at a time: a deque of indices whose values rise front to back, so
+/// the front is the minimum and each index is pushed and popped once.
+class SlidingMin {
+ public:
+  explicit SlidingMin(std::span<const TscDelta> values) : values_(values) {}
+
+  /// Start over on [begin, end).
+  void reset(std::size_t begin, std::size_t end) {
+    indices_.clear();
+    begin_ = end_ = begin;
+    while (end_ < end) push_end();
+  }
+
+  /// Move both edges one index right.
+  void slide() {
+    if (indices_.front() == begin_) indices_.pop_front();
+    ++begin_;
+    push_end();
+  }
+
+  [[nodiscard]] TscDelta min() const { return values_[indices_.front()]; }
+
+ private:
+  void push_end() {
+    while (!indices_.empty() && values_[indices_.back()] >= values_[end_])
+      indices_.pop_back();
+    indices_.push_back(end_++);
+  }
+
+  std::span<const TscDelta> values_;
+  std::deque<std::size_t> indices_;
+  std::size_t begin_ = 0;
+  std::size_t end_ = 0;
+};
 
 /// Offline level-shift cut points for `split=shifts`: indices where the
 /// windowed minimum RTT changes by more than the §6.2 detection threshold
@@ -64,31 +106,34 @@ namespace {
 /// congestion/shift ambiguity horizon. Cuts closer than one window to each
 /// other or to either trace edge are suppressed (smooth_offsets needs real
 /// segments, and a short segment would carry a meaningless whole-segment
-/// rate).
+/// rate). Both window minima slide with the index and are rebuilt after a
+/// cut jumps it.
 std::vector<std::size_t> shift_cut_points(
     const std::vector<core::RawExchange>& raws, const core::Params& params,
     double nominal_period) {
   const std::size_t window =
       std::max<std::size_t>(params.packets(params.shift_window), 2);
-  if (raws.size() < 2 * window) return {};
+  const std::size_t n = raws.size();
+  if (n < 2 * window) return {};
   const double threshold_counts =
       params.shift_detect_factor * params.offset_quality / nominal_period;
 
-  std::vector<TscDelta> rtts(raws.size());
-  for (std::size_t i = 0; i < raws.size(); ++i) rtts[i] = raws[i].rtt_counts();
-  const auto window_min = [&](std::size_t begin, std::size_t end) {
-    return *std::min_element(rtts.begin() + static_cast<std::ptrdiff_t>(begin),
-                             rtts.begin() + static_cast<std::ptrdiff_t>(end));
-  };
+  std::vector<TscDelta> rtts(n);
+  for (std::size_t i = 0; i < n; ++i) rtts[i] = raws[i].rtt_counts();
+  SlidingMin left_min(rtts);
+  SlidingMin right_min(rtts);
 
   std::vector<std::size_t> cuts;
   std::size_t i = window;
-  while (i + window <= raws.size()) {
-    const TscDelta left = window_min(i - window, i);
-    const TscDelta right = window_min(i, i + window);
-    const double separation = static_cast<double>(right - left);
+  left_min.reset(0, window);
+  right_min.reset(window, 2 * window);
+  for (;;) {
+    const TscDelta left = left_min.min();
+    const double separation = static_cast<double>(right_min.min() - left);
     if (std::abs(separation) <= threshold_counts) {
-      ++i;
+      if (++i + window > n) break;
+      left_min.slide();
+      right_min.slide();
       continue;
     }
     // Place the cut on the first clear post-shift packet. Upward shifts
@@ -104,11 +149,14 @@ std::vector<std::size_t> shift_cut_points(
         }
       }
     }
-    if (cut >= window && cut + window <= raws.size() &&
+    if (cut >= window && cut + window <= n &&
         (cuts.empty() || cut - cuts.back() >= window)) {
       cuts.push_back(cut);
     }
     i = cut + window;
+    if (i + window > n) break;
+    left_min.reset(i - window, i);
+    right_min.reset(i, i + window);
   }
   return cuts;
 }
@@ -133,7 +181,7 @@ ReplayOutput OfflineSmootherEstimator::process_trace(
   std::vector<Seconds> point_errors;
   point_errors.reserve(raws.size());
   if (cuts.empty()) {
-    result_ = core::smooth_offsets(raws, params_, nominal_period_);
+    result_ = core::smooth_offsets(raws, params_, nominal_period_, pool_);
     for (const auto& raw : raws) {
       point_errors.push_back(delta_to_seconds(
           raw.rtt_counts() - result_.rhat_counts, result_.period));
@@ -151,7 +199,7 @@ ReplayOutput OfflineSmootherEstimator::process_trace(
       const std::size_t end = s < cuts.size() ? cuts[s] : raws.size();
       const auto segment = core::smooth_offsets(
           std::span<const core::RawExchange>(raws).subspan(begin, end - begin),
-          params_, nominal_period_);
+          params_, nominal_period_, pool_);
       if (s == 0) {
         merged.timescale = segment.timescale;
         merged.period = segment.period;
@@ -318,13 +366,13 @@ void detail::register_builtin_replay_estimators(EstimatorRegistry& registry) {
           {"none", "shifts"}),
   };
   offline.make_replay = [](const ResolvedSpec& spec,
-                           const core::Params& params,
-                           double nominal_period) {
+                           const core::Params& params, double nominal_period,
+                           ThreadPool* pool) {
     const auto split = spec.get_choice("split") == "shifts"
                            ? OfflineSmootherEstimator::Split::kShifts
                            : OfflineSmootherEstimator::Split::kNone;
     return std::make_unique<OfflineSmootherEstimator>(params, nominal_period,
-                                                      split);
+                                                      split, pool);
   };
   registry.register_family(std::move(offline));
 }

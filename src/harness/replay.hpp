@@ -167,12 +167,16 @@ class ReplayEstimator {
 /// timescale, keeping one fixed C(T) for the θg alignment; on a trace with
 /// no detected shift the output is identical to Split::kNone by
 /// construction.
+///
+/// With a `pool` (non-owning, must outlive process_trace), each smoothing
+/// pass runs its windows on it; the output is the same without one.
 class OfflineSmootherEstimator final : public ReplayEstimator {
  public:
   enum class Split { kNone, kShifts };
 
   OfflineSmootherEstimator(const core::Params& params, double nominal_period,
-                           Split split = Split::kNone);
+                           Split split = Split::kNone,
+                           ThreadPool* pool = nullptr);
 
   [[nodiscard]] std::string_view name() const override { return "offline"; }
   ReplayOutput process_trace(std::span<const ReplaySample> samples) override;
@@ -189,6 +193,7 @@ class OfflineSmootherEstimator final : public ReplayEstimator {
   core::Params params_;
   double nominal_period_;
   Split split_;
+  ThreadPool* pool_;
   core::OfflineResult result_;
   std::size_t segments_ = 0;
 };

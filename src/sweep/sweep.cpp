@@ -158,18 +158,20 @@ ScenarioResult scored_result(const SweepScenario& scenario,
 /// imported file alike — through ReplaySession into a fresh LaneReducer.
 /// The reduction's tau0 is the lane's polling period and its ground-truth
 /// mode the trace's own. Replay estimators never step, so steps stay 0.
+/// The estimator spreads its work over `pool` when given one.
 ScenarioResult score_replay_lane(const SweepScenario& scenario,
                                  const harness::EstimatorSpec& spec,
                                  const harness::SessionConfig& config,
                                  double nominal_period,
                                  const harness::ReplayTrace& trace,
                                  harness::SampleSink* trace_sink,
-                                 bool streaming_reduction) {
+                                 bool streaming_reduction,
+                                 ThreadPool* pool = nullptr) {
   LaneReducer reducer(config.params.poll_period, streaming_reduction,
                       trace.ground_truth);
   harness::ReplaySession replay(
-      config, harness::estimator_registry().make_replay(spec, config.params,
-                                                        nominal_period));
+      config, harness::estimator_registry().make_replay(
+                  spec, config.params, nominal_period, pool));
   replay.add_sink(reducer.sink());
   if (trace_sink != nullptr) replay.add_sink(*trace_sink);
   const harness::SessionSummary summary = replay.run(trace);
@@ -247,12 +249,12 @@ std::vector<ScenarioResult> run_fleet_scenario_multi(
 /// a read failure throws and the caller contains it as this cell's FAILED
 /// rows. The reduction's tau0 and the estimator's window unit come from the
 /// file header, not the grid — an imported trace carries its own polling
-/// period.
+/// period. The lanes run one after another, each smoothing on `pool`.
 std::vector<ScenarioResult> run_trace_scenario_multi(
     const SweepScenario& scenario,
     std::span<const harness::EstimatorSpec> estimators,
     std::span<harness::SampleSink* const> trace_sinks,
-    bool streaming_reduction) {
+    bool streaming_reduction, ThreadPool& pool) {
   const harness::EstimatorRegistry& registry = harness::estimator_registry();
   for (const auto& spec : estimators) {
     if (!registry.is_replay(spec)) {
@@ -275,7 +277,7 @@ std::vector<ScenarioResult> run_trace_scenario_multi(
     config.client_id = loaded.meta.client_id;
     ScenarioResult result = score_replay_lane(
         scenario, estimators[e], config, loaded.meta.nominal_period,
-        loaded.trace, trace_sink, streaming_reduction);
+        loaded.trace, trace_sink, streaming_reduction, &pool);
     result.from_trace = true;
     result.relative_only =
         loaded.meta.mode == harness::GroundTruthMode::kRelativeOnly;
@@ -295,11 +297,18 @@ std::vector<ScenarioResult> run_scenario_multi(
   TSC_EXPECTS(!estimators.empty());
   TSC_EXPECTS(trace_sinks.empty() || trace_sinks.size() == estimators.size());
 
+  // Fleet and imported-trace cells spread their work over the caller's
+  // pool, or over one of their own with a thread per usable CPU.
+  std::optional<ThreadPool> own_pool;
+  const auto cell_pool = [&]() -> ThreadPool& {
+    return pool != nullptr ? *pool : own_pool.emplace();
+  };
+
   // Imported-trace cells replay their file; nothing below applies.
   if (scenario.is_trace()) {
     TSC_EXPECTS(trace_export_path.empty());
     return run_trace_scenario_multi(scenario, estimators, trace_sinks,
-                                    streaming_reduction);
+                                    streaming_reduction, cell_pool());
   }
 
   // Fleet cells take the multi-client drive (FleetTestbed + FleetSession);
@@ -311,10 +320,9 @@ std::vector<ScenarioResult> run_scenario_multi(
           "--trace-out cannot export a multi-client fleet cell: a trace "
           "file holds exactly one client's stream");
     }
-    std::optional<ThreadPool> own_pool;
-    if (pool == nullptr) pool = &own_pool.emplace();
     return run_fleet_scenario_multi(scenario, estimators, discard_warmup,
-                                    trace_sinks, streaming_reduction, *pool);
+                                    trace_sinks, streaming_reduction,
+                                    cell_pool());
   }
 
   // The drive loop is the shared harness layer — the same canonical

@@ -101,7 +101,7 @@ struct ScenarioResult {
 };
 
 struct SweepOptions {
-  std::size_t threads = 0;  ///< 0 = hardware_concurrency
+  std::size_t threads = 0;  ///< 0 = one per CPU the process may run on
   /// Points earlier than this (by server receive time) are excluded from the
   /// error summaries, matching the paper's post-warm-up analyses.
   Seconds discard_warmup = duration::kHour;
@@ -174,8 +174,9 @@ ScenarioResult run_scenario(const SweepScenario& scenario,
 /// of driving a Testbed (every spec must be a replay family there — the CLI
 /// guarantees it). `trace_export_path`, when non-empty, additionally writes
 /// the drain's recorded trace as a reference-bearing trace file.
-/// A fleet cell spreads its clients over `pool`; without one it makes a
-/// pool with one thread per core for the call. Other cells run on the
+/// A fleet cell spreads its clients over `pool`, and an imported-trace cell
+/// its replay lanes' smoothing windows; without one such a cell makes a
+/// pool with one thread per usable CPU for the call. Other cells run on the
 /// calling thread. The results do not depend on the pool.
 std::vector<ScenarioResult> run_scenario_multi(
     const SweepScenario& scenario,

@@ -3,10 +3,9 @@
 #include <array>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
+#include <cstring>
+#include <istream>
 #include <string_view>
-#include <system_error>
 
 #include "common/serialize.hpp"
 #include "common/time_types.hpp"
@@ -185,30 +184,62 @@ void write_trace(const std::string& path, const TraceMeta& meta,
 
 namespace {
 
-/// Minimal clone of result_io's line reader (that one is file-local there
-/// on purpose: each artifact format owns its torn-tail policy). Lines are
-/// views into the file content, which must outlive them.
+/// Line reader over a stream, through a fixed read window (kTraceReadWindow
+/// bytes, doubled only to hold a longer line), so a trace is never held
+/// whole in memory. A line is a view into the window, valid until the next
+/// next_line call. A final line without its newline is torn, not returned.
+/// A read error ends the input early like end of file; the end-marker
+/// check then refuses the file. Same torn-tail policy as result_io's
+/// reader (each artifact format owns its own).
 class LineReader {
  public:
-  explicit LineReader(std::string_view content) : content_(content) {}
+  explicit LineReader(std::istream& in)
+      : in_(in), window_(kTraceReadWindow, '\0') {}
 
   bool next_line(std::string_view& line) {
-    if (offset_ >= content_.size()) return false;
-    const std::size_t newline = content_.find('\n', offset_);
-    if (newline == std::string_view::npos) {
-      torn_ = true;
-      return false;
+    for (;;) {
+      const char* data = window_.data();
+      const void* newline =
+          std::memchr(data + scanned_, '\n', filled_ - scanned_);
+      if (newline != nullptr) {
+        const auto end = static_cast<std::size_t>(
+            static_cast<const char*>(newline) - data);
+        line = std::string_view(data + begin_, end - begin_);
+        begin_ = scanned_ = end + 1;
+        return true;
+      }
+      scanned_ = filled_;
+      if (at_end_) {
+        torn_ = begin_ < filled_;
+        return false;
+      }
+      refill();
     }
-    line = content_.substr(offset_, newline - offset_);
-    offset_ = newline + 1;
-    return true;
   }
 
   [[nodiscard]] bool torn() const { return torn_; }
 
  private:
-  std::string_view content_;
-  std::size_t offset_ = 0;
+  /// Move the unfinished line to the front of the window, double the window
+  /// if that line fills it, and read to the window's end.
+  void refill() {
+    const std::size_t partial = filled_ - begin_;
+    std::memmove(window_.data(), window_.data() + begin_, partial);
+    begin_ = 0;
+    scanned_ = filled_ = partial;
+    if (filled_ == window_.size()) window_.resize(2 * window_.size());
+    in_.read(window_.data() + filled_,
+             static_cast<std::streamsize>(window_.size() - filled_));
+    filled_ += static_cast<std::size_t>(in_.gcount());
+    at_end_ = filled_ < window_.size();  // a short read: end of input
+  }
+
+  std::istream& in_;
+  std::string window_;
+  std::size_t begin_ = 0;    ///< start of the next line
+  std::size_t scanned_ = 0;  ///< [begin_, scanned_) holds no newline
+  std::size_t filled_ = 0;   ///< bytes of the window read so far
+  bool at_end_ = false;
   bool torn_ = false;
 };
 
@@ -235,28 +266,6 @@ Fields split_record(std::string_view line, char sep) {
   }
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw TraceIoError("trace " + path + ": cannot open");
-  // A regular file's size is known, so one read asking for a byte more
-  // reaches end of file; an unsized input (a pipe) doubles the buffer
-  // until a read comes up short. A read error also ends the content
-  // early, and the end-marker check then refuses the file.
-  std::error_code unsized;
-  const std::uintmax_t size = std::filesystem::file_size(path, unsized);
-  std::string content(unsized ? std::size_t{1} << 16 : size + 1, '\0');
-  std::size_t used = 0;
-  for (;;) {
-    in.read(content.data() + used,
-            static_cast<std::streamsize>(content.size() - used));
-    used += static_cast<std::size_t>(in.gcount());
-    if (used < content.size()) break;
-    content.resize(2 * content.size());
-  }
-  content.resize(used);
-  return content;
-}
-
 double parse_positive(std::string_view text, const char* key,
                       const std::string& context) {
   double value = 0;
@@ -277,9 +286,10 @@ double parse_positive(std::string_view text, const char* key,
 }  // namespace
 
 ReadTrace read_trace(const std::string& path) {
-  const std::string content = read_file(path);
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw TraceIoError("trace " + path + ": cannot open");
   const std::string context = "trace " + path;
-  LineReader lines(content);
+  LineReader lines(in);
   std::string_view line;
   const auto next_line = [&] {
     if (!lines.next_line(line)) {

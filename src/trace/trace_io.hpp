@@ -65,6 +65,10 @@ class TraceIoError : public std::runtime_error {
 /// Format version this build writes and the only one it reads.
 constexpr int kTraceFormatVersion = 1;
 
+/// read_trace parses through a read window of this many bytes, grown only
+/// for a longer line, instead of loading the whole file.
+constexpr std::size_t kTraceReadWindow = std::size_t{1} << 20;
+
 /// Header block of a trace file: everything a replay needs besides the
 /// samples themselves.
 struct TraceMeta {

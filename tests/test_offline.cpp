@@ -3,8 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <span>
+#include <vector>
+
+#include "common/thread_pool.hpp"
 
 #include "core/clock.hpp"
 #include "core/naive.hpp"
@@ -240,6 +246,130 @@ TEST(Offline, AgingCanBeDisabled) {
   EXPECT_EQ(result.offsets.size(), trace.size());
   EXPECT_NEAR(result.offsets[100] - theta_true(result, link, trace[100].tf),
               -link.asymmetry() / 2, 5e-6);
+}
+
+// -- The window pass on a pool -----------------------------------------------
+
+/// `n` packets with uneven queueing, congestion bursts long enough to make
+/// poor windows in several blocks, and a Tf step back (Ta moved with it, so
+/// the RTT stays sane) at each index of `step_backs`.
+std::vector<RawExchange> blocky_trace(
+    std::size_t n, const std::vector<std::size_t>& step_backs) {
+  SyntheticLink link;
+  std::vector<RawExchange> trace;
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool burst = i % 1500 >= 1450;
+    const Seconds queue =
+        burst ? 5e-3 : static_cast<double>(i * 7919 % 97) * 1e-6;
+    trace.push_back(link.next(queue, queue / 2));
+  }
+  const auto back = static_cast<TscCount>(40 * 16.0 / link.config().period);
+  for (const std::size_t k : step_backs) {
+    trace[k].ta -= back;
+    trace[k].tf -= back;
+  }
+  return trace;
+}
+
+/// The window pass as one serial loop over k, `lo` carried from packet to
+/// packet: the oracle the block pass must match bit for bit. Reads r̂, p̄
+/// and the timescale from `result`; returns the poor-window count.
+std::size_t serial_window_pass(std::span<const RawExchange> trace,
+                               const Params& params,
+                               const OfflineResult& result,
+                               std::vector<Seconds>& offsets) {
+  const std::size_t n = trace.size();
+  const auto point_error = [&](std::size_t i) {
+    return delta_to_seconds(trace[i].rtt_counts() - result.rhat_counts,
+                            result.period);
+  };
+  const Seconds half_window = params.offset_window / 2;
+  offsets.assign(n, 0.0);
+  std::size_t poor = 0;
+  std::size_t lo = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    while (lo < k && result.timescale.between(trace[lo].tf, trace[k].tf) >
+                         half_window)
+      ++lo;
+    double weight_sum = 0;
+    double weighted = 0;
+    Seconds best_total = std::numeric_limits<double>::infinity();
+    std::size_t best_idx = k;
+    for (std::size_t i = lo; i < n; ++i) {
+      const Seconds distance =
+          std::fabs(result.timescale.between(trace[i].tf, trace[k].tf));
+      if (i > k && distance > half_window) break;
+      const Seconds total =
+          point_error(i) +
+          (params.enable_aging ? params.aging_rate * distance : 0.0);
+      if (total < best_total) {
+        best_total = total;
+        best_idx = i;
+      }
+      const double z = total / params.offset_quality;
+      const double w = std::exp(-z * z);
+      weight_sum += w;
+      weighted += w * naive_offset(trace[i], result.timescale);
+    }
+    if (best_total <= params.extreme_quality() && weight_sum > 0.0) {
+      offsets[k] = weighted / weight_sum;
+    } else {
+      offsets[k] = naive_offset(trace[best_idx], result.timescale);
+      ++poor;
+    }
+  }
+  return poor;
+}
+
+void expect_same_smoothing(const OfflineResult& a, const OfflineResult& b) {
+  ASSERT_EQ(a.offsets.size(), b.offsets.size());
+  for (std::size_t k = 0; k < a.offsets.size(); ++k) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a.offsets[k]),
+              std::bit_cast<std::uint64_t>(b.offsets[k]))
+        << "packet " << k;
+  }
+  EXPECT_EQ(a.poor_windows, b.poor_windows);
+  EXPECT_EQ(a.period, b.period);
+  EXPECT_EQ(a.rhat_counts, b.rhat_counts);
+}
+
+TEST(OfflinePool, BlocksOnAnyPoolMatchTheSerialPass) {
+  const double period = SyntheticLink().config().period;
+  const struct {
+    const char* name;
+    std::size_t n;
+    std::vector<std::size_t> step_backs;
+  } cases[] = {
+      {"fewer packets than one block", kSmoothBlock / 3, {}},
+      {"exactly one block", kSmoothBlock, {}},
+      {"several blocks plus a tail", 3 * kSmoothBlock + 777, {}},
+      {"Tf steps back at and beside block starts",
+       3 * kSmoothBlock + 777,
+       {kSmoothBlock, kSmoothBlock + 1, 2 * kSmoothBlock - 1,
+        3 * kSmoothBlock + 5}},
+  };
+  ThreadPool pools[] = {ThreadPool(1), ThreadPool(2), ThreadPool(4)};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto trace = blocky_trace(c.n, c.step_backs);
+    const auto serial = smooth_offsets(trace, test_params(), period);
+    std::vector<Seconds> oracle;
+    EXPECT_EQ(serial_window_pass(trace, test_params(), serial, oracle),
+              serial.poor_windows);
+    for (std::size_t k = 0; k < c.n; ++k) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(serial.offsets[k]),
+                std::bit_cast<std::uint64_t>(oracle[k]))
+          << "packet " << k;
+    }
+    if (c.n > kSmoothBlock) {
+      EXPECT_GT(serial.poor_windows, 0u);
+    }
+    for (auto& pool : pools) {
+      SCOPED_TRACE(pool.thread_count());
+      expect_same_smoothing(
+          smooth_offsets(trace, test_params(), period, &pool), serial);
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include "sweep/sweep.hpp"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <atomic>
@@ -169,6 +170,32 @@ TEST(ThreadPool, SingleThreadedPoolWorks) {
   std::atomic<int> total{0};
   parallel_for(pool, 64, [&](std::size_t) { total.fetch_add(1); });
   EXPECT_EQ(total.load(), 64);
+}
+
+TEST(ThreadPool, AutoSizeCountsTheAffinityMask) {
+  // Pin the calling thread to the first CPU it may run on, as taskset
+  // would; a zero-sized pool then has exactly one worker.
+  cpu_set_t original;
+  CPU_ZERO(&original);
+  ASSERT_EQ(sched_getaffinity(0, sizeof original, &original), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &original)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+  std::size_t pinned = 0;
+  {
+    ThreadPool pool(0);
+    pinned = pool.thread_count();
+    std::atomic<int> ran{0};
+    parallel_for(pool, 8, [&](std::size_t) { ++ran; });
+    EXPECT_EQ(ran.load(), 8);
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof original, &original), 0);
+  EXPECT_EQ(pinned, 1u);
+  EXPECT_EQ(ThreadPool(0).thread_count(),
+            static_cast<std::size_t>(CPU_COUNT(&original)));
 }
 
 TEST(ThreadPool, NestedParallelForCompletesOnEveryPoolSize) {

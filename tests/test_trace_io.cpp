@@ -20,6 +20,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/serialize.hpp"
@@ -383,6 +384,81 @@ TEST(TraceIo, ReadsAPipeLikeAFile) {
   EXPECT_EQ(from_pipe.trace.polls_enumerated, from_file.trace.polls_enumerated);
   fs::remove(fifo);
   fs::remove(file);
+}
+
+// -- The streamed reader's window edge ---------------------------------------
+
+/// A reference trace file a little over one read window, as text, with
+/// `pad` characters of label: each extra one shifts every record a byte
+/// later against the window edge.
+std::string windowed_file(const fs::path& path, std::size_t pad,
+                          const harness::ReplayTrace& trace) {
+  TraceMeta meta = reference_meta();
+  meta.label = std::string(1 + pad, 'a');
+  write_trace(path.string(), meta, trace);
+  return read_file(path);
+}
+
+void expect_reads_back(const fs::path& path, const std::string& label,
+                       const harness::ReplayTrace& trace) {
+  const ReadTrace loaded = read_trace(path.string());
+  EXPECT_TRUE(loaded.warnings.empty());
+  EXPECT_EQ(loaded.meta.label, label);
+  ASSERT_EQ(loaded.trace.samples.size(), trace.samples.size());
+  for (std::size_t i = 0; i < trace.samples.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_sample_bits(loaded.trace.samples[i], trace.samples[i]);
+  }
+  EXPECT_EQ(loaded.trace.polls_enumerated, trace.polls_enumerated);
+}
+
+TEST(TraceIoWindow, RecordsEndingAtOrStraddlingTheWindowEdge) {
+  const auto path = temp_path("window_edge.trace");
+  const harness::ReplayTrace trace = long_trace(8000);
+  const std::string base = windowed_file(path, 0, trace);
+  ASSERT_GT(base.size(), kTraceReadWindow + 4096);
+  // The pad that puts a record's newline on the window's last byte; one
+  // more puts that newline just past the edge, 60 more the record's middle.
+  const std::size_t last = base.rfind('\n', kTraceReadWindow - 1);
+  const std::size_t on_edge = kTraceReadWindow - 1 - last;
+  for (const std::size_t pad : {on_edge, on_edge + 1, on_edge + 60}) {
+    SCOPED_TRACE(pad);
+    const std::string content = windowed_file(path, pad, trace);
+    const std::size_t line_start = content.rfind('\n', kTraceReadWindow - 2);
+    ASSERT_EQ(content.compare(line_start, 3, "\nx\t"), 0);
+    expect_reads_back(path, std::string(1 + pad, 'a'), trace);
+  }
+  fs::remove(path);
+}
+
+TEST(TraceIoWindow, LineLongerThanTheWindow) {
+  const auto path = temp_path("window_long_line.trace");
+  const harness::ReplayTrace trace = long_trace(3000);
+  const std::size_t pad = kTraceReadWindow + kTraceReadWindow / 2;
+  windowed_file(path, pad, trace);
+  expect_reads_back(path, std::string(1 + pad, 'a'), trace);
+  fs::remove(path);
+}
+
+TEST(TraceIoWindow, TornTailAtTheWindowEdge) {
+  const auto path = temp_path("window_torn.trace");
+  const harness::ReplayTrace trace = long_trace(8000);
+  const std::string base = windowed_file(path, 0, trace);
+  const std::size_t on_edge =
+      kTraceReadWindow - 1 - base.rfind('\n', kTraceReadWindow - 1);
+  // The file ends on the window's last byte: mid-record, then right after
+  // a record's newline.
+  const std::pair<std::size_t, std::string> cuts[] = {
+      {on_edge + 60, ": torn trailing line (the file ends mid-record)"},
+      {on_edge, ": truncated (unexpected end of file)"}};
+  for (const auto& [pad, what] : cuts) {
+    SCOPED_TRACE(pad);
+    std::string content = windowed_file(path, pad, trace);
+    content.resize(kTraceReadWindow);
+    write_file(path, content);
+    EXPECT_EQ(read_error(path), "trace " + path.string() + what);
+  }
+  fs::remove(path);
 }
 
 TEST(TraceIo, RefusesMissingFileAndDirectory) {

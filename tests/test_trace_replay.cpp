@@ -19,10 +19,13 @@
 #include <string>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "core/offline.hpp"
+#include "harness/estimator_spec.hpp"
 #include "harness/replay.hpp"
 #include "harness/sinks.hpp"
 #include "sim/scenario.hpp"
+#include "sweep/result_io.hpp"
 #include "sweep/scenario_grid.hpp"
 #include "sweep/sweep.hpp"
 
@@ -336,6 +339,93 @@ TEST(TraceReplayGolden, SupportsOfflineWorkflow) {
     ++checked;
   }
   EXPECT_GT(checked, 300u);
+}
+
+TEST(TraceReplayPool, TraceCellIsIdenticalOnEveryPool) {
+  // Two days at a 16 s poll make several smoothing blocks, and a level
+  // shift on day two gives the split variant a cut to smooth around.
+  sim::ScenarioConfig scenario = trace_scenario();
+  scenario.duration = 2 * duration::kDay;
+  scenario.events.add_level_shift(
+      {duration::kDay, sim::kForever, 4e-4, 4e-4});
+  const auto config = trace_config(scenario);
+  sim::Testbed testbed(scenario);
+  harness::ClockSession session(config, testbed.nominal_period());
+  session.run(testbed);
+  ASSERT_GT(session.trace().arrived(), 2 * core::kSmoothBlock);
+  TraceMeta meta;
+  meta.mode = harness::GroundTruthMode::kReference;
+  meta.nominal_period = testbed.nominal_period();
+  meta.poll_period = scenario.poll_period;
+  const auto path = temp_path("pool.trace");
+  write_trace(path.string(), meta, session.trace());
+
+  sweep::SweepScenario cell;
+  cell.name = "trace:pool";
+  cell.trace_path = path.string();
+  const auto specs =
+      harness::estimator_registry().parse_list("offline,offline(split=shifts)");
+
+  // The serial oracle: each spec replayed without a pool.
+  harness::SessionConfig lane;
+  lane.params = core::Params::for_poll_period(scenario.poll_period);
+  lane.emit_unevaluated = true;
+  const ReadTrace loaded = read_trace(path.string());
+  std::vector<std::vector<harness::SampleRecord>> oracle;
+  std::size_t segments = 0;
+  for (const auto& spec : specs) {
+    harness::ReplaySession replay(
+        lane, harness::estimator_registry().make_replay(
+                  spec, lane.params, meta.nominal_period));
+    harness::CollectorSink records;
+    replay.add_sink(records);
+    replay.run(loaded.trace);
+    oracle.push_back(records.records());
+    segments += dynamic_cast<const harness::OfflineSmootherEstimator&>(
+                    replay.estimator())
+                    .segments();
+  }
+  EXPECT_GT(segments, specs.size()) << "the split variant must cut";
+
+  const auto run_cell = [&](ThreadPool* pool,
+                            std::vector<harness::CollectorSink>& dumps) {
+    std::vector<harness::SampleSink*> sinks;
+    for (auto& dump : dumps) sinks.push_back(&dump);
+    std::string lines;
+    for (const auto& result : sweep::run_scenario_multi(
+             cell, specs, 0, sinks, false, {}, pool)) {
+      EXPECT_FALSE(result.failed) << result.error;
+      lines += sweep::serialize_result(result) + "\n";
+    }
+    return lines;
+  };
+  std::vector<harness::CollectorSink> own_dumps(specs.size());
+  const std::string own = run_cell(nullptr, own_dumps);
+  for (std::size_t e = 0; e < specs.size(); ++e) {
+    SCOPED_TRACE(specs[e].label());
+    const auto& got = own_dumps[e].records();
+    ASSERT_EQ(got.size(), oracle[e].size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_TRUE(same_bits(got[i].report.offset_estimate,
+                            oracle[e][i].report.offset_estimate))
+          << "record " << i;
+    }
+  }
+  for (const std::size_t workers : {1, 2, 4}) {
+    SCOPED_TRACE(workers);
+    ThreadPool pool(workers);
+    std::vector<harness::CollectorSink> dumps(specs.size());
+    EXPECT_EQ(run_cell(&pool, dumps), own);
+    for (std::size_t e = 0; e < specs.size(); ++e) {
+      ASSERT_EQ(dumps[e].records().size(), own_dumps[e].records().size());
+      for (std::size_t i = 0; i < dumps[e].records().size(); ++i) {
+        ASSERT_TRUE(same_bits(dumps[e].records()[i].offset_error,
+                              own_dumps[e].records()[i].offset_error))
+            << "record " << i;
+      }
+    }
+  }
+  fs::remove(path);
 }
 
 }  // namespace

@@ -10,7 +10,9 @@
 # --trace-in files and online×--trace-in combinations, and the full
 # record → export → import → replay round trip: a sim-exported trace must
 # replay into byte-identical per-exchange CSV rows, and a mock-collected
-# trace must import cleanly and produce a populated relative-only row.
+# trace must import cleanly and produce a populated relative-only row. A
+# trace cell's report, CSV and result dump must be byte-identical at
+# --threads 1 and --threads 0.
 set -u
 
 SWEEP="$1"
@@ -170,6 +172,39 @@ if ! cmp -s "$WORK/direct.cut" "$WORK/replayed.cut"; then
 else
   echo "ok: exported trace replays byte-identical to the in-memory run"
 fi
+
+# -- Imported-trace cells are identical on one worker and on every core ------
+# A trace cell smooths its replay lanes' windows in blocks on the sweep's
+# workers; the report, the per-exchange CSV and the result dump must not
+# depend on how many. Two days at a 16 s poll make several blocks. Each run
+# writes into its own directory under the same file names, so even the
+# report's trailing "per-exchange trace dump" line must match.
+SWEEP_ABS="$(cd "$(dirname "$SWEEP")" && pwd)/$(basename "$SWEEP")"
+LONG_ARGS=(--servers int --envs lab --polls 16 --schedules stress
+           --estimators "offline,offline(split=shifts)" --duration-hours 48
+           --warmup-s 600 --seed 11)
+run_expect 0 "sim run exporting a two-day trace" "$SWEEP" -- \
+  "${LONG_ARGS[@]}" --trace-out "$WORK/long.trace"
+for threads in 1 0; do
+  mkdir -p "$WORK/threads$threads"
+  if (cd "$WORK/threads$threads" && "$SWEEP_ABS" "${LONG_ARGS[@]}" \
+      --trace-in "$WORK/long.trace" --threads "$threads" --csv trace.csv \
+      --dump-results cells.dump > report.txt 2>&1); then
+    echo "ok: trace cell at --threads $threads"
+  else
+    echo "FAIL: trace cell at --threads $threads exited non-zero" >&2
+    sed 's/^/    /' "$WORK/threads$threads/report.txt" >&2
+    failures=$((failures + 1))
+  fi
+done
+for artifact in report.txt trace.csv cells.dump; do
+  if cmp -s "$WORK/threads1/$artifact" "$WORK/threads0/$artifact"; then
+    echo "ok: trace cell $artifact identical at --threads 1 and 0"
+  else
+    echo "FAIL: trace cell $artifact differs between --threads 1 and 0" >&2
+    failures=$((failures + 1))
+  fi
+done
 
 # -- End-to-end: offline collection through the loopback mock ----------------
 "$NTP_COLLECT" --mock --count 64 --out "$WORK/live.trace" --quiet \

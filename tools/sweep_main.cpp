@@ -329,8 +329,9 @@ sweep::ScheduleVariant make_schedule(const std::string& name,
       "  --duration-hours H simulated hours per scenario   (default 24)\n"
       "  --seed N           master seed                    (default 42)\n"
       "  --threads N        worker threads, 0 = all cores  (default 0);\n"
-      "                     fleet cells spread their clients over the\n"
-      "                     same workers (results identical at any N)\n"
+      "                     fleet cells spread their clients, and trace\n"
+      "                     cells their smoothing windows, over the same\n"
+      "                     workers (results identical at any N)\n"
       "  --warmup-s S       discard first S seconds        (default 3600)\n"
       "  --no-wire          skip the NTP wire-format round trip\n"
       "  --check-wire       assert, for every produced stamp, that the\n"
