@@ -179,8 +179,8 @@ class P2Quantile {
 /// O(1)-memory replacement for summarize(): count/min/max/mean/stddev are
 /// exact (the same Welford recurrence in the same order, so they match the
 /// buffered reduction bit-for-bit), the five percentiles are P²
-/// approximations. This is the streaming half of the sweep's
-/// StreamingReducerSink.
+/// approximations. harness::ReducerSink keeps one per error series under
+/// its Percentiles::kSketch policy.
 class StreamingSeriesSummary {
  public:
   StreamingSeriesSummary();

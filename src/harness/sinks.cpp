@@ -1,140 +1,92 @@
 #include "harness/sinks.hpp"
 
-#include <span>
+#include <utility>
 
-#include "common/allan.hpp"
 #include "common/table.hpp"
 
 namespace tscclock::harness {
 
 ReducerSink::ReducerSink(double tau0, std::size_t adev_short_factor,
-                         std::size_t adev_long_factor, GroundTruthMode mode)
-    : tau0_(tau0),
-      short_factor_(adev_short_factor),
-      long_factor_(adev_long_factor),
-      mode_(mode) {}
+                         std::size_t adev_long_factor, GroundTruthMode mode,
+                         Percentiles percentiles)
+    : mode_(mode),
+      clock_error_(percentiles),
+      offset_error_(percentiles),
+      adev_short_tau_(static_cast<double>(adev_short_factor) * tau0),
+      adev_long_tau_(static_cast<double>(adev_long_factor) * tau0),
+      adev_(std::in_place, tau0,
+            std::vector<std::size_t>{adev_short_factor, adev_long_factor}) {}
+
+ReducerSink::ReducerSink(Percentiles percentiles)
+    : mode_(GroundTruthMode::kReference),
+      clock_error_(percentiles),
+      offset_error_(percentiles) {}
 
 void ReducerSink::on_sample(const SampleRecord& record) {
   if (!record.evaluated) return;
-  times_.push_back(record.raw.tb);
   // In relative mode abs_clock_error is structurally 0 (no reference): it
   // must never enter a summary where it would read as perfect tracking.
-  if (mode_ == GroundTruthMode::kReference)
-    clock_errors_.push_back(record.abs_clock_error);
-  offset_errors_.push_back(record.offset_error);
-}
-
-void ReducerSink::on_batch(const SampleBatch& batch) {
-  times_.insert(times_.end(), batch.tb.begin(), batch.tb.end());
-  if (mode_ == GroundTruthMode::kReference) {
-    clock_errors_.insert(clock_errors_.end(), batch.abs_clock_error.begin(),
-                         batch.abs_clock_error.end());
-  }
-  offset_errors_.insert(offset_errors_.end(), batch.offset_error.begin(),
-                        batch.offset_error.end());
-}
-
-namespace {
-
-/// Fill both ADEV scales from one resampled series; allan_deviation skips
-/// factors the trace is too short to support, leaving the 0 sentinel.
-///
-/// Computed over the longest stretch free of gaps > 4·tau0: interpolating
-/// across an outage would fabricate collinear samples whose second
-/// differences are exactly zero, biasing ADEV low for precisely the
-/// robustness schedules a sweep is meant to compare. Ordinary packet loss
-/// (a 2·tau0 hole) stays within one stretch. A sample whose time is not
-/// strictly after its predecessor's (a backwards server step, NaN) ends the
-/// stretch too — the same rule as StreamingGapAdev::add.
-void fill_adev(const std::vector<double>& times,
-               const std::vector<double>& errors, double tau0,
-               std::size_t short_factor, std::size_t long_factor,
-               ReducerSink::Reduction& out) {
-  if (times.size() < 3) return;
-  std::size_t best_begin = 0;
-  std::size_t best_len = 0;
-  std::size_t begin = 0;
-  for (std::size_t i = 1; i <= times.size(); ++i) {
-    if (i == times.size() || !(times[i] > times[i - 1]) ||
-        times[i] - times[i - 1] > 4 * tau0) {
-      if (i - begin > best_len) {
-        best_len = i - begin;
-        best_begin = begin;
-      }
-      begin = i;
-    }
-  }
-  if (best_len < 3) return;
-  const std::span<const double> seg_times(times.data() + best_begin, best_len);
-  const std::span<const double> seg_errors(errors.data() + best_begin,
-                                           best_len);
-  const auto regular = resample_linear(seg_times, seg_errors, tau0);
-  const std::size_t factors[] = {short_factor, long_factor};
-  for (const auto& point : allan_deviation(regular, tau0, factors)) {
-    if (point.tau == out.adev_short_tau) out.adev_short = point.deviation;
-    if (point.tau == out.adev_long_tau) out.adev_long = point.deviation;
-  }
-}
-
-}  // namespace
-
-ReducerSink::Reduction ReducerSink::reduce() const {
-  Reduction out;
-  out.evaluated = offset_errors_.size();
-  // A stream can end with no evaluable points (warm-up discard covering the
-  // whole duration, or total loss); summarize() requires a non-empty series.
-  if (!clock_errors_.empty()) out.clock_error = summarize(clock_errors_);
-  if (!offset_errors_.empty()) out.offset_error = summarize(offset_errors_);
-  out.adev_short_tau = static_cast<double>(short_factor_) * tau0_;
-  out.adev_long_tau = static_cast<double>(long_factor_) * tau0_;
-  fill_adev(times_,
-            mode_ == GroundTruthMode::kReference ? clock_errors_
-                                                 : offset_errors_,
-            tau0_, short_factor_, long_factor_, out);
-  return out;
-}
-
-StreamingReducerSink::StreamingReducerSink(double tau0,
-                                           std::size_t adev_short_factor,
-                                           std::size_t adev_long_factor,
-                                           GroundTruthMode mode)
-    : tau0_(tau0),
-      short_factor_(adev_short_factor),
-      long_factor_(adev_long_factor),
-      mode_(mode),
-      adev_(tau0, {adev_short_factor, adev_long_factor}) {}
-
-void StreamingReducerSink::on_sample(const SampleRecord& record) {
-  if (!record.evaluated) return;
   const bool reference = mode_ == GroundTruthMode::kReference;
   if (reference) clock_error_.add(record.abs_clock_error);
   offset_error_.add(record.offset_error);
-  adev_.add(record.raw.tb,
-            reference ? record.abs_clock_error : record.offset_error);
-}
-
-void StreamingReducerSink::on_batch(const SampleBatch& batch) {
-  const bool reference = mode_ == GroundTruthMode::kReference;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (reference) clock_error_.add(batch.abs_clock_error[i]);
-    offset_error_.add(batch.offset_error[i]);
-    adev_.add(batch.tb[i], reference ? batch.abs_clock_error[i]
-                                     : batch.offset_error[i]);
+  if (adev_) {
+    adev_->add(record.raw.tb,
+               reference ? record.abs_clock_error : record.offset_error);
   }
 }
 
-StreamingReducerSink::Reduction StreamingReducerSink::reduce() const {
+void ReducerSink::on_batch(const SampleBatch& batch) {
+  const bool reference = mode_ == GroundTruthMode::kReference;
+  if (reference) clock_error_.add(batch.abs_clock_error);
+  offset_error_.add(batch.offset_error);
+  if (adev_) {
+    const std::vector<double>& errors =
+        reference ? batch.abs_clock_error : batch.offset_error;
+    for (std::size_t i = 0; i < batch.size(); ++i)
+      adev_->add(batch.tb[i], errors[i]);
+  }
+}
+
+ReducerSink::Reduction ReducerSink::reduce() const {
   Reduction out;
   out.evaluated = offset_error_.count();
-  if (clock_error_.count() > 0) out.clock_error = clock_error_.summary();
-  if (offset_error_.count() > 0) out.offset_error = offset_error_.summary();
-  out.adev_short_tau = static_cast<double>(short_factor_) * tau0_;
-  out.adev_long_tau = static_cast<double>(long_factor_) * tau0_;
-  for (const auto& point : adev_.result()) {
-    if (point.tau == out.adev_short_tau) out.adev_short = point.deviation;
-    if (point.tau == out.adev_long_tau) out.adev_long = point.deviation;
+  out.clock_error = clock_error_.summary();
+  out.offset_error = offset_error_.summary();
+  out.adev_short_tau = adev_short_tau_;
+  out.adev_long_tau = adev_long_tau_;
+  // StreamingGapAdev omits a scale its longest gap-free stretch is too
+  // short for, leaving the 0 sentinel.
+  if (adev_) {
+    for (const auto& point : adev_->result()) {
+      if (point.tau == out.adev_short_tau) out.adev_short = point.deviation;
+      if (point.tau == out.adev_long_tau) out.adev_long = point.deviation;
+    }
   }
   return out;
+}
+
+void ReducerSink::Series::add(double value) {
+  if (exact_)
+    values_.push_back(value);
+  else
+    sketch_.add(value);
+}
+
+void ReducerSink::Series::add(const std::vector<double>& values) {
+  if (exact_) {
+    values_.insert(values_.end(), values.begin(), values.end());
+  } else {
+    for (const double value : values) sketch_.add(value);
+  }
+}
+
+std::size_t ReducerSink::Series::count() const {
+  return exact_ ? values_.size() : sketch_.count();
+}
+
+SeriesSummary ReducerSink::Series::summary() const {
+  if (count() == 0) return {};
+  return exact_ ? summarize(values_) : sketch_.summary();
 }
 
 namespace {

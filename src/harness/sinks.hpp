@@ -4,17 +4,20 @@
 //                          tests);
 //   CallbackSink         — ad-hoc per-record lambda (streaming minima,
 //                          progress printing);
-//   ReducerSink          — the sweep's exact reduction: error summaries +
+//   ReducerSink          — the sweep's one reducer: error summaries +
 //                          two-scale Allan deviation over the evaluated
-//                          stream (buffers the reduced series);
-//   StreamingReducerSink — the same reduction in O(1) memory (P² quantile
-//                          sketch + streaming ADEV accumulator), for traces
-//                          too long to buffer;
+//                          stream, ADEV streamed as samples arrive; its
+//                          Percentiles policy either buffers the two error
+//                          series for exact percentiles or sketches them
+//                          in O(1) memory (StreamingReducerSink is the
+//                          sketch shorthand); without ADEV it pools the
+//                          lanes of a fleet;
 //   CsvTraceSink         — per-exchange CSV rows for offline inspection.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -57,18 +60,20 @@ class CallbackSink final : public SampleSink {
   Callback callback_;
 };
 
+/// Which engine computes a reduction's five percentiles (1/25/50/75/99):
+/// kExact buffers the error series and sorts it (summarize()), so the
+/// golden sweep tests pin every value bit-for-bit; kSketch keeps a
+/// StreamingSeriesSummary per series (P² sketch) in O(1) memory. Count,
+/// min, max, mean and stddev are bit-identical under both.
+enum class Percentiles { kExact, kSketch };
+
 /// Reduces the evaluated stream into the sweep's per-scenario statistics:
 /// SeriesSummary of the absolute clock error Ca(Tf)−Tg and of the offset
 /// tracking error θ̂−θg, plus the Allan deviation of the clock error at two
-/// scales (adev factors × the polling period).
-///
-/// The sink retains the three series it reduces (times, clock errors,
-/// offset errors) because exact percentiles need the sorted sample set —
-/// the golden sweep tests pin every reduced value bit-for-bit against
-/// summarize(). For traces too long to buffer, StreamingReducerSink below
-/// computes the same Reduction in O(1) memory with P²-approximated
-/// percentiles (everything else bit-identical).
-class ReducerSink final : public SampleSink {
+/// scales (adev factors × the polling period), accumulated as the samples
+/// arrive by one StreamingGapAdev. The Percentiles policy is the only
+/// difference between the exact and the O(1)-memory reduction.
+class ReducerSink : public SampleSink {
  public:
   struct Reduction {
     std::size_t evaluated = 0;
@@ -92,13 +97,19 @@ class ReducerSink final : public SampleSink {
   /// only stability series a reference-free trace defines.
   explicit ReducerSink(double tau0, std::size_t adev_short_factor = 16,
                        std::size_t adev_long_factor = 256,
-                       GroundTruthMode mode = GroundTruthMode::kReference);
+                       GroundTruthMode mode = GroundTruthMode::kReference,
+                       Percentiles percentiles = Percentiles::kExact);
+
+  /// A reducer without ADEV (both scales stay at the 0 sentinel), for a
+  /// pool of several lanes' streams: their interleaved tb stamps define no
+  /// stability series.
+  explicit ReducerSink(Percentiles percentiles);
 
   void on_sample(const SampleRecord& record) override;
 
   /// Batch-aware: consumes exactly the three SampleBatch series, so the
-  /// session's fast lane can skip record materialization entirely. The
-  /// appended values are the ones on_sample would have pushed, in the same
+  /// session's fast lane can skip record materialization entirely. Each
+  /// accumulator sees the values on_sample would have given it, in the same
   /// order — reduce() is bit-identical either way.
   [[nodiscard]] bool wants_batch() const override { return true; }
   void on_batch(const SampleBatch& batch) override;
@@ -107,53 +118,44 @@ class ReducerSink final : public SampleSink {
   [[nodiscard]] Reduction reduce() const;
 
  private:
-  double tau0_;
-  std::size_t short_factor_;
-  std::size_t long_factor_;
+  /// One error series under the percentile policy.
+  class Series {
+   public:
+    explicit Series(Percentiles percentiles)
+        : exact_(percentiles == Percentiles::kExact) {}
+    void add(double value);
+    void add(const std::vector<double>& values);
+    [[nodiscard]] std::size_t count() const;
+    /// Zero-initialized when empty (summarize() requires a non-empty
+    /// series).
+    [[nodiscard]] SeriesSummary summary() const;
+
+   private:
+    bool exact_;
+    std::vector<double> values_;     ///< kExact
+    StreamingSeriesSummary sketch_;  ///< kSketch
+  };
+
   GroundTruthMode mode_;
-  std::vector<double> times_;          ///< server receive stamps [s]
-  std::vector<double> clock_errors_;   ///< Ca(Tf) − Tg (empty in relative)
-  std::vector<double> offset_errors_;  ///< θ̂ − θg (θ̂ − θ̂_naive in relative)
+  Series clock_error_;   ///< Ca(Tf) − Tg (empty in relative mode)
+  Series offset_error_;  ///< θ̂ − θg (θ̂ − θ̂_naive in relative mode)
+  double adev_short_tau_ = 0;
+  double adev_long_tau_ = 0;
+  /// Over (tb, Ca(Tf) − Tg); (tb, θ̂ − θ̂_naive) in relative mode. Absent
+  /// for a pool reducer.
+  std::optional<StreamingGapAdev> adev_;
 };
 
-/// O(1)-memory drop-in for ReducerSink: identical Reduction shape, identical
-/// count/min/max/mean/stddev and ADEV values (the streaming ADEV replicates
-/// the buffered stretch/resample/accumulate arithmetic exactly), with the
-/// five percentiles approximated by a P² sketch. Use for month-scale sweeps
-/// where buffering every evaluated exchange is no longer acceptable;
-/// tolerance tests against the exact sink live in tests/test_harness.cpp.
-class StreamingReducerSink final : public SampleSink {
+/// Shorthand for ReducerSink under Percentiles::kSketch.
+class StreamingReducerSink final : public ReducerSink {
  public:
-  using Reduction = ReducerSink::Reduction;
-
-  /// Same parameters (and mode semantics) as ReducerSink.
   explicit StreamingReducerSink(double tau0,
                                 std::size_t adev_short_factor = 16,
                                 std::size_t adev_long_factor = 256,
                                 GroundTruthMode mode =
-                                    GroundTruthMode::kReference);
-
-  void on_sample(const SampleRecord& record) override;
-
-  /// Batch-aware like ReducerSink; the accumulators are fed element by
-  /// element in emission order, so the streaming state is bit-identical to
-  /// the per-record path's.
-  [[nodiscard]] bool wants_batch() const override { return true; }
-  void on_batch(const SampleBatch& batch) override;
-
-  /// Reduce what has been consumed so far.
-  [[nodiscard]] Reduction reduce() const;
-
- private:
-  double tau0_;
-  std::size_t short_factor_;
-  std::size_t long_factor_;
-  GroundTruthMode mode_;
-  StreamingSeriesSummary clock_error_;
-  StreamingSeriesSummary offset_error_;
-  /// Over (tb, Ca(Tf) − Tg) like the exact sink; (tb, θ̂ − θ̂_naive) in
-  /// relative mode.
-  StreamingGapAdev adev_;
+                                    GroundTruthMode::kReference)
+      : ReducerSink(tau0, adev_short_factor, adev_long_factor, mode,
+                    Percentiles::kSketch) {}
 };
 
 /// Writes one CSV row per record (lost and warm-up records included when the

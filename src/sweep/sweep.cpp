@@ -40,74 +40,6 @@ ScenarioResult result_for(const SweepScenario& scenario,
   return result;
 }
 
-/// Either reduction engine behind one reduce() call: the exact buffered
-/// sink (golden determinism) or the O(1)-memory streaming sink.
-struct LaneReducer {
-  std::optional<harness::ReducerSink> exact;
-  std::optional<harness::StreamingReducerSink> streaming;
-
-  LaneReducer(double tau0, bool use_streaming,
-              harness::GroundTruthMode mode =
-                  harness::GroundTruthMode::kReference) {
-    if (use_streaming)
-      streaming.emplace(tau0, 16, 256, mode);
-    else
-      exact.emplace(tau0, 16, 256, mode);
-  }
-  [[nodiscard]] harness::SampleSink& sink() {
-    return streaming ? static_cast<harness::SampleSink&>(*streaming)
-                     : static_cast<harness::SampleSink&>(*exact);
-  }
-  [[nodiscard]] harness::ReducerSink::Reduction reduce() const {
-    return streaming ? streaming->reduce() : exact->reduce();
-  }
-};
-
-/// Pools every fleet lane's evaluated stream into one population summary of
-/// the clock and offset errors. The pooled interleaving is deterministic
-/// (client-major within each merged chunk) but its tb stamps are
-/// non-monotone across clients, so the pool never computes ADEV — a fleet
-/// cell's ADEV columns come from a client-0 LaneReducer instead. Exact mode
-/// buffers and summarize()s (sorted percentiles, order-insensitive);
-/// streaming mode runs the same Welford/P² arithmetic as the lane sinks.
-class FleetPoolSink final : public harness::SampleSink {
- public:
-  explicit FleetPoolSink(bool use_streaming) : streaming_(use_streaming) {}
-
-  void on_sample(const harness::SampleRecord& record) override {
-    if (record.evaluated) add(record.abs_clock_error, record.offset_error);
-  }
-  [[nodiscard]] bool wants_batch() const override { return true; }
-  void on_batch(const harness::SampleBatch& batch) override {
-    for (std::size_t i = 0; i < batch.size(); ++i)
-      add(batch.abs_clock_error[i], batch.offset_error[i]);
-  }
-
-  [[nodiscard]] SeriesSummary clock_error() const {
-    return streaming_ ? clock_stream_.summary() : summarize(clock_errors_);
-  }
-  [[nodiscard]] SeriesSummary offset_error() const {
-    return streaming_ ? offset_stream_.summary() : summarize(offset_errors_);
-  }
-
- private:
-  void add(double clock_error, double offset_error) {
-    if (streaming_) {
-      clock_stream_.add(clock_error);
-      offset_stream_.add(offset_error);
-    } else {
-      clock_errors_.push_back(clock_error);
-      offset_errors_.push_back(offset_error);
-    }
-  }
-
-  bool streaming_;
-  std::vector<double> clock_errors_;
-  std::vector<double> offset_errors_;
-  StreamingSeriesSummary clock_stream_;
-  StreamingSeriesSummary offset_stream_;
-};
-
 /// The sink slot a cell's lane `e` dumps its records into, if any.
 harness::SampleSink* trace_sink_for(
     std::span<harness::SampleSink* const> trace_sinks, std::size_t e) {
@@ -155,7 +87,7 @@ ScenarioResult scored_result(const SweepScenario& scenario,
 }
 
 /// Score one replay spec over a recorded trace — a sim recording or an
-/// imported file alike — through ReplaySession into a fresh LaneReducer.
+/// imported file alike — through ReplaySession into a fresh ReducerSink.
 /// The reduction's tau0 is the lane's polling period and its ground-truth
 /// mode the trace's own. Replay estimators never step, so steps stay 0.
 /// The estimator spreads its work over `pool` when given one.
@@ -165,14 +97,14 @@ ScenarioResult score_replay_lane(const SweepScenario& scenario,
                                  double nominal_period,
                                  const harness::ReplayTrace& trace,
                                  harness::SampleSink* trace_sink,
-                                 bool streaming_reduction,
+                                 harness::Percentiles percentiles,
                                  ThreadPool* pool = nullptr) {
-  LaneReducer reducer(config.params.poll_period, streaming_reduction,
-                      trace.ground_truth);
+  harness::ReducerSink reducer(config.params.poll_period, 16, 256,
+                               trace.ground_truth, percentiles);
   harness::ReplaySession replay(
       config, harness::estimator_registry().make_replay(
                   spec, config.params, nominal_period, pool));
-  replay.add_sink(reducer.sink());
+  replay.add_sink(reducer);
   if (trace_sink != nullptr) replay.add_sink(*trace_sink);
   const harness::SessionSummary summary = replay.run(trace);
   return scored_result(scenario, spec, summary, reducer.reduce());
@@ -188,7 +120,7 @@ std::vector<ScenarioResult> run_fleet_scenario_multi(
     const SweepScenario& scenario,
     std::span<const harness::EstimatorSpec> estimators,
     Seconds discard_warmup, std::span<harness::SampleSink* const> trace_sinks,
-    bool streaming_reduction, ThreadPool& pool) {
+    harness::Percentiles percentiles, ThreadPool& pool) {
   const harness::EstimatorRegistry& registry = harness::estimator_registry();
   for (const auto& spec : estimators) {
     if (registry.is_replay(spec)) {
@@ -208,8 +140,10 @@ std::vector<ScenarioResult> run_fleet_scenario_multi(
         lane_config(scenario.config.poll_period, discard_warmup, trace);
     sim::FleetTestbed fleet(scenario.config, scenario.fleet.config);
     harness::FleetSession session;
-    FleetPoolSink population(streaming_reduction);
-    LaneReducer reference(scenario.config.poll_period, streaming_reduction);
+    harness::ReducerSink population(percentiles);
+    harness::ReducerSink reference(scenario.config.poll_period, 16, 256,
+                                   harness::GroundTruthMode::kReference,
+                                   percentiles);
     for (std::size_t k = 0; k < fleet.client_count(); ++k) {
       session.add_client(config, registry.make_online(
                                      estimators[e], config.params,
@@ -220,7 +154,7 @@ std::vector<ScenarioResult> run_fleet_scenario_multi(
     // meaningless). The trace sink sees every lane, rows tagged by the
     // client column.
     session.add_shared_sink(population);
-    session.add_sink(0, reference.sink());
+    session.add_sink(0, reference);
     if (trace != nullptr) session.add_shared_sink(*trace);
     session.run(fleet, &pool);
 
@@ -229,8 +163,9 @@ std::vector<ScenarioResult> run_fleet_scenario_multi(
                       reference.reduce());
     for (std::size_t k = 0; k < session.client_count(); ++k)
       result.steps += session.client(k).estimator().steps();
-    result.clock_error = population.clock_error();
-    result.offset_error = population.offset_error();
+    const harness::ReducerSink::Reduction pooled = population.reduce();
+    result.clock_error = pooled.clock_error;
+    result.offset_error = pooled.offset_error;
 
     const harness::FleetReduction fleet_reduction = session.fleet_reduction();
     result.clients = fleet_reduction.clients;
@@ -244,7 +179,7 @@ std::vector<ScenarioResult> run_fleet_scenario_multi(
 
 /// The imported-trace drive behind run_scenario_multi: no Testbed, no
 /// randomness — the file IS the exchange stream, and every spec replays it
-/// through the identical ReplaySession → LaneReducer path a sim-recorded
+/// through the identical ReplaySession → ReducerSink path a sim-recorded
 /// trace takes. The file is re-read here (cells are independent work units);
 /// a read failure throws and the caller contains it as this cell's FAILED
 /// rows. The reduction's tau0 and the estimator's window unit come from the
@@ -254,7 +189,7 @@ std::vector<ScenarioResult> run_trace_scenario_multi(
     const SweepScenario& scenario,
     std::span<const harness::EstimatorSpec> estimators,
     std::span<harness::SampleSink* const> trace_sinks,
-    bool streaming_reduction, ThreadPool& pool) {
+    harness::Percentiles percentiles, ThreadPool& pool) {
   const harness::EstimatorRegistry& registry = harness::estimator_registry();
   for (const auto& spec : estimators) {
     if (!registry.is_replay(spec)) {
@@ -277,7 +212,7 @@ std::vector<ScenarioResult> run_trace_scenario_multi(
     config.client_id = loaded.meta.client_id;
     ScenarioResult result = score_replay_lane(
         scenario, estimators[e], config, loaded.meta.nominal_period,
-        loaded.trace, trace_sink, streaming_reduction, &pool);
+        loaded.trace, trace_sink, percentiles, &pool);
     result.from_trace = true;
     result.relative_only =
         loaded.meta.mode == harness::GroundTruthMode::kRelativeOnly;
@@ -296,6 +231,9 @@ std::vector<ScenarioResult> run_scenario_multi(
     ThreadPool* pool) {
   TSC_EXPECTS(!estimators.empty());
   TSC_EXPECTS(trace_sinks.empty() || trace_sinks.size() == estimators.size());
+  const harness::Percentiles percentiles = streaming_reduction
+                                               ? harness::Percentiles::kSketch
+                                               : harness::Percentiles::kExact;
 
   // Fleet and imported-trace cells spread their work over the caller's
   // pool, or over one of their own with a thread per usable CPU.
@@ -308,7 +246,7 @@ std::vector<ScenarioResult> run_scenario_multi(
   if (scenario.is_trace()) {
     TSC_EXPECTS(trace_export_path.empty());
     return run_trace_scenario_multi(scenario, estimators, trace_sinks,
-                                    streaming_reduction, cell_pool());
+                                    percentiles, cell_pool());
   }
 
   // Fleet cells take the multi-client drive (FleetTestbed + FleetSession);
@@ -321,8 +259,7 @@ std::vector<ScenarioResult> run_scenario_multi(
           "file holds exactly one client's stream");
     }
     return run_fleet_scenario_multi(scenario, estimators, discard_warmup,
-                                    trace_sinks, streaming_reduction,
-                                    cell_pool());
+                                    trace_sinks, percentiles, cell_pool());
   }
 
   // The drive loop is the shared harness layer — the same canonical
@@ -349,7 +286,7 @@ std::vector<ScenarioResult> run_scenario_multi(
         lane_config(poll_period, discard_warmup, nullptr));
   constexpr std::size_t kReplayLane = static_cast<std::size_t>(-1);
   std::vector<std::size_t> lane_of(estimators.size(), kReplayLane);
-  std::vector<LaneReducer> reducers;  // one per online lane, by lane index
+  std::vector<harness::ReducerSink> reducers;  // one per online lane, by index
   reducers.reserve(estimators.size());
   for (std::size_t e = 0; e < estimators.size(); ++e) {
     if (registry.is_replay(estimators[e])) continue;
@@ -359,8 +296,9 @@ std::vector<ScenarioResult> run_scenario_multi(
     lane_of[e] = session.add_lane(
         config, registry.make_online(estimators[e], config.params,
                                      testbed.nominal_period()));
-    reducers.emplace_back(poll_period, streaming_reduction);
-    session.add_sink(lane_of[e], reducers.back().sink());
+    reducers.emplace_back(poll_period, 16, 256,
+                          harness::GroundTruthMode::kReference, percentiles);
+    session.add_sink(lane_of[e], reducers.back());
     if (trace != nullptr) session.add_sink(lane_of[e], *trace);
   }
 
@@ -389,8 +327,7 @@ std::vector<ScenarioResult> run_scenario_multi(
       results.push_back(score_replay_lane(
           scenario, estimators[e],
           lane_config(poll_period, discard_warmup, trace),
-          testbed.nominal_period(), session.trace(), trace,
-          streaming_reduction));
+          testbed.nominal_period(), session.trace(), trace, percentiles));
       continue;
     }
     harness::ClockSession& lane = session.lane(lane_of[e]);

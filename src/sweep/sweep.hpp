@@ -105,11 +105,12 @@ struct SweepOptions {
   /// Points earlier than this (by server receive time) are excluded from the
   /// error summaries, matching the paper's post-warm-up analyses.
   Seconds discard_warmup = duration::kHour;
-  /// Reduce each cell with the O(1)-memory StreamingReducerSink instead of
-  /// the exact buffered ReducerSink: same counts/means/ADEV bit-for-bit,
-  /// P²-approximated percentiles. For grids × durations too large to buffer
-  /// every evaluated exchange. Default off — the determinism tests pin the
-  /// exact reduction.
+  /// Reduce each cell's ReducerSinks under Percentiles::kSketch (a P²
+  /// sketch, O(1) memory) instead of kExact (the two error series buffered
+  /// and sorted). Counts, means, stddevs and ADEV are bit-identical either
+  /// way; only the percentiles differ. For grids × durations too large to
+  /// buffer every evaluated exchange. Default off — the determinism tests
+  /// pin the exact percentiles.
   bool streaming_reduction = false;
   /// When non-empty, every scenario's per-exchange trace (including lost and
   /// warm-up records, flagged) is dumped to this CSV file in grid order via

@@ -121,7 +121,7 @@ TEST(ResampleLinear, RejectsBadInput) {
 
 /// The buffered reference: split at gaps > 4·tau0 and before every sample
 /// not strictly after its predecessor, longest stretch first-wins, resample,
-/// overlapping ADEV — the exact pipeline ReducerSink uses.
+/// overlapping ADEV — the pipeline ReducerSink's StreamingGapAdev replicates.
 std::vector<AllanPoint> buffered_gap_adev(const std::vector<double>& times,
                                           const std::vector<double>& values,
                                           double tau0,

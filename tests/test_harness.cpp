@@ -11,12 +11,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/allan.hpp"
 #include "core/server_change.hpp"
+#include "harness/replay.hpp"
 #include "harness/sinks.hpp"
 #include "sim/scenario.hpp"
 #include "sweep/sweep.hpp"
@@ -504,6 +509,216 @@ TEST(Sinks, StreamingReducerOfEmptyStreamIsZeroInitialized) {
   EXPECT_EQ(reduction.clock_error.count, 0u);
   EXPECT_EQ(reduction.adev_short, 0.0);
   EXPECT_EQ(reduction.adev_long, 0.0);
+}
+
+// -- One reducer: the ADEV oracle and the pool reducer ---------------------
+
+/// The buffered reference for the reducer's ADEV: the longest stretch free
+/// of gaps > 4·tau0 and of stamps not after their predecessor, resampled
+/// onto the tau0 grid, then the overlapping Allan deviation — the pipeline
+/// tests/test_allan.cpp keeps as buffered_gap_adev.
+std::vector<AllanPoint> buffered_gap_adev(const std::vector<double>& times,
+                                          const std::vector<double>& values,
+                                          double tau0,
+                                          std::span<const std::size_t> ms) {
+  if (times.size() < 3) return {};
+  std::size_t best_begin = 0;
+  std::size_t best_len = 0;
+  std::size_t begin = 0;
+  for (std::size_t i = 1; i <= times.size(); ++i) {
+    if (i == times.size() || !(times[i] > times[i - 1]) ||
+        times[i] - times[i - 1] > 4 * tau0) {
+      if (i - begin > best_len) {
+        best_len = i - begin;
+        best_begin = begin;
+      }
+      begin = i;
+    }
+  }
+  if (best_len < 3) return {};
+  const auto regular = resample_linear(
+      std::span<const double>(times.data() + best_begin, best_len),
+      std::span<const double>(values.data() + best_begin, best_len), tau0);
+  return allan_deviation(regular, tau0, ms);
+}
+
+/// A 12-hour session stream with a half-hour outage at 3 h, lost and
+/// warm-up records included: the robust clock's own records under
+/// kReference, the offline smoother's replay of the recorded exchanges
+/// under kRelativeOnly. The first evaluated record past 8 h has its server
+/// receive stamp stepped back to 1 s before its predecessor's.
+std::vector<SampleRecord> stepped_stream(GroundTruthMode mode) {
+  auto scenario = plain_scenario(4242);
+  scenario.duration = 12 * duration::kHour;
+  scenario.events.add_outage(3 * duration::kHour, 3.5 * duration::kHour);
+  sim::Testbed testbed(scenario);
+  SessionConfig config;
+  config.params = params_for(scenario);
+  config.discard_warmup = duration::kHour;
+  config.record_trace = true;
+  config.emit_unevaluated = true;
+  ClockSession session(config, testbed.nominal_period());
+  CollectorSink collector;
+  session.add_sink(collector);
+  session.run(testbed);
+  std::vector<SampleRecord> records = collector.records();
+
+  if (mode == GroundTruthMode::kRelativeOnly) {
+    ReplayTrace trace = session.trace();
+    trace.ground_truth = mode;
+    ReplaySession replay(config, std::make_unique<OfflineSmootherEstimator>(
+                                     config.params, testbed.nominal_period()));
+    CollectorSink replayed;
+    replay.add_sink(replayed);
+    replay.run(trace);
+    records = replayed.records();
+  }
+
+  const SampleRecord* previous = nullptr;
+  for (auto& record : records) {
+    if (!record.evaluated) continue;
+    if (previous != nullptr && record.raw.tb > 8 * duration::kHour) {
+      record.raw.tb = previous->raw.tb - 1.0;
+      break;
+    }
+    previous = &record;
+  }
+  return records;
+}
+
+void expect_same_summary(const SeriesSummary& got, const SeriesSummary& want) {
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_EQ(got.min, want.min);
+  EXPECT_EQ(got.max, want.max);
+  EXPECT_EQ(got.mean, want.mean);
+  EXPECT_EQ(got.stddev, want.stddev);
+  EXPECT_EQ(got.percentiles.p01, want.percentiles.p01);
+  EXPECT_EQ(got.percentiles.p25, want.percentiles.p25);
+  EXPECT_EQ(got.percentiles.p50, want.percentiles.p50);
+  EXPECT_EQ(got.percentiles.p75, want.percentiles.p75);
+  EXPECT_EQ(got.percentiles.p99, want.percentiles.p99);
+}
+
+TEST(Sinks, ReducerAdevMatchesBufferedPipelineUnderBothPolicies) {
+  constexpr double kTau0 = 16.0;
+  const std::size_t factors[] = {16, 256};
+  for (const GroundTruthMode mode :
+       {GroundTruthMode::kReference, GroundTruthMode::kRelativeOnly}) {
+    const bool reference_mode = mode == GroundTruthMode::kReference;
+    SCOPED_TRACE(reference_mode ? "reference mode" : "relative mode");
+    const std::vector<SampleRecord> records = stepped_stream(mode);
+
+    // The stability series the reducer must pick, and the same evaluated
+    // rows as two batch deliveries.
+    std::vector<double> times;
+    std::vector<double> values;
+    std::vector<double> other_values;  // the series the mode must not pick
+    std::vector<const SampleRecord*> evaluated;
+    for (const auto& record : records) {
+      if (!record.evaluated) continue;
+      times.push_back(record.raw.tb);
+      values.push_back(reference_mode ? record.abs_clock_error
+                                      : record.offset_error);
+      other_values.push_back(reference_mode ? record.offset_error
+                                            : record.abs_clock_error);
+      evaluated.push_back(&record);
+    }
+    SampleBatch batches[2];
+    for (std::size_t i = 0; i < evaluated.size(); ++i) {
+      batches[2 * i < evaluated.size() ? 0 : 1].push(
+          evaluated[i]->raw.tb, evaluated[i]->abs_clock_error,
+          evaluated[i]->offset_error);
+    }
+    ASSERT_LT(times.size(), records.size()) << "unevaluated rows are emitted";
+    ASSERT_NE(std::adjacent_find(times.begin(), times.end(),
+                                 [](double a, double b) { return !(b > a); }),
+              times.end())
+        << "the back step is inside the evaluated stream";
+    const auto reference = buffered_gap_adev(times, values, kTau0, factors);
+    ASSERT_EQ(reference.size(), 2u);
+    ASSERT_GT(reference[1].deviation, 0.0);
+    const auto other = buffered_gap_adev(times, other_values, kTau0, factors);
+    ASSERT_TRUE(other.size() < 2 ||
+                other[0].deviation != reference[0].deviation)
+        << "the two error series must be told apart";
+
+    for (const Percentiles percentiles :
+         {Percentiles::kExact, Percentiles::kSketch}) {
+      SCOPED_TRACE(percentiles == Percentiles::kExact ? "exact" : "sketch");
+      ReducerSink per_record(kTau0, factors[0], factors[1], mode, percentiles);
+      for (const auto& record : records) per_record.on_sample(record);
+      ReducerSink batched(kTau0, factors[0], factors[1], mode, percentiles);
+      for (const auto& batch : batches) batched.on_batch(batch);
+      for (const auto& reduction : {per_record.reduce(), batched.reduce()}) {
+        EXPECT_EQ(reduction.evaluated, times.size());
+        EXPECT_EQ(reduction.clock_error.count,
+                  reference_mode ? times.size() : 0u);
+        EXPECT_EQ(reduction.adev_short_tau, reference[0].tau);
+        EXPECT_EQ(reduction.adev_short, reference[0].deviation);
+        EXPECT_EQ(reduction.adev_long_tau, reference[1].tau);
+        EXPECT_EQ(reduction.adev_long, reference[1].deviation);
+      }
+    }
+  }
+}
+
+TEST(Sinks, PoolReducerSummarizesPooledValuesWithoutAdev) {
+  // Two clients' streams pooled into one reducer, the first per record
+  // (lost and warm-up rows included), the second as one batch: their tb
+  // stamps interleave, so the pool computes no ADEV.
+  std::vector<double> clock_errors;
+  std::vector<double> offset_errors;
+  std::vector<SampleRecord> first;
+  SampleBatch second;
+  for (const std::uint64_t seed : {101u, 202u}) {
+    const auto scenario = plain_scenario(seed);
+    sim::Testbed testbed(scenario);
+    SessionConfig config;
+    config.params = params_for(scenario);
+    config.discard_warmup = 600.0;
+    config.emit_unevaluated = true;
+    ClockSession session(config, testbed.nominal_period());
+    CollectorSink collector;
+    session.add_sink(collector);
+    session.run(testbed);
+    for (const auto& record : collector.records()) {
+      if (seed == 101u) first.push_back(record);
+      if (!record.evaluated) continue;
+      clock_errors.push_back(record.abs_clock_error);
+      offset_errors.push_back(record.offset_error);
+      if (seed == 202u)
+        second.push(record.raw.tb, record.abs_clock_error,
+                    record.offset_error);
+    }
+  }
+  ASSERT_GT(second.size(), 0u);
+  ASSERT_LT(clock_errors.size(), first.size() + second.size());
+
+  StreamingSeriesSummary clock_sketch;
+  StreamingSeriesSummary offset_sketch;
+  for (const double error : clock_errors) clock_sketch.add(error);
+  for (const double error : offset_errors) offset_sketch.add(error);
+
+  for (const Percentiles percentiles :
+       {Percentiles::kExact, Percentiles::kSketch}) {
+    const bool exact = percentiles == Percentiles::kExact;
+    SCOPED_TRACE(exact ? "exact" : "sketch");
+    ReducerSink pool(percentiles);
+    for (const auto& record : first) pool.on_sample(record);
+    pool.on_batch(second);
+    const auto reduction = pool.reduce();
+    EXPECT_EQ(reduction.evaluated, clock_errors.size());
+    expect_same_summary(reduction.clock_error,
+                        exact ? summarize(clock_errors)
+                              : clock_sketch.summary());
+    expect_same_summary(reduction.offset_error,
+                        exact ? summarize(offset_errors)
+                              : offset_sketch.summary());
+    EXPECT_EQ(reduction.adev_short_tau, 0.0);
+    EXPECT_EQ(reduction.adev_short, 0.0);
+    EXPECT_EQ(reduction.adev_long_tau, 0.0);
+    EXPECT_EQ(reduction.adev_long, 0.0);
+  }
 }
 
 // -- Sweep CSV dump (the --csv satellite, via the library API) -------------

@@ -343,8 +343,6 @@ sweep::ScheduleVariant make_schedule(const std::string& name,
       "                     percentiles (default: O(1)-memory streaming\n"
       "                     reduction with a P2 percentile sketch;\n"
       "                     counts/means/stddevs/ADEV identical either way)\n"
-      "  --streaming-reduction  the (now default) streaming reduction;\n"
-      "                     kept for script compatibility\n"
       "  --csv PATH         dump every cell's per-exchange trace to a CSV\n"
       "                     file (grid order; lost/warm-up rows flagged)\n"
       "  --shard I/N        run only the I-th of N round-robin scenario\n"
@@ -424,8 +422,6 @@ int main(int argc, char** argv) {
       estimator_specs = parse_estimator_specs_or_die(value());
     } else if (arg == "--fleet") {
       grid.fleets = parse_fleet_specs_or_die(value());
-    } else if (arg == "--streaming-reduction") {
-      options.streaming_reduction = true;  // the default; kept for scripts
     } else if (arg == "--exact-reduction") {
       options.streaming_reduction = false;
     } else if (arg == "--duration-hours") {
