@@ -98,7 +98,7 @@ int main() {
                    strfmt("worst after day 0.25: %.4f PPM (20d), %.4f PPM (5d)",
                           to_ppm(worst_tail_wide), to_ppm(worst_tail_narrow)));
   print_comparison(std::cout, "fraction of packets accepted",
-                   "72%% (20d) / 3.9%% (5d) on the paper's path",
+                   "72% (20d) / 3.9% (5d) on the paper's path",
                    strfmt("%.1f%% / %.1f%% on the simulated path",
                           100 * wide.accepted_fraction,
                           100 * narrow.accepted_fraction));
