@@ -61,7 +61,12 @@ struct Host {
   /// Generate and process the next NTP exchange through the shared harness
   /// sequence. The oscillator is read in strictly increasing order, so
   /// probes must be interleaved *between* exchange windows (see main loop).
-  bool step() { return session.step(testbed); }
+  bool step() {
+    const auto exchange = testbed.next();
+    if (!exchange) return false;
+    session.process(*exchange);
+    return true;
+  }
 
   /// Raw counter value at true time t (what a driver timestamp would read).
   TscCount stamp(Seconds t) { return testbed.oscillator().read(t); }

@@ -25,9 +25,9 @@
 // process_batch(ExchangeBatch). Lanes whose sinks are all reducers take the
 // record-free fast path; a lane with any record-shaped sink materializes
 // each row and runs process(), the per-exchange sequence, so every
-// SampleRecord is the one a per-exchange loop would emit. process() and
-// step() stay public as the per-exchange adapter for consumers that do
-// other work between polls or feed exchanges the Testbed never produced.
+// SampleRecord is the one a per-exchange loop would emit. process() stays
+// public as the per-exchange adapter for consumers that do other work
+// between polls or feed exchanges the Testbed never produced.
 //
 // Which algorithm processes the stream is a ClockEstimator (see
 // harness/estimator.hpp); the default is the robust TscNtpClock via
@@ -36,9 +36,12 @@
 // for the sweep, CSV writer for offline inspection, ad-hoc callback for
 // everything else) — never in how the stream is driven.
 //
-// MultiEstimatorSession fans one exchange stream into N estimators, each
-// scored by its own ClockSession lane with its own sink chain — the paper's
-// comparative evaluations (robust vs SW-NTP vs naive) on identical packets.
+// MultiEstimatorSession is the one lane fan-out: lanes keyed by (client,
+// estimator), each a ClockSession with its own sink chain. Over a Testbed
+// every lane scores the one client's stream — the paper's comparative
+// evaluations (robust vs SW-NTP vs naive) on identical packets; over a
+// FleetTestbed each client's stream is generated once and scored by all of
+// that client's lanes.
 //
 // Warm-up policies (see WarmupPolicy): the figure benches historically cut
 // warm-up on ground-truth time (truth.tb, simulation-only), while the sweep
@@ -50,6 +53,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/time_types.hpp"
@@ -59,15 +63,23 @@
 #include "harness/estimator.hpp"
 #include "sim/scenario.hpp"
 
+namespace tscclock {
+class ThreadPool;  // common/thread_pool.hpp
+}  // namespace tscclock
+
+namespace tscclock::sim {
+class FleetTestbed;  // sim/fleet.hpp
+}  // namespace tscclock::sim
+
 namespace tscclock::harness {
 
 class TraceRecorder;  // harness/replay.hpp
 struct ReplayTrace;   // harness/replay.hpp
 
-/// Rows per generate_batch call in every whole-stream drive (ClockSession,
-/// MultiEstimatorSession and FleetSession run()): large enough to amortize
-/// the per-batch sink flush, small enough to keep the working set
-/// (~200 bytes/exchange) inside L2. One constant for all three drives: the
+/// Rows per generate_batch call in every whole-stream drive (ClockSession
+/// and MultiEstimatorSession run(), over a Testbed or a fleet): large enough
+/// to amortize the per-batch sink flush, small enough to keep the working
+/// set (~200 bytes/exchange) inside L2. One constant for every drive: the
 /// 1-client fleet ≡ ClockSession golden needs the identical chunking.
 inline constexpr std::size_t kBatchChunk = 1024;
 
@@ -259,10 +271,6 @@ class ClockSession {
   void process_batch(const sim::ExchangeBatch& batch, std::size_t begin,
                      std::size_t end);
 
-  /// Pull one exchange from the testbed and process it. Returns false when
-  /// the testbed's configured duration is exhausted.
-  bool step(sim::Testbed& testbed);
-
   /// Drain the whole testbed — Testbed::generate_batch → process_batch in
   /// kBatchChunk-row chunks — and return the final summary.
   const SessionSummary& run(sim::Testbed& testbed);
@@ -276,8 +284,8 @@ class ClockSession {
   const SessionSummary& summary();
 
   /// Record the testbed's poll-slot count after an external drain (run()
-  /// does this itself; MultiEstimatorSession and FleetSession drive
-  /// process_batch() directly and back-fill each lane through this).
+  /// does this itself; MultiEstimatorSession drives process_batch()
+  /// directly and back-fills each lane through this).
   /// Forwarded to the trace recorder when one is attached.
   void set_polls_enumerated(std::uint64_t polls);
 
@@ -309,59 +317,97 @@ class ClockSession {
   sim::Exchange scratch_;  ///< SoA-row materialization scratch
 };
 
-/// Fan one exchange stream into N estimators: every lane is a full
-/// ClockSession (own estimator, own ServerChangeDetector, own warm-up
-/// bookkeeping, own sink chain) fed the identical sim::Exchange sequence.
-/// This is the drive layer for every head-to-head comparison — the legacy
-/// pattern of co-driving a baseline clock from a CallbackSink is replaced by
-/// one lane per algorithm, all scored by the same pipeline.
+/// Fan exchange streams into lanes keyed by (client, estimator): every lane
+/// is a full ClockSession (own estimator, own ServerChangeDetector, own
+/// warm-up bookkeeping, own sink chain) fed the exchange sequence of the
+/// client its config.client_id names. Over a Testbed every lane scores the
+/// one stream; over a FleetTestbed client k's stream is generated once and
+/// scored by each of k's lanes. This is the drive layer for every
+/// head-to-head comparison — one lane per algorithm (per client), all
+/// scored by the same pipeline.
 ///
-/// Cross-lane rule: lanes consume the stream one chunk at a time, lane 0
-/// draining the whole chunk before lane 1 starts it. A sink sees its own
-/// lane's state as of its own record, but another lane's state only at
-/// chunk granularity. To pair values across lanes, key them by
-/// SampleRecord::index and combine them after run().
+/// Cross-lane rule: lanes consume the stream one chunk at a time, a lane
+/// draining its whole segment of a chunk before the client's next lane
+/// starts it. A sink sees its own lane's state as of its own record, but a
+/// lane of the same client only at chunk granularity, and under the fleet
+/// drive another client's lanes not at all (they run on other threads). To
+/// pair values across lanes, key them by SampleRecord::index and combine
+/// them after run().
 class MultiEstimatorSession {
  public:
   MultiEstimatorSession();
   ~MultiEstimatorSession();  // out-of-line: TraceRecorder is incomplete here
 
-  /// Add a lane; returns its index. Lanes process each chunk in the order
-  /// they were added (they are independent, so order only affects sink
-  /// callback interleaving across lanes).
+  /// Add a lane; returns its index. `config.client_id` is the lane's client
+  /// (0 for a Testbed). Lanes process each chunk in the order they were
+  /// added (they are independent, so order only affects sink callback
+  /// interleaving across lanes).
   std::size_t add_lane(const SessionConfig& config,
                        std::unique_ptr<ClockEstimator> estimator);
 
   /// Record the estimator-independent stream alongside the lanes (one
   /// canonical recording shared by every replay lane — see
   /// harness/replay.hpp). `config` supplies the warm-up cut and the
-  /// server-change tracking switch; call before processing starts.
+  /// server-change tracking switch; call before processing starts. A
+  /// recording holds one client's stream, so only run(Testbed&) takes it.
   void enable_trace_recording(const SessionConfig& config);
 
   /// The recorded stream. Precondition: enable_trace_recording was called.
   [[nodiscard]] const ReplayTrace& trace() const;
 
-  /// Attach a sink to one lane (non-owning).
+  /// Attach a sink to one lane (non-owning). It is fed on the thread that
+  /// runs the lane, so a sink is attached once: attaching it again, here or
+  /// through add_shared_sink, is a ContractViolation.
   void add_sink(std::size_t lane, SampleSink& sink);
+
+  /// Attach one sink to several lanes (fleet-wide reducers, trace dumps).
+  /// Under run(FleetTestbed&) it is fed by one task at a time in the serial
+  /// drive's order: chunk by chunk, then client by client, then lane by
+  /// lane, in the shape each lane emitted (records or batches). It sees each
+  /// epoch's output while the lanes run the next epoch, so it must not read
+  /// lane state. run(Testbed&) refuses a sink shared by several lanes; with
+  /// one lane this is add_sink.
+  void add_shared_sink(std::span<const std::size_t> lanes, SampleSink& sink);
 
   [[nodiscard]] std::size_t lane_count() const { return lanes_.size(); }
   [[nodiscard]] ClockSession& lane(std::size_t index);
   [[nodiscard]] const ClockSession& lane(std::size_t index) const;
 
-  /// SoA batch into every lane: the shared recorder observes each row once
-  /// (materialized through one scratch Exchange), then every lane consumes
-  /// the whole batch through ClockSession::process_batch.
-  void process_batch(const sim::ExchangeBatch& batch);
-
-  /// Drain the whole testbed through every lane, kBatchChunk rows at a
-  /// time, and back-fill each lane's poll-slot count.
+  /// Drain the whole testbed, kBatchChunk rows at a time: the shared
+  /// recorder observes each row once (materialized through one scratch
+  /// Exchange), then every lane consumes the chunk through
+  /// ClockSession::process_batch. Back-fills each lane's poll-slot count.
   void run(sim::Testbed& testbed);
+
+  /// Drain the fleet in epochs of kBatchChunk × poll_period / client_count
+  /// seconds and back-fill each lane's poll-slot count from its client.
+  /// Reproduces the serial merge drive bit for bit: the fleet stream merged
+  /// by send time and cut into kBatchChunk-row chunks, each chunk's
+  /// per-client segment fed to the client's lanes in lane order. Each epoch
+  /// generates every client's exchanges up to a horizon (parallel), merges
+  /// the buffered rows into whole chunks (serial), runs each client's lanes
+  /// over their segments of those chunks (parallel), then feeds the shared
+  /// sinks what the lanes emitted (one task, beside the next epoch's
+  /// lanes). The per-client steps run on `pool` when one is given, else on
+  /// the calling thread; the results are identical either way. When several
+  /// clients throw in one step, the lowest client's exception propagates.
+  /// Refuses a trace recording and a lane whose client the fleet lacks.
+  void run(sim::FleetTestbed& fleet, ThreadPool* pool = nullptr);
 
   /// Forward to run(); kept for callers written against the old name.
   void run_batched(sim::Testbed& testbed) { run(testbed); }
 
  private:
+  class SharedCapture;  // lane-side stand-in for its shared sinks
+
+  /// Record `sink` as attached, refusing one attached before: a sink on
+  /// two lanes could be fed from two threads at once.
+  void claim(const SampleSink& sink);
+
   std::vector<std::unique_ptr<ClockSession>> lanes_;
+  /// Per lane: its shared sinks' capture, or null when it has none.
+  std::vector<std::unique_ptr<SharedCapture>> captures_;
+  std::vector<const SampleSink*> attached_;
   std::unique_ptr<TraceRecorder> recorder_;
   sim::Exchange scratch_;  ///< SoA-row materialization scratch
 };

@@ -48,8 +48,9 @@ class CollectorSink final : public SampleSink {
 /// was processed) and drive secondary consumers such as a baseline clock fed
 /// from the same exchange stream. State owned by another lane of a
 /// MultiEstimatorSession is seen only at chunk granularity — that lane may
-/// be a whole chunk behind or ahead — so pair values across lanes by
-/// SampleRecord::index after the run instead.
+/// be a whole chunk behind or ahead, or under the fleet drive on another
+/// thread — so pair values across lanes by SampleRecord::index after the
+/// run instead.
 class CallbackSink final : public SampleSink {
  public:
   using Callback = std::function<void(const SampleRecord&)>;

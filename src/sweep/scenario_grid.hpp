@@ -77,8 +77,9 @@ struct GridSpec {
   /// grid). Non-single values append "/fleet(...)" to the cell's identity.
   std::vector<FleetSpec> fleets = {FleetSpec{}};
 
-  /// The estimator axis: every scenario's one exchange stream is fanned into
-  /// all of these (harness::MultiEstimatorSession), so the algorithms — and
+  /// The estimator axis: every scenario's exchange stream — each client's,
+  /// in a fleet cell — is generated once and fanned into all of these
+  /// (harness::MultiEstimatorSession lanes), so the algorithms — and
   /// their parameterized ablation variants, e.g. robust(use_local_rate=0) —
   /// are graded head-to-head on identical packets. Deliberately NOT part of
   /// the scenario identity: the per-scenario RNG seed must stay the same no

@@ -110,73 +110,6 @@ ScenarioResult score_replay_lane(const SweepScenario& scenario,
   return scored_result(scenario, spec, summary, reducer.reduce());
 }
 
-/// The fleet-cell drive behind run_scenario_multi: one FleetTestbed +
-/// FleetSession per estimator spec instead of one shared Testbed drain,
-/// with the clients spread over `pool`. Each spec regenerates the fleet's
-/// streams from scratch — the generator is deterministic in the scenario
-/// identity, so every spec scores the identical packets (the estimator axis
-/// never reseeds), at the cost of one extra generation pass per extra spec.
-std::vector<ScenarioResult> run_fleet_scenario_multi(
-    const SweepScenario& scenario,
-    std::span<const harness::EstimatorSpec> estimators,
-    Seconds discard_warmup, std::span<harness::SampleSink* const> trace_sinks,
-    harness::Percentiles percentiles, ThreadPool& pool) {
-  const harness::EstimatorRegistry& registry = harness::estimator_registry();
-  for (const auto& spec : estimators) {
-    if (registry.is_replay(spec)) {
-      throw std::runtime_error(
-          "estimator '" + spec.label() +
-          "' replays a recorded single-client trace and cannot score a "
-          "multi-client fleet cell — drop the fleet(...) axis value or the "
-          "replay spec");
-    }
-  }
-
-  std::vector<ScenarioResult> results;
-  results.reserve(estimators.size());
-  for (std::size_t e = 0; e < estimators.size(); ++e) {
-    harness::SampleSink* trace = trace_sink_for(trace_sinks, e);
-    const harness::SessionConfig config =
-        lane_config(scenario.config.poll_period, discard_warmup, trace);
-    sim::FleetTestbed fleet(scenario.config, scenario.fleet.config);
-    harness::FleetSession session;
-    harness::ReducerSink population(percentiles);
-    harness::ReducerSink reference(scenario.config.poll_period, 16, 256,
-                                   harness::GroundTruthMode::kReference,
-                                   percentiles);
-    for (std::size_t k = 0; k < fleet.client_count(); ++k) {
-      session.add_client(config, registry.make_online(
-                                     estimators[e], config.params,
-                                     fleet.client(k).nominal_period()));
-    }
-    // Population summaries pool every lane; ADEV comes from client 0 alone
-    // (a gap-aware ADEV over the interleaved-oscillator pool would be
-    // meaningless). The trace sink sees every lane, rows tagged by the
-    // client column.
-    session.add_shared_sink(population);
-    session.add_sink(0, reference);
-    if (trace != nullptr) session.add_shared_sink(*trace);
-    session.run(fleet, &pool);
-
-    ScenarioResult result =
-        scored_result(scenario, estimators[e], session.combined_summary(),
-                      reference.reduce());
-    for (std::size_t k = 0; k < session.client_count(); ++k)
-      result.steps += session.client(k).estimator().steps();
-    const harness::ReducerSink::Reduction pooled = population.reduce();
-    result.clock_error = pooled.clock_error;
-    result.offset_error = pooled.offset_error;
-
-    const harness::FleetReduction fleet_reduction = session.fleet_reduction();
-    result.clients = fleet_reduction.clients;
-    result.fleet_dispersion = fleet_reduction.dispersion;
-    result.fleet_worst_p99 = fleet_reduction.worst_p99;
-    result.fleet_pairwise_spread = fleet_reduction.pairwise_spread;
-    results.push_back(std::move(result));
-  }
-  return results;
-}
-
 /// The imported-trace drive behind run_scenario_multi: no Testbed, no
 /// randomness — the file IS the exchange stream, and every spec replays it
 /// through the identical ReplaySession → ReducerSink path a sim-recorded
@@ -249,34 +182,46 @@ std::vector<ScenarioResult> run_scenario_multi(
                                     percentiles, cell_pool());
   }
 
-  // Fleet cells take the multi-client drive (FleetTestbed + FleetSession);
-  // everything below is the classic single-client path, which a single()
-  // fleet spec must reproduce bit-for-bit — so it stays exactly as it was.
-  if (!scenario.fleet.single()) {
-    if (!trace_export_path.empty()) {
-      throw std::runtime_error(
-          "--trace-out cannot export a multi-client fleet cell: a trace "
-          "file holds exactly one client's stream");
-    }
-    return run_fleet_scenario_multi(scenario, estimators, discard_warmup,
-                                    trace_sinks, percentiles, cell_pool());
+  // One session scores every (client, online spec) lane: single() cells
+  // drain a Testbed, fleet cells a FleetTestbed on the pool, and each
+  // client's stream is generated once however many specs score it; the
+  // registry builds each lane's estimator from its family and resolved
+  // tunables. Replay families cannot run online; a single() cell records the
+  // estimator-independent stream once and each replay lane is scored
+  // post-hoc over it — same packets, same ground truth, same seeds, same
+  // reduction.
+  const harness::EstimatorRegistry& registry = harness::estimator_registry();
+  const bool fleet_cell = !scenario.fleet.single();
+  const auto is_replay = [&](const harness::EstimatorSpec& spec) {
+    return registry.is_replay(spec);
+  };
+  const auto replay_spec =
+      std::find_if(estimators.begin(), estimators.end(), is_replay);
+  const bool any_replay = replay_spec != estimators.end();
+  if (fleet_cell && any_replay) {
+    throw std::runtime_error(
+        "estimator '" + replay_spec->label() +
+        "' replays a recorded single-client trace and cannot score a "
+        "multi-client fleet cell — drop the fleet(...) axis value or the "
+        "replay spec");
+  }
+  if (fleet_cell && !trace_export_path.empty()) {
+    throw std::runtime_error(
+        "--trace-out cannot export a multi-client fleet cell: a trace "
+        "file holds exactly one client's stream");
   }
 
-  // The drive loop is the shared harness layer — the same canonical
-  // exchange-processing sequence the figure benches use — with one
-  // ClockSession lane per online estimator spec fed the identical Testbed
-  // stream; the registry builds each lane's estimator from its family and
-  // resolved tunables. Replay families cannot run online; the session
-  // records the estimator-independent stream once and each replay lane is
-  // scored post-hoc over it — same packets, same ground truth, same seeds,
-  // same reduction.
-  const harness::EstimatorRegistry& registry = harness::estimator_registry();
-  sim::Testbed testbed(scenario.config);
+  std::optional<sim::Testbed> testbed;
+  std::optional<sim::FleetTestbed> fleet;
+  if (fleet_cell)
+    fleet.emplace(scenario.config, scenario.fleet.config);
+  else
+    testbed.emplace(scenario.config);
+  const std::size_t clients = fleet_cell ? fleet->client_count() : 1;
+  const auto client = [&](std::size_t k) -> sim::Testbed& {
+    return fleet_cell ? fleet->client(k) : *testbed;
+  };
   const Seconds poll_period = scenario.config.poll_period;
-
-  const bool any_replay =
-      std::any_of(estimators.begin(), estimators.end(),
-                  [&](const auto& spec) { return registry.is_replay(spec); });
 
   harness::MultiEstimatorSession session;
   // One recording serves both consumers: the replay lanes and the trace
@@ -284,28 +229,51 @@ std::vector<ScenarioResult> run_scenario_multi(
   if (any_replay || !trace_export_path.empty())
     session.enable_trace_recording(
         lane_config(poll_period, discard_warmup, nullptr));
-  constexpr std::size_t kReplayLane = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> lane_of(estimators.size(), kReplayLane);
-  std::vector<harness::ReducerSink> reducers;  // one per online lane, by index
-  reducers.reserve(estimators.size());
+
+  // Per online spec: one lane per client, a client-0 reducer (the cell's
+  // summaries, and its ADEV: an ADEV over the pool would interleave
+  // unrelated oscillators) and, in a fleet cell, a pooled reducer and one
+  // probe per client. The trace sink sees every lane of its spec, rows
+  // tagged by the client column.
+  struct OnlineSpec {
+    std::vector<std::size_t> lanes;  ///< client k's lane at position k
+    harness::ReducerSink reference;
+    harness::ReducerSink population;
+    std::vector<harness::FleetClientProbe> probes;
+  };
+  std::vector<std::unique_ptr<OnlineSpec>> online(estimators.size());
   for (std::size_t e = 0; e < estimators.size(); ++e) {
-    if (registry.is_replay(estimators[e])) continue;
+    if (is_replay(estimators[e])) continue;
     harness::SampleSink* trace = trace_sink_for(trace_sinks, e);
-    const harness::SessionConfig config =
+    harness::SessionConfig config =
         lane_config(poll_period, discard_warmup, trace);
-    lane_of[e] = session.add_lane(
-        config, registry.make_online(estimators[e], config.params,
-                                     testbed.nominal_period()));
-    reducers.emplace_back(poll_period, 16, 256,
-                          harness::GroundTruthMode::kReference, percentiles);
-    session.add_sink(lane_of[e], reducers.back());
-    if (trace != nullptr) session.add_sink(lane_of[e], *trace);
+    online[e] = std::make_unique<OnlineSpec>(OnlineSpec{
+        {},
+        harness::ReducerSink(poll_period, 16, 256,
+                             harness::GroundTruthMode::kReference,
+                             percentiles),
+        harness::ReducerSink(percentiles),
+        std::vector<harness::FleetClientProbe>(fleet_cell ? clients : 0)});
+    OnlineSpec& spec = *online[e];
+    for (std::size_t k = 0; k < clients; ++k) {
+      config.client_id = static_cast<std::uint32_t>(k);
+      spec.lanes.push_back(session.add_lane(
+          config, registry.make_online(estimators[e], config.params,
+                                       client(k).nominal_period())));
+      if (fleet_cell) session.add_sink(spec.lanes.back(), spec.probes[k]);
+    }
+    session.add_sink(spec.lanes.front(), spec.reference);
+    if (fleet_cell) session.add_shared_sink(spec.lanes, spec.population);
+    if (trace != nullptr) session.add_shared_sink(spec.lanes, *trace);
   }
 
   // Reducer-only lanes take the record-free fast path; lanes with a trace
   // sink attached run the per-exchange sequence inside process_batch, so
   // dumps stay row-for-row identical.
-  session.run(testbed);
+  if (fleet_cell)
+    session.run(*fleet, &cell_pool());
+  else
+    session.run(*testbed);
 
   if (!trace_export_path.empty()) {
     // Sim recordings carry the DAG reference; the exported file replays
@@ -313,7 +281,7 @@ std::vector<ScenarioResult> run_scenario_multi(
     // this). A write failure throws and fails this scenario's cells.
     trace::TraceMeta meta;
     meta.mode = harness::GroundTruthMode::kReference;
-    meta.nominal_period = testbed.nominal_period();
+    meta.nominal_period = testbed->nominal_period();
     meta.poll_period = poll_period;
     meta.label = scenario.name;
     trace::write_trace(trace_export_path, meta, session.trace());
@@ -322,35 +290,46 @@ std::vector<ScenarioResult> run_scenario_multi(
   std::vector<ScenarioResult> results;
   results.reserve(estimators.size());
   for (std::size_t e = 0; e < estimators.size(); ++e) {
-    if (lane_of[e] == kReplayLane) {
+    if (online[e] == nullptr) {
       harness::SampleSink* trace = trace_sink_for(trace_sinks, e);
       results.push_back(score_replay_lane(
           scenario, estimators[e],
           lane_config(poll_period, discard_warmup, trace),
-          testbed.nominal_period(), session.trace(), trace, percentiles));
+          testbed->nominal_period(), session.trace(), trace, percentiles));
       continue;
     }
-    harness::ClockSession& lane = session.lane(lane_of[e]);
-    ScenarioResult result = scored_result(scenario, estimators[e],
-                                          lane.summary(),
-                                          reducers[lane_of[e]].reduce());
-    result.steps = lane.estimator().steps();
+    // Counters are summed over the spec's lanes; the final status is
+    // client 0's, the reference client's.
+    OnlineSpec& spec = *online[e];
+    harness::SessionSummary summary;
+    std::uint64_t steps = 0;
+    for (const std::size_t lane : spec.lanes) {
+      const harness::SessionSummary& part = session.lane(lane).summary();
+      summary.exchanges += part.exchanges;
+      summary.lost += part.lost;
+      summary.evaluated += part.evaluated;
+      summary.polls_enumerated += part.polls_enumerated;
+      steps += session.lane(lane).estimator().steps();
+    }
+    summary.final_status =
+        session.lane(spec.lanes.front()).summary().final_status;
+    ScenarioResult result = scored_result(scenario, estimators[e], summary,
+                                          spec.reference.reduce());
+    result.steps = steps;
+    if (fleet_cell) {
+      const harness::ReducerSink::Reduction pooled = spec.population.reduce();
+      result.clock_error = pooled.clock_error;
+      result.offset_error = pooled.offset_error;
+      const harness::FleetReduction population =
+          harness::reduce_fleet(spec.probes);
+      result.clients = population.clients;
+      result.fleet_dispersion = population.dispersion;
+      result.fleet_worst_p99 = population.worst_p99;
+      result.fleet_pairwise_spread = population.pairwise_spread;
+    }
     results.push_back(std::move(result));
   }
   return results;
-}
-
-ScenarioResult run_scenario(const SweepScenario& scenario,
-                            Seconds discard_warmup,
-                            harness::SampleSink* trace_sink) {
-  const harness::EstimatorSpec specs[] = {
-      harness::EstimatorSpec{"robust", {}}};
-  harness::SampleSink* const sinks[] = {trace_sink};
-  auto results = run_scenario_multi(
-      scenario, specs, discard_warmup,
-      trace_sink != nullptr ? std::span<harness::SampleSink* const>(sinks)
-                            : std::span<harness::SampleSink* const>());
-  return std::move(results.front());
 }
 
 namespace {
@@ -373,8 +352,8 @@ std::vector<ScenarioResult> ScenarioSweep::run(
     const SweepOptions& options) const {
   // One result row per (owned scenario, estimator spec), scenario-major.
   // The shard slice partitions by *scenario* — the estimator fan-out of a
-  // scenario shares one Testbed drain (and a replay lane its recording), so
-  // a scenario is the indivisible work unit.
+  // scenario shares one generation pass (and a replay lane its recording),
+  // so a scenario is the indivisible work unit.
   const std::vector<harness::EstimatorSpec>& estimators = grid_.estimators;
   const std::size_t lanes = estimators.size();
   const ShardSpec shard = options.shard;

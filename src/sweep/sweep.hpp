@@ -148,29 +148,20 @@ struct SweepOptions {
   std::string trace_out;
 };
 
-/// Run one scenario synchronously through the shared drive layer with the
-/// default robust estimator (harness::ClockSession, observable warm-up
-/// cut). `trace_sink`, when given, additionally receives every record —
-/// including unevaluated ones — for trace dumping. Equivalent to
-/// run_scenario_multi with {kRobust}.
-ScenarioResult run_scenario(const SweepScenario& scenario,
-                            Seconds discard_warmup,
-                            harness::SampleSink* trace_sink = nullptr);
-
 /// Run one scenario's exchange stream through every estimator spec at once
-/// (the unit the pool executes): one Testbed drain fanned into N
-/// harness::ClockSession lanes via MultiEstimatorSession, so all specs —
-/// families and their parameterized variants alike — score identical
-/// packets from the scenario's one seed. Replay families (e.g. the §5.3
-/// offline smoother) are scored post-hoc over the drain's recorded trace
-/// through the identical reduction — same packets, ground truth and seed as
-/// the online lanes. Returns one result per spec, in `estimators` order.
-/// `trace_sinks`, when non-empty, must hold one sink per spec (entries may
-/// be null). A non-single() scenario.fleet switches the drive to
-/// FleetTestbed + harness::FleetSession (per spec: regenerated fleet, one
-/// lane per client, pooled summaries, client-0 ADEV, fleet_* metrics);
-/// replay specs throw std::runtime_error there — a fleet trace mixes
-/// clients, which ReplaySession refuses.
+/// (the unit the pool executes): one harness::MultiEstimatorSession with a
+/// ClockSession lane per (client, online spec), so all specs — families and
+/// their parameterized variants alike — score identical packets from the
+/// scenario's one seed, and each client's stream is generated once however
+/// many specs score it. Replay families (e.g. the §5.3 offline smoother) are
+/// scored post-hoc over the drain's recorded trace through the identical
+/// reduction — same packets, ground truth and seed as the online lanes.
+/// Returns one result per spec, in `estimators` order. `trace_sinks`, when
+/// non-empty, must hold one distinct sink per spec (entries may be null).
+/// A non-single() scenario.fleet drives a FleetTestbed instead of a Testbed
+/// (one lane per client and spec, summed counters, pooled summaries,
+/// client-0 ADEV, fleet_* metrics); replay specs throw std::runtime_error
+/// there — a fleet trace mixes clients, which ReplaySession refuses.
 /// An is_trace() scenario replays its file through the replay lanes instead
 /// of driving a Testbed (every spec must be a replay family there — the CLI
 /// guarantees it). `trace_export_path`, when non-empty, additionally writes

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <memory>
 #include <set>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -122,15 +123,15 @@ TEST(FleetStream, SingleClientFleetSessionMatchesClockSessionBatched) {
   const harness::SessionSummary classic_summary = session.run(classic);
 
   sim::FleetTestbed fleet(scenario, sim::FleetConfig{});
-  harness::FleetSession fleet_session;
-  fleet_session.add_client(config,
-                           std::make_unique<harness::TscNtpEstimator>(
-                               config.params, fleet.client(0).nominal_period()));
+  harness::MultiEstimatorSession fleet_session;
+  fleet_session.add_lane(config,
+                         std::make_unique<harness::TscNtpEstimator>(
+                             config.params, fleet.client(0).nominal_period()));
   harness::ReducerSink fleet_reducer(scenario.poll_period);
   fleet_session.add_sink(0, fleet_reducer);
   fleet_session.run(fleet);
   const harness::SessionSummary fleet_summary =
-      fleet_session.combined_summary();
+      fleet_session.lane(0).summary();
 
   EXPECT_EQ(fleet_summary.exchanges, classic_summary.exchanges);
   EXPECT_EQ(fleet_summary.lost, classic_summary.lost);
@@ -414,10 +415,10 @@ TEST(FleetSweep, FleetMetricsPopulatedAndPrinted) {
 /// the fleet's send-time-merged stream in kBatchChunk-row chunks, each chunk
 /// demultiplexed by client and fed lane by lane. Shared sinks are attached
 /// to every lane directly, so they see the records as the lanes emit them.
-void serial_merge_drive(harness::FleetSession& session,
+void serial_merge_drive(harness::MultiEstimatorSession& session,
                         sim::FleetTestbed& fleet) {
   sim::FleetBatch batch;
-  std::vector<sim::ExchangeBatch> demux(session.client_count());
+  std::vector<sim::ExchangeBatch> demux(session.lane_count());
   while (true) {
     const std::size_t n = fleet.generate_batch(batch, harness::kBatchChunk);
     if (n > 0) {
@@ -425,12 +426,12 @@ void serial_merge_drive(harness::FleetSession& session,
       for (std::size_t i = 0; i < n; ++i)
         demux[batch.client_id[i]].push_row(batch.exchanges, i);
       for (std::size_t k = 0; k < demux.size(); ++k)
-        if (!demux[k].empty()) session.client(k).process_batch(demux[k]);
+        if (!demux[k].empty()) session.lane(k).process_batch(demux[k]);
     }
     if (n < harness::kBatchChunk) break;
   }
-  for (std::size_t k = 0; k < session.client_count(); ++k)
-    session.client(k).set_polls_enumerated(fleet.client(k).polls_enumerated());
+  for (std::size_t k = 0; k < session.lane_count(); ++k)
+    session.lane(k).set_polls_enumerated(fleet.client(k).polls_enumerated());
 }
 
 /// The sweep's pooled population summary of a fleet cell.
@@ -483,23 +484,27 @@ OracleCell oracle_cell(const sweep::SweepScenario& scenario,
   config.warmup_policy = harness::WarmupPolicy::kObservable;
   config.emit_unevaluated = true;  // a trace sink is attached
   sim::FleetTestbed fleet(scenario.config, scenario.fleet.config);
-  harness::FleetSession session;
-  for (std::size_t k = 0; k < fleet.client_count(); ++k)
-    session.add_client(config,
-                       registry.make_online(spec, config.params,
-                                            fleet.client(k).nominal_period()));
+  harness::MultiEstimatorSession session;
+  std::vector<harness::FleetClientProbe> probes(fleet.client_count());
+  for (std::size_t k = 0; k < fleet.client_count(); ++k) {
+    config.client_id = static_cast<std::uint32_t>(k);
+    session.add_lane(config,
+                     registry.make_online(spec, config.params,
+                                          fleet.client(k).nominal_period()));
+    session.add_sink(k, probes[k]);
+  }
   PopulationSink population(streaming);
   harness::CollectorSink trace;
   const double tau0 = scenario.config.poll_period;
   harness::ReducerSink exact(tau0, 16, 256);
   harness::StreamingReducerSink stream(tau0, 16, 256);
-  for (std::size_t k = 0; k < session.client_count(); ++k) {
-    session.client(k).add_sink(population);
-    session.client(k).add_sink(trace);
+  for (std::size_t k = 0; k < session.lane_count(); ++k) {
+    session.lane(k).add_sink(population);
+    session.lane(k).add_sink(trace);
   }
   harness::SampleSink& reference =
       streaming ? static_cast<harness::SampleSink&>(stream) : exact;
-  session.client(0).add_sink(reference);
+  session.lane(0).add_sink(reference);
   serial_merge_drive(session, fleet);
 
   OracleCell out;
@@ -510,23 +515,25 @@ OracleCell oracle_cell(const sweep::SweepScenario& scenario,
   r.server = scenario.config.server;
   r.environment = scenario.config.environment;
   r.estimator = spec;
-  const harness::SessionSummary summary = session.combined_summary();
-  r.exchanges = summary.exchanges;
-  r.lost = summary.lost;
-  r.evaluated = summary.evaluated;
-  r.polls = static_cast<std::size_t>(summary.polls_enumerated);
+  for (std::size_t k = 0; k < session.lane_count(); ++k) {
+    const harness::SessionSummary& summary = session.lane(k).summary();
+    r.exchanges += summary.exchanges;
+    r.lost += summary.lost;
+    r.evaluated += summary.evaluated;
+    r.polls += static_cast<std::size_t>(summary.polls_enumerated);
+  }
   r.skipped = r.polls - r.exchanges;
-  r.final_status = summary.final_status;
+  r.final_status = session.lane(0).summary().final_status;
   const auto reduction = streaming ? stream.reduce() : exact.reduce();
   r.adev_short_tau = reduction.adev_short_tau;
   r.adev_short = reduction.adev_short;
   r.adev_long_tau = reduction.adev_long_tau;
   r.adev_long = reduction.adev_long;
-  for (std::size_t k = 0; k < session.client_count(); ++k)
-    r.steps += session.client(k).estimator().steps();
+  for (std::size_t k = 0; k < session.lane_count(); ++k)
+    r.steps += session.lane(k).estimator().steps();
   r.clock_error = population.clock_error();
   r.offset_error = population.offset_error();
-  const harness::FleetReduction fleet_metrics = session.fleet_reduction();
+  const harness::FleetReduction fleet_metrics = harness::reduce_fleet(probes);
   r.clients = fleet_metrics.clients;
   r.fleet_dispersion = fleet_metrics.dispersion;
   r.fleet_worst_p99 = fleet_metrics.worst_p99;
@@ -689,7 +696,7 @@ TEST(FleetParallel, LowestFailingClientWinsAtEveryThreadCount) {
   for (const auto& pool : pools) {
     SCOPED_TRACE(pool ? pool->thread_count() : 0);
     sim::FleetTestbed fleet(scenario, topology);
-    harness::FleetSession session;
+    harness::MultiEstimatorSession session;
     for (std::size_t k = 0; k < topology.n_clients; ++k) {
       std::unique_ptr<harness::ClockEstimator> estimator =
           std::make_unique<harness::TscNtpEstimator>(
@@ -697,7 +704,9 @@ TEST(FleetParallel, LowestFailingClientWinsAtEveryThreadCount) {
       if (k == 1 || k == 3)
         estimator = std::make_unique<FailingEstimator>(std::move(estimator),
                                                        k, 100);
-      session.add_client(config, std::move(estimator));
+      harness::SessionConfig lane = config;
+      lane.client_id = static_cast<std::uint32_t>(k);
+      session.add_lane(lane, std::move(estimator));
     }
     try {
       session.run(fleet, pool.get());
@@ -705,6 +714,153 @@ TEST(FleetParallel, LowestFailingClientWinsAtEveryThreadCount) {
     } catch (const ContractViolation& e) {
       EXPECT_STREQ(e.what(), "client 1 refused exchange 100");
     }
+  }
+}
+
+// -- The client axis of MultiEstimatorSession ---------------------------------
+
+void expect_summaries_identical(const SeriesSummary& a, const SeriesSummary& b) {
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(a.min, b.min);
+  EXPECT_EQ(a.max, b.max);
+  EXPECT_EQ(a.mean, b.mean);
+  EXPECT_EQ(a.stddev, b.stddev);
+  EXPECT_EQ(a.percentiles.p01, b.percentiles.p01);
+  EXPECT_EQ(a.percentiles.p25, b.percentiles.p25);
+  EXPECT_EQ(a.percentiles.p50, b.percentiles.p50);
+  EXPECT_EQ(a.percentiles.p75, b.percentiles.p75);
+  EXPECT_EQ(a.percentiles.p99, b.percentiles.p99);
+}
+
+/// One estimator's output of a fleet run: its shared record collector and
+/// its shared pooled reducer.
+struct EstimatorOutput {
+  harness::CollectorSink records;
+  harness::ReducerSink pooled{harness::Percentiles::kExact};
+};
+
+/// Drive `fleet` through one session holding, for every client, one lane per
+/// spec in `specs` (client-major), each spec's lanes sharing that spec's
+/// collector and pooled reducer in `out`.
+void run_estimator_lanes(sim::FleetTestbed& fleet,
+                         std::span<const harness::EstimatorSpec> specs,
+                         harness::SessionConfig config,
+                         std::vector<EstimatorOutput>& out, ThreadPool* pool) {
+  const harness::EstimatorRegistry& registry = harness::estimator_registry();
+  harness::MultiEstimatorSession session;
+  std::vector<std::vector<std::size_t>> lanes(specs.size());
+  for (std::size_t k = 0; k < fleet.client_count(); ++k) {
+    config.client_id = static_cast<std::uint32_t>(k);
+    for (std::size_t e = 0; e < specs.size(); ++e)
+      lanes[e].push_back(session.add_lane(
+          config, registry.make_online(specs[e], config.params,
+                                       fleet.client(k).nominal_period())));
+  }
+  for (std::size_t e = 0; e < specs.size(); ++e) {
+    session.add_shared_sink(lanes[e], out[e].records);
+    session.add_shared_sink(lanes[e], out[e].pooled);
+  }
+  session.run(fleet, pool);
+}
+
+TEST(FleetLanes, TwoEstimatorsPerClientMatchOneEstimatorRuns) {
+  // Robust and SW-NTP lanes on every client of one fleet drive must score
+  // exactly what two one-estimator fleet drives score: each client's stream
+  // is generated once and fed to both of its lanes, and each estimator's
+  // shared sinks see the serial drive's order. Without a pool and on one
+  // and four workers.
+  sim::ScenarioConfig scenario = fast_scenario();
+  scenario.duration = 12 * duration::kHour;
+  harness::SessionConfig config = fast_session_config(scenario);
+  config.emit_unevaluated = true;
+  sim::FleetConfig topology;
+  topology.n_clients = 4;
+  topology.shared_congestion = true;
+  const std::vector<harness::EstimatorSpec> specs = {
+      harness::EstimatorSpec{"robust", {}},
+      harness::EstimatorSpec{"swntp", {}}};
+
+  std::vector<EstimatorOutput> alone(specs.size());
+  for (std::size_t e = 0; e < specs.size(); ++e) {
+    sim::FleetTestbed fleet(scenario, topology);
+    std::vector<EstimatorOutput> one(1);
+    run_estimator_lanes(fleet, std::span(specs).subspan(e, 1), config, one,
+                        nullptr);
+    alone[e].records = one[0].records;
+    alone[e].pooled = one[0].pooled;
+  }
+
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  pools.push_back(nullptr);  // the calling thread
+  for (const std::size_t workers : {1u, 4u})
+    pools.push_back(std::make_unique<ThreadPool>(workers));
+  for (const auto& pool : pools) {
+    SCOPED_TRACE(pool ? pool->thread_count() : 0);
+    sim::FleetTestbed fleet(scenario, topology);
+    std::vector<EstimatorOutput> both(specs.size());
+    run_estimator_lanes(fleet, specs, config, both, pool.get());
+    for (std::size_t e = 0; e < specs.size(); ++e) {
+      SCOPED_TRACE(specs[e].label());
+      ASSERT_GT(alone[e].records.records().size(), 1000u);
+      expect_records_identical(both[e].records.records(),
+                               alone[e].records.records());
+      const auto a = both[e].pooled.reduce();
+      const auto b = alone[e].pooled.reduce();
+      EXPECT_EQ(a.evaluated, b.evaluated);
+      expect_summaries_identical(a.clock_error, b.clock_error);
+      expect_summaries_identical(a.offset_error, b.offset_error);
+    }
+  }
+}
+
+TEST(FleetLanes, RefusesWhatTheDrivesCannotHonour) {
+  const sim::ScenarioConfig scenario = fast_scenario();
+  const harness::SessionConfig config = fast_session_config(scenario);
+  sim::FleetConfig topology;
+  topology.n_clients = 4;
+  const auto robust = [&] {
+    return std::make_unique<harness::TscNtpEstimator>(config.params, 1e-9);
+  };
+  const std::size_t both[] = {0, 1};
+
+  // A sink is attached once, to one lane or as one shared sink.
+  {
+    harness::MultiEstimatorSession session;
+    session.add_lane(config, robust());
+    session.add_lane(config, robust());
+    harness::CollectorSink sink;
+    session.add_sink(0, sink);
+    EXPECT_THROW(session.add_sink(1, sink), ContractViolation);
+    EXPECT_THROW(session.add_sink(0, sink), ContractViolation);
+    EXPECT_THROW(session.add_shared_sink(both, sink), ContractViolation);
+  }
+  // A recording holds one client's stream: a fleet run refuses it.
+  {
+    sim::FleetTestbed fleet(scenario, topology);
+    harness::MultiEstimatorSession session;
+    session.add_lane(config, robust());
+    session.enable_trace_recording(config);
+    EXPECT_THROW(session.run(fleet), ContractViolation);
+  }
+  // A lane's client must exist in the fleet.
+  {
+    sim::FleetTestbed fleet(scenario, topology);
+    harness::MultiEstimatorSession session;
+    harness::SessionConfig lane = config;
+    lane.client_id = 4;
+    session.add_lane(lane, robust());
+    EXPECT_THROW(session.run(fleet), ContractViolation);
+  }
+  // The Testbed drive feeds lanes one after another, so it refuses a sink
+  // shared by several lanes.
+  {
+    sim::Testbed testbed(scenario);
+    harness::MultiEstimatorSession session;
+    session.add_lane(config, robust());
+    session.add_lane(config, robust());
+    harness::ReducerSink pooled(harness::Percentiles::kExact);
+    session.add_shared_sink(both, pooled);
+    EXPECT_THROW(session.run(testbed), ContractViolation);
   }
 }
 

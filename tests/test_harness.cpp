@@ -222,7 +222,9 @@ TEST(ClockSessionGolden, BitIdenticalToLegacySweepLoop) {
 
   const auto legacy =
       legacy_run_sweep_scenario(scenarios[0].config, warmup);
-  const auto result = sweep::run_scenario(scenarios[0], warmup);
+  const harness::EstimatorSpec robust[] = {{"robust", {}}};
+  const auto result =
+      sweep::run_scenario_multi(scenarios[0], robust, warmup).front();
 
   EXPECT_EQ(result.exchanges, legacy.exchanges);
   EXPECT_EQ(result.lost, legacy.lost);
