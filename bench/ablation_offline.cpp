@@ -4,12 +4,13 @@
 // loss much easier to achieve". Same trace, three regimes compared:
 // steady state, during a heavy congestion episode, and right after a gap.
 //
-// Both passes run through the drive layer: the online session records the
-// estimator-independent trace (SessionConfig::record_trace) while it scores
-// the robust clock, and the offline smoother is replayed over that recording
-// via harness::ReplaySession — the same scoring pipeline the sweep's
-// `--estimators offline` lane uses (tests/test_replay.cpp pins this
-// migration bit-identical to the legacy hand-rolled collection loop).
+// Both passes run through the drive layer: the online session scores the
+// robust clock over the perturbed exchanges as one batch, a standalone
+// harness::TraceRecorder records the same exchanges, and the offline
+// smoother is replayed over that recording via harness::ReplaySession — the
+// same scoring pipeline the sweep's `--estimators offline` lane uses
+// (tests/test_replay.cpp pins this migration bit-identical to the legacy
+// hand-rolled collection loop).
 #include <cmath>
 #include <iostream>
 #include <vector>
@@ -63,18 +64,24 @@ int main() {
   core::Params params;
   params.poll_period = scenario.poll_period;
 
-  // Online pass: replay the perturbed exchanges through the canonical
-  // harness sequence (the session scores each packet exactly as the figure
-  // benches do), recording the estimator-independent trace for the replay
-  // lane. Every replayed exchange has a reference and no warm-up cut
-  // applies, so online records, replay records and the recorded trace all
-  // align 1:1.
-  auto config = bench::session_config(params);
-  config.record_trace = true;
+  // Online pass: the perturbed exchanges go through the canonical harness
+  // sequence as one batch (the record-shaped collector keeps the session on
+  // the per-record path, so it scores each packet exactly as the figure
+  // benches do), and the recorder keeps the estimator-independent trace for
+  // the replay lane. Every replayed exchange has a reference and no warm-up
+  // cut applies, so online records, replay records and the recorded trace
+  // all align 1:1.
+  const auto config = bench::session_config(params);
+  sim::ExchangeBatch batch;
+  harness::TraceRecorder recorder(config);
+  for (const auto& ex : exchanges) {
+    batch.push(ex);
+    recorder.observe(ex);
+  }
   harness::ClockSession online(config, testbed.nominal_period());
   harness::CollectorSink online_records;
   online.add_sink(online_records);
-  for (const auto& ex : exchanges) online.process(ex);
+  online.process_batch(batch);
   std::vector<double> online_err;
   online_err.reserve(online_records.records().size());
   for (const auto& rec : online_records.records())
@@ -88,7 +95,7 @@ int main() {
   harness::ReplaySession replay(config, std::move(smoother));
   harness::CollectorSink replay_records;
   replay.add_sink(replay_records);
-  replay.run(online.trace());
+  replay.run(recorder.trace());
   std::vector<double> offline_err;
   offline_err.reserve(replay_records.records().size());
   for (const auto& rec : replay_records.records())
@@ -129,6 +136,6 @@ int main() {
                    "after congestion/gaps (uses future packets)",
                    "see storm/post-gap rows");
   std::cout << strfmt("offline poor-window fallbacks: %zu of %zu packets\n",
-                      offline.result().poor_windows, online.trace().arrived());
+                      offline.result().poor_windows, recorder.trace().arrived());
   return 0;
 }

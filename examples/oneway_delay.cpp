@@ -58,13 +58,13 @@ struct Host {
     return c;
   }
 
-  /// Generate and process the next NTP exchange through the shared harness
-  /// sequence. The oscillator is read in strictly increasing order, so
-  /// probes must be interleaved *between* exchange windows (see main loop).
+  /// Generate the next NTP exchange as a one-row batch and process it
+  /// through the shared harness sequence. The oscillator is read in strictly
+  /// increasing order, so probes must be interleaved *between* exchange
+  /// windows (see main loop).
   bool step() {
-    const auto exchange = testbed.next();
-    if (!exchange) return false;
-    session.process(*exchange);
+    if (testbed.generate_batch(exchange, 1) == 0) return false;
+    session.process_batch(exchange);
     return true;
   }
 
@@ -81,6 +81,7 @@ struct Host {
   sim::Testbed testbed;
   harness::ClockSession session;
   harness::CallbackSink poll_times;
+  sim::ExchangeBatch exchange;  ///< step()'s one-row batch
 };
 
 }  // namespace

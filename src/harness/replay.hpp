@@ -5,9 +5,9 @@
 // performance immediately following long periods of congestion or sequential
 // packet loss much easier to achieve". To grade that claim alongside the
 // online algorithms, the drive layer records the estimator-independent
-// exchange stream once (TraceRecorder, wired into ClockSession /
-// MultiEstimatorSession) and replays it through ReplayEstimators after the
-// drain:
+// exchange stream once (a TraceRecorder, owned by
+// MultiEstimatorSession::enable_trace_recording) and replays it through
+// ReplayEstimators after the drain:
 //
 //   * TraceRecorder retains, per poll, everything a post-hoc estimator and
 //     its scoring need — the RawExchange quadruple, the DAG ground truth,

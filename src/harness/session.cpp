@@ -71,17 +71,9 @@ ClockSession::ClockSession(const SessionConfig& config,
     : config_(config), estimator_(std::move(estimator)) {
   TSC_EXPECTS(estimator_ != nullptr);
   robust_ = dynamic_cast<TscNtpEstimator*>(estimator_.get());
-  if (config_.record_trace) recorder_ = std::make_unique<TraceRecorder>(config_);
 }
-
-ClockSession::~ClockSession() = default;
 
 void ClockSession::add_sink(SampleSink& sink) { sinks_.push_back(&sink); }
-
-const ReplayTrace& ClockSession::trace() const {
-  TSC_EXPECTS(recorder_ != nullptr);
-  return recorder_->trace();
-}
 
 core::TscNtpClock& ClockSession::clock() {
   TSC_EXPECTS(robust_ != nullptr);
@@ -98,7 +90,6 @@ void ClockSession::emit(const SampleRecord& record) {
 }
 
 void ClockSession::process(const sim::Exchange& ex) {
-  if (recorder_) recorder_->observe(ex);
   ++summary_.exchanges;
   if (ex.lost) {
     ++summary_.lost;
@@ -174,7 +165,7 @@ void ClockSession::process_batch(const sim::ExchangeBatch& batch,
     }
   }
 
-  // Fast lane: columns in, columns out. Same estimator/detector/recorder
+  // Fast lane: columns in, columns out. Same estimator/detector
   // sequence as process(), reading the SoA stream directly, but no
   // SampleRecord is built and no per-record virtual dispatch happens. Every
   // accumulated value is computed by the very expressions process() uses,
@@ -182,10 +173,6 @@ void ClockSession::process_batch(const sim::ExchangeBatch& batch,
   batch_.clear();
   batch_.reserve(end - begin);
   for (std::size_t i = begin; i < end; ++i) {
-    if (recorder_) {
-      batch.materialize(i, scratch_);
-      recorder_->observe(scratch_);
-    }
     ++summary_.exchanges;
     if (batch.lost[i] != 0) {
       ++summary_.lost;
@@ -224,7 +211,6 @@ const SessionSummary& ClockSession::run(sim::Testbed& testbed) {
 
 void ClockSession::set_polls_enumerated(std::uint64_t polls) {
   summary_.polls_enumerated = polls;
-  if (recorder_) recorder_->set_polls_enumerated(polls);
 }
 
 const SessionSummary& ClockSession::summary() {

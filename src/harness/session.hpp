@@ -26,8 +26,7 @@
 // record-free fast path; a lane with any record-shaped sink materializes
 // each row and runs process(), the per-exchange sequence, so every
 // SampleRecord is the one a per-exchange loop would emit. process() stays
-// public as the per-exchange adapter for consumers that do other work
-// between polls or feed exchanges the Testbed never produced.
+// public as the reference the batched lane is pinned against.
 //
 // Which algorithm processes the stream is a ClockEstimator (see
 // harness/estimator.hpp); the default is the robust TscNtpClock via
@@ -41,7 +40,8 @@
 // every lane scores the one client's stream — the paper's comparative
 // evaluations (robust vs SW-NTP vs naive) on identical packets; over a
 // FleetTestbed each client's stream is generated once and scored by all of
-// that client's lanes.
+// that client's lanes. It is also the one owner of a trace recording (the
+// estimator-independent stream the replay lanes score, harness/replay.hpp).
 //
 // Warm-up policies (see WarmupPolicy): the figure benches historically cut
 // warm-up on ground-truth time (truth.tb, simulation-only), while the sweep
@@ -122,11 +122,6 @@ struct SessionConfig {
   /// (flagged via SampleRecord::lost / ref_available / in_warmup). Off by
   /// default: most consumers only score evaluated packets.
   bool emit_unevaluated = false;
-  /// Retain the estimator-independent exchange stream (RawExchange quadruple
-  /// + DAG ground truth + loss/warm-up/server-change flags) for post-hoc
-  /// replay estimators — see harness/replay.hpp. Off by default: recording
-  /// buffers the whole trace.
-  bool record_trace = false;
   /// Fleet position of the client this session drives; stamped onto every
   /// emitted SampleRecord (and recorded trace sample) so fleet traces and
   /// replays stay per-client. 0 for the single-client drives.
@@ -242,16 +237,13 @@ class ClockSession {
   ClockSession(const SessionConfig& config,
                std::unique_ptr<ClockEstimator> estimator);
 
-  ~ClockSession();  // out-of-line: TraceRecorder is incomplete here
-
   /// Attach a sink (non-owning; must outlive the session's processing).
   /// Sinks are invoked in attachment order, synchronously per record.
   void add_sink(SampleSink& sink);
 
-  /// Process one exchange through the canonical sequence: the per-exchange
-  /// adapter for consumers that interleave other work between polls (e.g.
-  /// the one-way delay example) or feed perturbed exchanges, and the
-  /// reference the batched lane is pinned against.
+  /// Process one exchange through the canonical sequence: the path
+  /// process_batch takes for record-shaped sinks, and the reference the
+  /// batched lane is pinned against.
   void process(const sim::Exchange& exchange);
 
   /// Process a generator-written SoA batch (sim::Testbed::generate_batch)
@@ -286,7 +278,6 @@ class ClockSession {
   /// Record the testbed's poll-slot count after an external drain (run()
   /// does this itself; MultiEstimatorSession drives process_batch()
   /// directly and back-fills each lane through this).
-  /// Forwarded to the trace recorder when one is attached.
   void set_polls_enumerated(std::uint64_t polls);
 
   /// The robust clock behind the default estimator. Precondition: the
@@ -299,10 +290,6 @@ class ClockSession {
   [[nodiscard]] const ClockEstimator& estimator() const { return *estimator_; }
   [[nodiscard]] const SessionConfig& config() const { return config_; }
 
-  /// The recorded estimator-independent stream. Precondition: the session
-  /// was configured with record_trace = true.
-  [[nodiscard]] const ReplayTrace& trace() const;
-
  private:
   void emit(const SampleRecord& record);
 
@@ -311,7 +298,6 @@ class ClockSession {
   TscNtpEstimator* robust_ = nullptr;  ///< set when estimator_ is the default
   core::ServerChangeDetector server_changes_;
   std::vector<SampleSink*> sinks_;
-  std::unique_ptr<TraceRecorder> recorder_;  ///< set when record_trace
   SessionSummary summary_;
   SampleBatch batch_;  ///< process_batch scratch (reused across batches)
   sim::Exchange scratch_;  ///< SoA-row materialization scratch

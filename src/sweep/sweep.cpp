@@ -86,74 +86,6 @@ ScenarioResult scored_result(const SweepScenario& scenario,
   return result;
 }
 
-/// Score one replay spec over a recorded trace — a sim recording or an
-/// imported file alike — through ReplaySession into a fresh ReducerSink.
-/// The reduction's tau0 is the lane's polling period and its ground-truth
-/// mode the trace's own. Replay estimators never step, so steps stay 0.
-/// The estimator spreads its work over `pool` when given one.
-ScenarioResult score_replay_lane(const SweepScenario& scenario,
-                                 const harness::EstimatorSpec& spec,
-                                 const harness::SessionConfig& config,
-                                 double nominal_period,
-                                 const harness::ReplayTrace& trace,
-                                 harness::SampleSink* trace_sink,
-                                 harness::Percentiles percentiles,
-                                 ThreadPool* pool = nullptr) {
-  harness::ReducerSink reducer(config.params.poll_period, 16, 256,
-                               trace.ground_truth, percentiles);
-  harness::ReplaySession replay(
-      config, harness::estimator_registry().make_replay(
-                  spec, config.params, nominal_period, pool));
-  replay.add_sink(reducer);
-  if (trace_sink != nullptr) replay.add_sink(*trace_sink);
-  const harness::SessionSummary summary = replay.run(trace);
-  return scored_result(scenario, spec, summary, reducer.reduce());
-}
-
-/// The imported-trace drive behind run_scenario_multi: no Testbed, no
-/// randomness — the file IS the exchange stream, and every spec replays it
-/// through the identical ReplaySession → ReducerSink path a sim-recorded
-/// trace takes. The file is re-read here (cells are independent work units);
-/// a read failure throws and the caller contains it as this cell's FAILED
-/// rows. The reduction's tau0 and the estimator's window unit come from the
-/// file header, not the grid — an imported trace carries its own polling
-/// period. The lanes run one after another, each smoothing on `pool`.
-std::vector<ScenarioResult> run_trace_scenario_multi(
-    const SweepScenario& scenario,
-    std::span<const harness::EstimatorSpec> estimators,
-    std::span<harness::SampleSink* const> trace_sinks,
-    harness::Percentiles percentiles, ThreadPool& pool) {
-  const harness::EstimatorRegistry& registry = harness::estimator_registry();
-  for (const auto& spec : estimators) {
-    if (!registry.is_replay(spec)) {
-      throw std::runtime_error(
-          "estimator '" + spec.label() +
-          "' runs online and cannot score an imported trace cell — score "
-          "--trace-in files with replay specs (e.g. offline)");
-    }
-  }
-  const trace::ReadTrace loaded = trace::read_trace(scenario.trace_path);
-
-  std::vector<ScenarioResult> results;
-  results.reserve(estimators.size());
-  for (std::size_t e = 0; e < estimators.size(); ++e) {
-    harness::SampleSink* trace_sink = trace_sink_for(trace_sinks, e);
-    // No warm-up re-cut: the in_warmup flags ride the file (set by whoever
-    // recorded or imported it), and ReplaySession scores exactly those.
-    harness::SessionConfig config =
-        lane_config(loaded.meta.poll_period, 0, trace_sink);
-    config.client_id = loaded.meta.client_id;
-    ScenarioResult result = score_replay_lane(
-        scenario, estimators[e], config, loaded.meta.nominal_period,
-        loaded.trace, trace_sink, percentiles, &pool);
-    result.from_trace = true;
-    result.relative_only =
-        loaded.meta.mode == harness::GroundTruthMode::kRelativeOnly;
-    results.push_back(std::move(result));
-  }
-  return results;
-}
-
 }  // namespace
 
 std::vector<ScenarioResult> run_scenario_multi(
@@ -168,33 +100,38 @@ std::vector<ScenarioResult> run_scenario_multi(
                                                ? harness::Percentiles::kSketch
                                                : harness::Percentiles::kExact;
 
-  // Fleet and imported-trace cells spread their work over the caller's
-  // pool, or over one of their own with a thread per usable CPU.
+  // Fleet cells and replay lanes spread their work over the caller's pool,
+  // or over one of their own with a thread per usable CPU.
   std::optional<ThreadPool> own_pool;
   const auto cell_pool = [&]() -> ThreadPool& {
-    return pool != nullptr ? *pool : own_pool.emplace();
+    if (pool != nullptr) return *pool;
+    if (!own_pool) own_pool.emplace();
+    return *own_pool;
   };
-
-  // Imported-trace cells replay their file; nothing below applies.
-  if (scenario.is_trace()) {
-    TSC_EXPECTS(trace_export_path.empty());
-    return run_trace_scenario_multi(scenario, estimators, trace_sinks,
-                                    percentiles, cell_pool());
-  }
 
   // One session scores every (client, online spec) lane: single() cells
   // drain a Testbed, fleet cells a FleetTestbed on the pool, and each
   // client's stream is generated once however many specs score it; the
   // registry builds each lane's estimator from its family and resolved
-  // tunables. Replay families cannot run online; a single() cell records the
-  // estimator-independent stream once and each replay lane is scored
-  // post-hoc over it — same packets, same ground truth, same seeds, same
-  // reduction.
+  // tunables. Replay families cannot run online: each replay lane is scored
+  // post-hoc over one trace — a single() cell's recording of its drain (same
+  // packets, ground truth and seeds as the online lanes), or an imported
+  // cell's file, which has no online lanes.
   const harness::EstimatorRegistry& registry = harness::estimator_registry();
+  const bool trace_cell = scenario.is_trace();
   const bool fleet_cell = !scenario.fleet.single();
   const auto is_replay = [&](const harness::EstimatorSpec& spec) {
     return registry.is_replay(spec);
   };
+  TSC_EXPECTS(!trace_cell || trace_export_path.empty());
+  const auto online_spec =
+      std::find_if_not(estimators.begin(), estimators.end(), is_replay);
+  if (trace_cell && online_spec != estimators.end()) {
+    throw std::runtime_error(
+        "estimator '" + online_spec->label() +
+        "' runs online and cannot score an imported trace cell — score "
+        "--trace-in files with replay specs (e.g. offline)");
+  }
   const auto replay_spec =
       std::find_if(estimators.begin(), estimators.end(), is_replay);
   const bool any_replay = replay_spec != estimators.end();
@@ -211,9 +148,14 @@ std::vector<ScenarioResult> run_scenario_multi(
         "file holds exactly one client's stream");
   }
 
+  // The file is re-read here (cells are independent work units); a read
+  // failure throws and the caller contains it as this cell's FAILED rows.
+  std::optional<trace::ReadTrace> imported;
   std::optional<sim::Testbed> testbed;
   std::optional<sim::FleetTestbed> fleet;
-  if (fleet_cell)
+  if (trace_cell)
+    imported.emplace(trace::read_trace(scenario.trace_path));
+  else if (fleet_cell)
     fleet.emplace(scenario.config, scenario.fleet.config);
   else
     testbed.emplace(scenario.config);
@@ -226,7 +168,8 @@ std::vector<ScenarioResult> run_scenario_multi(
   harness::MultiEstimatorSession session;
   // One recording serves both consumers: the replay lanes and the trace
   // export (a --trace-out file is the recorded stream, serialized).
-  if (any_replay || !trace_export_path.empty())
+  const bool record = testbed && (any_replay || !trace_export_path.empty());
+  if (record)
     session.enable_trace_recording(
         lane_config(poll_period, discard_warmup, nullptr));
 
@@ -272,30 +215,60 @@ std::vector<ScenarioResult> run_scenario_multi(
   // dumps stay row-for-row identical.
   if (fleet_cell)
     session.run(*fleet, &cell_pool());
-  else
+  else if (testbed)
     session.run(*testbed);
 
-  if (!trace_export_path.empty()) {
-    // Sim recordings carry the DAG reference; the exported file replays
-    // byte-identical to the in-memory trace (the round-trip golden pins
-    // this). A write failure throws and fails this scenario's cells.
-    trace::TraceMeta meta;
+  // The replay lanes' trace and its header. A file's header carries its
+  // polling period, counter period and client; its in_warmup flags ride the
+  // file (set by whoever recorded or imported it), so nothing is re-cut. A
+  // recording carries the DAG reference, the grid's polling period and the
+  // Testbed's counter period.
+  const harness::ReplayTrace* replayed = nullptr;
+  trace::TraceMeta meta;
+  Seconds replay_warmup = 0;
+  if (imported) {
+    replayed = &imported->trace;
+    meta = imported->meta;
+  } else if (record) {
+    replayed = &session.trace();
     meta.mode = harness::GroundTruthMode::kReference;
     meta.nominal_period = testbed->nominal_period();
     meta.poll_period = poll_period;
     meta.label = scenario.name;
-    trace::write_trace(trace_export_path, meta, session.trace());
+    replay_warmup = discard_warmup;
   }
+
+  // The exported file replays byte-identical to the in-memory trace (the
+  // round-trip golden pins this). A write failure throws and fails this
+  // scenario's cells.
+  if (!trace_export_path.empty())
+    trace::write_trace(trace_export_path, meta, *replayed);
 
   std::vector<ScenarioResult> results;
   results.reserve(estimators.size());
   for (std::size_t e = 0; e < estimators.size(); ++e) {
     if (online[e] == nullptr) {
       harness::SampleSink* trace = trace_sink_for(trace_sinks, e);
-      results.push_back(score_replay_lane(
-          scenario, estimators[e],
-          lane_config(poll_period, discard_warmup, trace),
-          testbed->nominal_period(), session.trace(), trace, percentiles));
+      harness::SessionConfig config =
+          lane_config(meta.poll_period, replay_warmup, trace);
+      config.client_id = meta.client_id;
+      // The reduction's tau0 is the lane's polling period and its
+      // ground-truth mode the trace's own. Replay estimators never step, so
+      // steps stay 0.
+      harness::ReducerSink reducer(meta.poll_period, 16, 256,
+                                   replayed->ground_truth, percentiles);
+      harness::ReplaySession replay(
+          config, registry.make_replay(estimators[e], config.params,
+                                       meta.nominal_period, &cell_pool()));
+      replay.add_sink(reducer);
+      if (trace != nullptr) replay.add_sink(*trace);
+      const harness::SessionSummary& summary = replay.run(*replayed);
+      ScenarioResult result =
+          scored_result(scenario, estimators[e], summary, reducer.reduce());
+      result.from_trace = trace_cell;
+      result.relative_only =
+          meta.mode == harness::GroundTruthMode::kRelativeOnly;
+      results.push_back(std::move(result));
       continue;
     }
     // Counters are summed over the spec's lanes; the final status is

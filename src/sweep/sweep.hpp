@@ -162,14 +162,16 @@ struct SweepOptions {
 /// (one lane per client and spec, summed counters, pooled summaries,
 /// client-0 ADEV, fleet_* metrics); replay specs throw std::runtime_error
 /// there — a fleet trace mixes clients, which ReplaySession refuses.
-/// An is_trace() scenario replays its file through the replay lanes instead
-/// of driving a Testbed (every spec must be a replay family there — the CLI
-/// guarantees it). `trace_export_path`, when non-empty, additionally writes
-/// the drain's recorded trace as a reference-bearing trace file.
-/// A fleet cell spreads its clients over `pool`, and an imported-trace cell
-/// its replay lanes' smoothing windows; without one such a cell makes a
-/// pool with one thread per usable CPU for the call. Other cells run on the
-/// calling thread. The results do not depend on the pool.
+/// An is_trace() scenario is a cell with no online lanes: its replay lanes
+/// score the file instead of a recording, with the polling period, counter
+/// period and client id of its header and no warm-up re-cut. An online spec
+/// there throws std::runtime_error naming the spec. `trace_export_path`,
+/// when non-empty, additionally writes the drain's recorded trace as a
+/// reference-bearing trace file.
+/// A fleet cell spreads its clients over `pool`, and every replay lane its
+/// smoothing windows; without one such a cell makes a pool with one thread
+/// per usable CPU for the call. Other cells run on the calling thread. The
+/// results do not depend on the pool.
 std::vector<ScenarioResult> run_scenario_multi(
     const SweepScenario& scenario,
     std::span<const harness::EstimatorSpec> estimators,

@@ -557,11 +557,13 @@ std::vector<SampleRecord> stepped_stream(GroundTruthMode mode) {
   SessionConfig config;
   config.params = params_for(scenario);
   config.discard_warmup = duration::kHour;
-  config.record_trace = true;
   config.emit_unevaluated = true;
-  ClockSession session(config, testbed.nominal_period());
+  MultiEstimatorSession session;
+  session.enable_trace_recording(config);
+  session.add_lane(config, std::make_unique<TscNtpEstimator>(
+                               config.params, testbed.nominal_period()));
   CollectorSink collector;
-  session.add_sink(collector);
+  session.add_sink(0, collector);
   session.run(testbed);
   std::vector<SampleRecord> records = collector.records();
 

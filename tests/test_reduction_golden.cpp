@@ -141,9 +141,9 @@ TEST(ReductionGolden, ExactReductionOfARelativeOnlyTraceCellIsPinned) {
   config.params = core::Params::for_poll_period(scenario.poll_period);
   config.discard_warmup = kWarmup;
   config.warmup_policy = harness::WarmupPolicy::kObservable;
-  config.record_trace = true;
   sim::Testbed testbed(scenario);
-  harness::ClockSession session(config, testbed.nominal_period());
+  harness::MultiEstimatorSession session;
+  session.enable_trace_recording(config);
   session.run(testbed);
 
   trace::TraceMeta meta;

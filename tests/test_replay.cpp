@@ -50,7 +50,6 @@ SessionConfig replay_config(const sim::ScenarioConfig& scenario) {
   config.params = core::Params::for_poll_period(scenario.poll_period);
   config.discard_warmup = 30 * duration::kMinute;
   config.warmup_policy = WarmupPolicy::kObservable;
-  config.record_trace = true;
   return config;
 }
 
@@ -101,7 +100,8 @@ TEST(ReplayGolden, OfflineLaneBitIdenticalToLegacyHandrolledLoop) {
   ASSERT_FALSE(legacy.errors.empty());
 
   sim::Testbed testbed(scenario);
-  ClockSession online(config, testbed.nominal_period());
+  MultiEstimatorSession online;
+  online.enable_trace_recording(config);
   online.run(testbed);
 
   auto smoother = std::make_unique<OfflineSmootherEstimator>(
@@ -135,15 +135,20 @@ TEST(TraceRecorder, RecordsExactlyWhatTheSessionSaw) {
   config.emit_unevaluated = true;  // records for every poll, lost included
 
   sim::Testbed testbed(scenario);
-  ClockSession session(config, testbed.nominal_period());
+  MultiEstimatorSession session;
+  session.enable_trace_recording(config);
+  const std::size_t lane = session.add_lane(
+      config,
+      std::make_unique<TscNtpEstimator>(config.params, testbed.nominal_period()));
   CollectorSink records;
-  session.add_sink(records);
+  session.add_sink(lane, records);
   session.run(testbed);
 
   const ReplayTrace& trace = session.trace();
-  EXPECT_EQ(trace.exchanges, session.summary().exchanges);
-  EXPECT_EQ(trace.lost, session.summary().lost);
-  EXPECT_EQ(trace.polls_enumerated, session.summary().polls_enumerated);
+  const SessionSummary& summary = session.lane(lane).summary();
+  EXPECT_EQ(trace.exchanges, summary.exchanges);
+  EXPECT_EQ(trace.lost, summary.lost);
+  EXPECT_EQ(trace.polls_enumerated, summary.polls_enumerated);
   ASSERT_EQ(trace.samples.size(), records.records().size());
   bool saw_lost = false;
   bool saw_server_change = false;
@@ -172,53 +177,8 @@ TEST(TraceRecorder, RecordsExactlyWhatTheSessionSaw) {
 }
 
 TEST(TraceRecorder, SessionWithoutRecordingRefusesTraceAccess) {
-  sim::ScenarioConfig scenario;
-  scenario.seed = 7;
-  sim::Testbed testbed(scenario);
-  SessionConfig config;
-  config.params = core::Params::for_poll_period(scenario.poll_period);
-  ClockSession session(config, testbed.nominal_period());
-  EXPECT_THROW(session.trace(), ContractViolation);
   MultiEstimatorSession multi;
   EXPECT_THROW(multi.trace(), ContractViolation);
-}
-
-TEST(TraceRecorder, MultiSessionRecordsOnceForAllLanes) {
-  const auto scenario = replay_scenario(901);
-  const auto config = replay_config(scenario);
-
-  // Reference: a single recording session, fed one exchange at a time.
-  sim::Testbed solo_testbed(scenario);
-  ClockSession solo(config, solo_testbed.nominal_period());
-  while (auto ex = solo_testbed.next()) solo.process(*ex);
-  solo.set_polls_enumerated(solo_testbed.polls_enumerated());
-
-  // The multi-session records at the fan-out level (estimator-independent,
-  // so one canonical recording regardless of lane count).
-  sim::Testbed testbed(scenario);
-  MultiEstimatorSession session;
-  session.enable_trace_recording(config);
-  const auto& registry = estimator_registry();
-  session.add_lane(config,
-                   registry.make_online(EstimatorSpec{"robust", {}},
-                                        config.params,
-                                        testbed.nominal_period()));
-  session.add_lane(config,
-                   registry.make_online(EstimatorSpec{"naive", {}},
-                                        config.params,
-                                        testbed.nominal_period()));
-  session.run(testbed);
-
-  const ReplayTrace& a = solo.trace();
-  const ReplayTrace& b = session.trace();
-  ASSERT_EQ(a.samples.size(), b.samples.size());
-  EXPECT_EQ(a.polls_enumerated, b.polls_enumerated);
-  for (std::size_t i = 0; i < a.samples.size(); ++i) {
-    EXPECT_EQ(a.samples[i].lost, b.samples[i].lost);
-    EXPECT_EQ(a.samples[i].raw.tf, b.samples[i].raw.tf);
-    EXPECT_EQ(a.samples[i].tg, b.samples[i].tg);
-    EXPECT_EQ(a.samples[i].in_warmup, b.samples[i].in_warmup);
-  }
 }
 
 // -- ReplaySession scoring semantics ---------------------------------------
@@ -227,9 +187,12 @@ TEST(ReplaySession, EvaluatedSetMatchesOnlineLanes) {
   const auto scenario = replay_scenario(333);
   const auto config = replay_config(scenario);
   sim::Testbed testbed(scenario);
-  ClockSession online(config, testbed.nominal_period());
+  MultiEstimatorSession online;
+  online.enable_trace_recording(config);
+  online.add_lane(config, std::make_unique<TscNtpEstimator>(
+                              config.params, testbed.nominal_period()));
   CollectorSink online_records;
-  online.add_sink(online_records);
+  online.add_sink(0, online_records);
   online.run(testbed);
 
   ReplaySession replay(config, std::make_unique<OfflineSmootherEstimator>(
@@ -254,11 +217,11 @@ TEST(ReplaySession, EvaluatedSetMatchesOnlineLanes) {
     EXPECT_TRUE(std::isfinite(r.offset_error));
     EXPECT_GT(r.period, 0.0);
   }
-  EXPECT_EQ(replay.summary().exchanges, online.summary().exchanges);
-  EXPECT_EQ(replay.summary().lost, online.summary().lost);
-  EXPECT_EQ(replay.summary().evaluated, online.summary().evaluated);
-  EXPECT_EQ(replay.summary().polls_enumerated,
-            online.summary().polls_enumerated);
+  const SessionSummary& summary = online.lane(0).summary();
+  EXPECT_EQ(replay.summary().exchanges, summary.exchanges);
+  EXPECT_EQ(replay.summary().lost, summary.lost);
+  EXPECT_EQ(replay.summary().evaluated, summary.evaluated);
+  EXPECT_EQ(replay.summary().polls_enumerated, summary.polls_enumerated);
   EXPECT_EQ(replay.summary().final_status.offset_fallbacks,
             dynamic_cast<const OfflineSmootherEstimator&>(replay.estimator())
                 .result()
@@ -303,7 +266,8 @@ TEST(OfflineSplit, NoDetectedShiftDelegatesToWholeTraceSmoothing) {
   const auto config = replay_config(scenario);
 
   sim::Testbed testbed(scenario);
-  ClockSession online(config, testbed.nominal_period());
+  MultiEstimatorSession online;
+  online.enable_trace_recording(config);
   online.run(testbed);
 
   const auto score = [&](OfflineSmootherEstimator::Split split) {
@@ -349,7 +313,8 @@ TEST(OfflineSplit, LevelShiftTraceIsCutAndRebasesTheMinimum) {
   const auto config = replay_config(scenario);
 
   sim::Testbed testbed(scenario);
-  ClockSession online(config, testbed.nominal_period());
+  MultiEstimatorSession online;
+  online.enable_trace_recording(config);
   online.run(testbed);
 
   struct Scored {

@@ -71,7 +71,6 @@ harness::SessionConfig trace_config(const sim::ScenarioConfig& scenario) {
   config.params = core::Params::for_poll_period(scenario.poll_period);
   config.discard_warmup = 30 * duration::kMinute;
   config.warmup_policy = harness::WarmupPolicy::kObservable;
-  config.record_trace = true;
   config.emit_unevaluated = true;
   return config;
 }
@@ -116,7 +115,8 @@ TEST(TraceReplayGolden, ExportedTraceReplaysBitIdenticalToInMemory) {
   const auto scenario = trace_scenario();
   const auto config = trace_config(scenario);
   sim::Testbed testbed(scenario);
-  harness::ClockSession session(config, testbed.nominal_period());
+  harness::MultiEstimatorSession session;
+  session.enable_trace_recording(config);
   session.run(testbed);
   const harness::ReplayTrace& recorded = session.trace();
   ASSERT_GT(recorded.lost, 0u) << "the outage must cost polls";
@@ -177,7 +177,8 @@ TEST(TraceReplayGolden, RelativeOnlyExportScoresTrackingResidual) {
   const auto scenario = trace_scenario();
   const auto config = trace_config(scenario);
   sim::Testbed testbed(scenario);
-  harness::ClockSession session(config, testbed.nominal_period());
+  harness::MultiEstimatorSession session;
+  session.enable_trace_recording(config);
   session.run(testbed);
 
   // Strip the ground truth on export — the "what would the field see" view
@@ -251,7 +252,8 @@ TEST(TraceReplayGolden, BackwardsServerStepScoresUnderBothReductionEngines) {
   const auto scenario = trace_scenario();
   const auto config = trace_config(scenario);
   sim::Testbed testbed(scenario);
-  harness::ClockSession session(config, testbed.nominal_period());
+  harness::MultiEstimatorSession session;
+  session.enable_trace_recording(config);
   session.run(testbed);
   harness::ReplayTrace stepped = session.trace();
   // The second arrived record past the midpoint steps 1 s behind the first.
@@ -306,8 +308,8 @@ TEST(TraceReplayGolden, SupportsOfflineWorkflow) {
   sim::Testbed testbed(scenario);
   harness::SessionConfig config;
   config.params = core::Params::for_poll_period(scenario.poll_period);
-  config.record_trace = true;
-  harness::ClockSession session(config, testbed.nominal_period());
+  harness::MultiEstimatorSession session;
+  session.enable_trace_recording(config);
   session.run(testbed);
 
   TraceMeta meta;
@@ -350,7 +352,8 @@ TEST(TraceReplayPool, TraceCellIsIdenticalOnEveryPool) {
       {duration::kDay, sim::kForever, 4e-4, 4e-4});
   const auto config = trace_config(scenario);
   sim::Testbed testbed(scenario);
-  harness::ClockSession session(config, testbed.nominal_period());
+  harness::MultiEstimatorSession session;
+  session.enable_trace_recording(config);
   session.run(testbed);
   ASSERT_GT(session.trace().arrived(), 2 * core::kSmoothBlock);
   TraceMeta meta;
@@ -424,6 +427,61 @@ TEST(TraceReplayPool, TraceCellIsIdenticalOnEveryPool) {
             << "record " << i;
       }
     }
+  }
+  fs::remove(path);
+}
+
+TEST(TraceReplayCell, OnlineSpecsAreRefusedByName) {
+  // An imported trace has no Testbed to drive, so an online spec cannot
+  // score it: run_scenario_multi throws naming the spec, and the sweep
+  // turns that into a FAILED row for every lane of the cell while the sim
+  // cell beside it still scores both specs.
+  const auto scenario = trace_scenario();
+  sim::Testbed testbed(scenario);
+  harness::MultiEstimatorSession session;
+  session.enable_trace_recording(trace_config(scenario));
+  session.run(testbed);
+  TraceMeta meta;
+  meta.mode = harness::GroundTruthMode::kReference;
+  meta.nominal_period = testbed.nominal_period();
+  meta.poll_period = scenario.poll_period;
+  const auto path = temp_path("refused.trace");
+  write_trace(path.string(), meta, session.trace());
+
+  const auto specs = harness::estimator_registry().parse_list("offline,robust");
+  const std::string reason =
+      "estimator 'robust' runs online and cannot score an imported trace "
+      "cell";
+  sweep::SweepScenario cell;
+  cell.name = "trace:refused";
+  cell.trace_path = path.string();
+  try {
+    (void)sweep::run_scenario_multi(cell, specs, 0);
+    ADD_FAILURE() << "an online spec scored an imported trace cell";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+        << e.what();
+  }
+
+  sweep::GridSpec grid;
+  grid.servers = {sim::ServerKind::kInt};
+  grid.environments = {sim::Environment::kLaboratory};
+  grid.poll_periods = {16.0};
+  grid.duration = 2 * duration::kHour;
+  grid.estimators = specs;
+  grid.trace_inputs = {path.string()};
+  sweep::SweepOptions options;
+  options.threads = 1;
+  options.discard_warmup = 600.0;
+  const auto results = sweep::ScenarioSweep(grid).run(options);
+  ASSERT_EQ(results.size(), 4u);
+  for (std::size_t e = 0; e < 2; ++e) {
+    SCOPED_TRACE(specs[e].label());
+    EXPECT_FALSE(results[e].failed) << results[e].error;
+    const sweep::ScenarioResult& refused = results[2 + e];
+    EXPECT_TRUE(refused.failed);
+    EXPECT_EQ(refused.name, "trace:" + path.string());
+    EXPECT_NE(refused.error.find(reason), std::string::npos) << refused.error;
   }
   fs::remove(path);
 }
