@@ -1,9 +1,11 @@
 #include "common/serialize.hpp"
 
+#include <array>
 #include <bit>
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -20,11 +22,20 @@ constexpr int kMinNormalExponent = 1 - kExponentBias;  // also the subnormals'
 constexpr std::uint64_t kMantissaMask = (std::uint64_t{1} << kMantissaBits) - 1;
 constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
 
-/// Value of a lowercase hex digit (the only case %a writes), or -1.
+/// Each byte's value as a lowercase hex digit (the only case %a writes), or
+/// -1: a table, because digits and letters mix at random in a mantissa and
+/// a compare chain mispredicts on them.
+constexpr std::array<std::int8_t, 256> kHexDigitValue = [] {
+  std::array<std::int8_t, 256> table{};
+  table.fill(-1);
+  for (int c = '0'; c <= '9'; ++c) table[c] = static_cast<std::int8_t>(c - '0');
+  for (int c = 'a'; c <= 'f'; ++c)
+    table[c] = static_cast<std::int8_t>(c - 'a' + 10);
+  return table;
+}();
+
 int hex_digit_value(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  return -1;
+  return kHexDigitValue[static_cast<unsigned char>(c)];
 }
 
 /// parse_double_exact's fast path: the text append_double_exact writes for

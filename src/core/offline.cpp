@@ -116,41 +116,54 @@ OfflineResult smooth_offsets(std::span<const RawExchange> trace,
     if (k % kSmoothBlock == 0) block_lo[k / kSmoothBlock] = lo;
   }
 
+  // Packet i's total error at `distance` from the packet being smoothed:
+  // its point error, aged by that distance.
+  const auto total_error = [&](Seconds distance, std::size_t i) -> Seconds {
+    return point_error[i] +
+           (params.enable_aging ? params.aging_rate * distance : 0.0);
+  };
   const auto smooth_block = [&](std::size_t block) {
     const std::size_t end = std::min(n, (block + 1) * kSmoothBlock);
     std::size_t lo = block_lo[block];
     for (std::size_t k = block * kSmoothBlock; k < end; ++k) {
       lo = advance_lo(lo, k);
-      double weight_sum = 0;
-      double weighted = 0;
+      // The window's best packet first: the weights are only worth their
+      // exp when it is good enough to average around.
       Seconds best_total = std::numeric_limits<double>::infinity();
       std::size_t best_idx = k;
-      for (std::size_t i = lo; i < n; ++i) {
+      std::size_t hi = lo;
+      for (; hi < n; ++hi) {
         const Seconds distance =
-            std::fabs(timescale.between(trace[i].tf, trace[k].tf));
-        if (i > k && distance > half_window) break;
-        const Seconds total =
-            point_error[i] + (params.enable_aging
-                                  ? params.aging_rate * distance
-                                  : 0.0);
+            std::fabs(timescale.between(trace[hi].tf, trace[k].tf));
+        if (hi > k && distance > half_window) break;
+        const Seconds total = total_error(distance, hi);
         if (total < best_total) {
           best_total = total;
-          best_idx = i;
+          best_idx = hi;
         }
-        const double z = total / params.offset_quality;
-        const double w = std::exp(-z * z);
-        weight_sum += w;
-        weighted += w * naive[i];
       }
-      if (best_total <= params.extreme_quality() && weight_sum > 0.0) {
-        result.offsets[k] = weighted / weight_sum;
-      } else {
-        // Whole window poor: fall back to the best packet in it (two-sided,
-        // so this is already the nearest good information in either
-        // direction).
-        result.offsets[k] = naive[best_idx];
-        ++block_poor[block];
+      if (best_total <= params.extreme_quality()) {
+        double weight_sum = 0;
+        double weighted = 0;
+        for (std::size_t i = lo; i < hi; ++i) {
+          const Seconds distance =
+              std::fabs(timescale.between(trace[i].tf, trace[k].tf));
+          const double z = total_error(distance, i) / params.offset_quality;
+          const double w = std::exp(-z * z);
+          weight_sum += w;
+          weighted += w * naive[i];
+        }
+        // A large extreme_quality_factor can still underflow every weight.
+        if (weight_sum > 0.0) {
+          result.offsets[k] = weighted / weight_sum;
+          continue;
+        }
       }
+      // Whole window poor: fall back to the best packet in it (two-sided,
+      // so this is already the nearest good information in either
+      // direction).
+      result.offsets[k] = naive[best_idx];
+      ++block_poor[block];
     }
   };
   if (pool != nullptr && blocks > 1) {

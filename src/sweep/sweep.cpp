@@ -100,8 +100,8 @@ std::vector<ScenarioResult> run_scenario_multi(
                                                ? harness::Percentiles::kSketch
                                                : harness::Percentiles::kExact;
 
-  // Fleet cells and replay lanes spread their work over the caller's pool,
-  // or over one of their own with a thread per usable CPU.
+  // Fleet cells, trace files and replay lanes spread their work over the
+  // caller's pool, or over one of their own with a thread per usable CPU.
   std::optional<ThreadPool> own_pool;
   const auto cell_pool = [&]() -> ThreadPool& {
     if (pool != nullptr) return *pool;
@@ -154,7 +154,7 @@ std::vector<ScenarioResult> run_scenario_multi(
   std::optional<sim::Testbed> testbed;
   std::optional<sim::FleetTestbed> fleet;
   if (trace_cell)
-    imported.emplace(trace::read_trace(scenario.trace_path));
+    imported.emplace(trace::read_trace(scenario.trace_path, &cell_pool()));
   else if (fleet_cell)
     fleet.emplace(scenario.config, scenario.fleet.config);
   else

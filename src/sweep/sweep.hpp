@@ -168,10 +168,11 @@ struct SweepOptions {
 /// there throws std::runtime_error naming the spec. `trace_export_path`,
 /// when non-empty, additionally writes the drain's recorded trace as a
 /// reference-bearing trace file.
-/// A fleet cell spreads its clients over `pool`, and every replay lane its
-/// smoothing windows; without one such a cell makes a pool with one thread
-/// per usable CPU for the call. Other cells run on the calling thread. The
-/// results do not depend on the pool.
+/// A fleet cell spreads its clients over `pool`, an is_trace() cell its
+/// file parse (trace::read_trace), and every replay lane its smoothing
+/// windows; without one such a cell makes a pool with one thread per
+/// usable CPU for the call. Other cells run on the calling thread. The
+/// results, and a trace cell's read error, do not depend on the pool.
 std::vector<ScenarioResult> run_scenario_multi(
     const SweepScenario& scenario,
     std::span<const harness::EstimatorSpec> estimators,

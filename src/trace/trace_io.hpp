@@ -42,9 +42,9 @@
 //
 // The two writers differ only in when bytes reach the file. TraceWriter
 // flushes after every record, so a killed live collector leaves every
-// completed line on disk; write_trace leaves the chunking to the stream's
-// own buffer and flushes once, when the file is complete. Both produce the
-// same bytes.
+// completed line on disk; write_trace formats records into one reused
+// block of about 1 MiB, hands the stream a block at a time and flushes
+// once, when the file is complete. Both produce the same bytes.
 #pragma once
 
 #include <cstdint>
@@ -53,6 +53,7 @@
 #include <string>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "harness/replay.hpp"
 
 namespace tscclock::trace {
@@ -68,6 +69,10 @@ constexpr int kTraceFormatVersion = 1;
 /// read_trace parses through a read window of this many bytes, grown only
 /// for a longer line, instead of loading the whole file.
 constexpr std::size_t kTraceReadWindow = std::size_t{1} << 20;
+
+/// read_trace cuts the complete lines of each read window into parse tasks
+/// of about this many bytes, each ending on a line boundary.
+constexpr std::size_t kTraceParseChunk = std::size_t{1} << 16;
 
 /// Header block of a trace file: everything a replay needs besides the
 /// samples themselves.
@@ -133,7 +138,8 @@ class TraceWriter {
 
 /// One-shot export of a recorded trace (TraceRecorder output or a replayed
 /// import). Writes the same bytes as TraceWriter + write per sample +
-/// close(trace.polls_enumerated), but buffered: no per-record flush.
+/// close(trace.polls_enumerated), but a block of records per write and no
+/// per-record flush.
 void write_trace(const std::string& path, const TraceMeta& meta,
                  const harness::ReplayTrace& trace);
 
@@ -145,6 +151,12 @@ void write_trace(const std::string& path, const TraceMeta& meta,
 /// client ids mixing mid-file, non-monotone Ta across non-lost records,
 /// torn tails, missing end marker, end-marker count mismatches, and
 /// trailing content after `end`. Recoverable oddities land in warnings.
-ReadTrace read_trace(const std::string& path);
+///
+/// With a `pool`, each read window's records are parsed in
+/// kTraceParseChunk tasks on it (without one the same tasks run on the
+/// calling thread), then checked in record order. The samples, warnings and
+/// the error thrown (the earliest fault in the file) are identical at every
+/// worker count.
+ReadTrace read_trace(const std::string& path, ThreadPool* pool = nullptr);
 
 }  // namespace tscclock::trace

@@ -5,7 +5,9 @@
 // completeness witnessing, and the warning (exit-1) taxonomy. Also pins the
 // two writers' flush behaviour: write_trace's buffered export is
 // byte-identical to the streaming TraceWriter, which flushes every record
-// before close().
+// before close(). The pooled parse reads the same samples, warnings and
+// earliest error as the serial one, wherever the faults sit against its
+// window and chunk edges, and a trace cell scores the same on any pool.
 #include "trace/trace_io.hpp"
 
 #include <gtest/gtest.h>
@@ -16,15 +18,23 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/serialize.hpp"
+#include "common/thread_pool.hpp"
 #include "common/time_types.hpp"
+#include "harness/estimator_spec.hpp"
+#include "harness/sinks.hpp"
+#include "sim/scenario.hpp"
+#include "sweep/result_io.hpp"
+#include "sweep/sweep.hpp"
 
 namespace tscclock::trace {
 namespace {
@@ -709,6 +719,284 @@ TEST(TraceIo, WarnsOnUnscorableLengthAndZeroReferenceCoverage) {
       << loaded.warnings[0];
   EXPECT_NE(loaded.warnings[1].find("not scorable"), std::string::npos)
       << loaded.warnings[1];
+  fs::remove(path);
+}
+
+// -- The pooled parse --------------------------------------------------------
+
+void expect_same_read(const ReadTrace& got, const ReadTrace& want) {
+  EXPECT_EQ(got.meta.mode, want.meta.mode);
+  EXPECT_TRUE(same_bits(got.meta.nominal_period, want.meta.nominal_period));
+  EXPECT_TRUE(same_bits(got.meta.poll_period, want.meta.poll_period));
+  EXPECT_EQ(got.meta.client_id, want.meta.client_id);
+  EXPECT_EQ(got.meta.label, want.meta.label);
+  EXPECT_EQ(got.warnings, want.warnings);
+  EXPECT_EQ(got.trace.ground_truth, want.trace.ground_truth);
+  EXPECT_EQ(got.trace.exchanges, want.trace.exchanges);
+  EXPECT_EQ(got.trace.lost, want.trace.lost);
+  EXPECT_EQ(got.trace.polls_enumerated, want.trace.polls_enumerated);
+  ASSERT_EQ(got.trace.samples.size(), want.trace.samples.size());
+  for (std::size_t i = 0; i < want.trace.samples.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_sample_bits(got.trace.samples[i], want.trace.samples[i]);
+    EXPECT_TRUE(same_bits(got.trace.samples[i].t_day,
+                          want.trace.samples[i].t_day));
+  }
+}
+
+/// read_trace's error on `path` on `pool`, or "" when it reads.
+std::string pooled_read_error(const fs::path& path, ThreadPool& pool) {
+  try {
+    read_trace(path.string(), &pool);
+  } catch (const TraceIoError& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(TraceIoPool, PooledReadEqualsSerialAcrossWindows) {
+  const auto path = temp_path("pooled.trace");
+  harness::ReplayTrace trace = long_trace(20000);
+  trace.samples[12345].raw.tb = 1.0;  // a server step: one warning
+  write_trace(path.string(), reference_meta(), trace);
+  ASSERT_GT(fs::file_size(path), 3 * kTraceReadWindow);
+  const ReadTrace serial = read_trace(path.string());
+  ASSERT_EQ(serial.warnings.size(), 1u);
+  EXPECT_NE(serial.warnings[0].find("record 12345"), std::string::npos);
+  for (const std::size_t workers : {1, 2, 4}) {
+    SCOPED_TRACE(workers);
+    ThreadPool pool(workers);
+    expect_same_read(read_trace(path.string(), &pool), serial);
+  }
+  fs::remove(path);
+}
+
+/// Faults planted in a file of several read windows. Record i of
+/// long_trace has index i, so a record's slot is the number in its line.
+class TraceIoPoolFaults : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    content_ = windowed_file(path_, 0, long_trace(20000));
+    ASSERT_GT(content_.size(), 3 * kTraceReadWindow);
+  }
+  void TearDown() override { fs::remove(path_); }
+
+  /// The record whose line holds byte `offset` of the file.
+  [[nodiscard]] std::size_t record_at(std::size_t offset) const {
+    const std::size_t line = content_.rfind('\n', offset - 1) + 1;
+    EXPECT_EQ(content_.compare(line, 2, "x\t"), 0);
+    return std::stoul(content_.substr(line + 2, 12));
+  }
+
+  /// The base file with column `column` of each listed record replaced.
+  [[nodiscard]] std::string with_fields(
+      std::initializer_list<std::tuple<std::size_t, std::size_t, std::string>>
+          changes) const {
+    std::string content = content_;
+    for (const auto& [record, column, token] : changes) {
+      const std::string tag = "\nx\t" + std::to_string(record) + "\t";
+      std::size_t begin = content.find(tag) + 1;
+      for (std::size_t c = 0; c < column; ++c)
+        begin = content.find('\t', begin) + 1;
+      const std::size_t end = content.find_first_of("\t\n", begin);
+      content.replace(begin, end - begin, token);
+    }
+    return content;
+  }
+
+  /// Writes `content` and expects exactly `what` from the serial read and
+  /// from a 4-worker pool.
+  void expect_error(const std::string& content, const std::string& what) {
+    write_file(path_, content);
+    EXPECT_EQ(read_error(path_), "trace " + path_.string() + what);
+    EXPECT_EQ(pooled_read_error(path_, pool_),
+              "trace " + path_.string() + what);
+  }
+
+  static std::string bad_bool(std::size_t record) {
+    return ", record " + std::to_string(record) + ": malformed bool field '2'";
+  }
+
+  /// The error for record `record`'s Ta set to 1.
+  static std::string send_time_step(std::size_t record) {
+    std::size_t previous = record - 1;
+    if (previous % 97 == 96) --previous;  // lost: not an arrival
+    return ", record " + std::to_string(record) +
+           ": send time Ta 1 is not after the previous arrival's " +
+           std::to_string(1'000'000'000'000ull + 16'000'000'123ull * previous) +
+           " (records out of order, or two interleaved captures)";
+  }
+
+  /// The first byte of the samples section.
+  [[nodiscard]] std::size_t samples_start() const {
+    return content_.find("\nsamples\n") + std::strlen("\nsamples\n");
+  }
+
+  const fs::path path_ = temp_path("pool_faults.trace");
+  std::string content_;
+  ThreadPool pool_{4};
+};
+
+TEST_F(TraceIoPoolFaults, AFaultNextToAChunkOrWindowEdgeNamesItsRecord) {
+  // Records around the first window's first two chunk cuts, the window
+  // edge, and the second window's first chunk cut.
+  const std::size_t start = samples_start();
+  for (const std::size_t edge :
+       {start + kTraceParseChunk, start + 2 * kTraceParseChunk,
+        kTraceReadWindow, kTraceReadWindow + kTraceParseChunk}) {
+    const std::size_t at = record_at(edge);
+    for (const std::size_t record : {at - 1, at, at + 1}) {
+      SCOPED_TRACE(record);
+      expect_error(with_fields({{record, 2, "2"}}), bad_bool(record));
+      if (record % 97 == 96) continue;  // lost: its Ta is not checked
+      expect_error(with_fields({{record, 6, "1"}}), send_time_step(record));
+    }
+  }
+}
+
+TEST_F(TraceIoPoolFaults, TheEarlierOfTwoParseFaultsWins) {
+  // The record holding the chunk size's byte may still end the first
+  // chunk; the one after it is in the second.
+  const std::size_t second_chunk =
+      record_at(samples_start() + kTraceParseChunk) + 1;
+  const std::size_t second_window = record_at(kTraceReadWindow) + 1;
+  expect_error(with_fields({{100, 2, "2"}, {second_chunk, 3, "x"}}),
+               bad_bool(100));
+  expect_error(with_fields({{second_chunk, 2, "2"}, {second_window, 3, "x"}}),
+               bad_bool(second_chunk));
+  expect_error(with_fields({{second_window, 2, "2"}, {19000, 3, "x"}}),
+               bad_bool(second_window));
+}
+
+TEST_F(TraceIoPoolFaults, AnEarlierSendTimeStepWinsOverALaterParseFault) {
+  const std::string step = send_time_step(100);
+  const std::size_t later_chunk =
+      record_at(samples_start() + kTraceParseChunk) + 1;
+  const std::size_t later_window = record_at(kTraceReadWindow) + 1;
+  ASSERT_GT(later_chunk, 101u);
+  expect_error(with_fields({{100, 6, "1"}, {101, 2, "2"}}), step);
+  expect_error(with_fields({{100, 6, "1"}, {later_chunk, 2, "2"}}), step);
+  expect_error(with_fields({{100, 6, "1"}, {later_window, 2, "2"}}), step);
+  // ...and a parse fault wins over a later step.
+  expect_error(with_fields({{100, 2, "2"}, {later_window, 6, "1"}}),
+               bad_bool(100));
+}
+
+TEST_F(TraceIoPoolFaults, ContentAfterTheEndMarkerAndTornTails) {
+  // The end marker and the line after it share the last window.
+  expect_error(content_ + "trailing\n",
+               ": content after the end marker ('trailing')");
+  expect_error(content_ + "partial",
+               ": torn trailing line after the end marker");
+  // The end marker alone at a window's end: what follows is read after.
+  const std::size_t end_at = content_.rfind("end ");
+  std::string padded = content_.substr(0, end_at);
+  padded += std::string(kTraceReadWindow - padded.size() % kTraceReadWindow,
+                        '\n');
+  expect_error(padded + content_.substr(end_at),
+               ", record 20000: expected a sample record, got ''");
+  // A final record cut short, in the last window.
+  expect_error(content_.substr(0, end_at - 40),
+               ": torn trailing line (the file ends mid-record)");
+  expect_error(content_.substr(0, end_at),
+               ": truncated (unexpected end of file)");
+}
+
+TEST_F(TraceIoPoolFaults, AnEndMarkerMidFileEndsTheRecords) {
+  // An end marker in the first window: its counts are checked first, then
+  // the record after it is content after the end.
+  const std::size_t cut = content_.find("\nx\t", 4096) + 1;
+  const std::size_t records = record_at(cut);
+  const std::size_t lost = records / 97;  // every 97th record is lost
+  const std::string held = std::to_string(records) + " / " +
+                           std::to_string(lost);
+  std::string content = content_;
+  content.insert(cut, "end 0 0 0\n");
+  expect_error(content, ": end marker declares 0 exchanges / 0 lost, file "
+                        "holds " + held);
+  content = content_;
+  content.insert(cut, "end " + std::to_string(records) + " " +
+                          std::to_string(lost) + " " +
+                          std::to_string(records) + "\n");
+  expect_error(content, ": content after the end marker ('" +
+                            content_.substr(cut, content_.find('\n', cut) -
+                                                     cut) +
+                            "')");
+}
+
+TEST(TraceIoPool, ReadsAPipeOnAPool) {
+  const auto file = temp_path("pool_pipe_source.trace");
+  const auto fifo = temp_path("pool_pipe.fifo");
+  write_trace(file.string(), reference_meta(), long_trace(15000));
+  const std::string content = read_file(file);
+  ASSERT_GT(content.size(), 2 * kTraceReadWindow);
+  fs::remove(fifo);
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  std::signal(SIGPIPE, SIG_IGN);
+  std::thread feeder(
+      [&] { std::ofstream(fifo, std::ios::binary) << content; });
+  ThreadPool pool(4);
+  ReadTrace from_pipe;
+  std::string what;
+  try {
+    from_pipe = read_trace(fifo.string(), &pool);
+  } catch (const TraceIoError& e) {
+    what = e.what();
+  }
+  feeder.join();
+  ASSERT_EQ(what, "");
+  expect_same_read(from_pipe, read_trace(file.string()));
+  fs::remove(fifo);
+  fs::remove(file);
+}
+
+TEST(TraceIoPool, TraceCellScoresTheSameOnOneAndFourThreads) {
+  // A four-day recording spans several read windows and smoothing blocks.
+  sweep::SweepScenario source;
+  source.name = "pool-source";
+  source.config.server = sim::ServerKind::kInt;
+  source.config.poll_period = 16.0;
+  source.config.duration = 4 * duration::kDay;
+  source.config.seed = 23;
+  const auto path = temp_path("pool_cell.trace");
+  const auto specs =
+      harness::estimator_registry().parse_list("offline,offline(split=shifts)");
+  (void)sweep::run_scenario_multi(source, specs, 600, {}, false,
+                                  path.string());
+  ASSERT_GT(fs::file_size(path), 3 * kTraceReadWindow);
+
+  sweep::SweepScenario cell;
+  cell.name = "trace:pool-source";
+  cell.trace_path = path.string();
+  const auto run_cell = [&](std::size_t threads,
+                            std::vector<harness::CollectorSink>& dumps) {
+    ThreadPool pool(threads);
+    std::vector<harness::SampleSink*> sinks;
+    for (auto& dump : dumps) sinks.push_back(&dump);
+    std::string lines;
+    for (const auto& result :
+         sweep::run_scenario_multi(cell, specs, 0, sinks, false, {}, &pool)) {
+      EXPECT_FALSE(result.failed) << result.error;
+      lines += sweep::serialize_result(result) + "\n";
+    }
+    return lines;
+  };
+  std::vector<harness::CollectorSink> one(specs.size()), four(specs.size());
+  EXPECT_EQ(run_cell(1, one), run_cell(4, four));
+  for (std::size_t e = 0; e < specs.size(); ++e) {
+    SCOPED_TRACE(specs[e].label());
+    const auto& a = one[e].records();
+    const auto& b = four[e].records();
+    ASSERT_EQ(a.size(), b.size());
+    ASSERT_GT(a.size(), 20000u);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      ASSERT_TRUE(same_bits(a[i].report.offset_estimate,
+                            b[i].report.offset_estimate))
+          << "record " << i;
+      ASSERT_TRUE(same_bits(a[i].abs_clock_error, b[i].abs_clock_error))
+          << "record " << i;
+    }
+  }
   fs::remove(path);
 }
 

@@ -82,6 +82,7 @@
 #include <vector>
 
 #include "common/table.hpp"
+#include "common/thread_pool.hpp"
 #include "harness/estimator_spec.hpp"
 #include "sweep/sweep.hpp"
 #include "trace/trace_io.hpp"
@@ -330,8 +331,9 @@ sweep::ScheduleVariant make_schedule(const std::string& name,
       "  --seed N           master seed                    (default 42)\n"
       "  --threads N        worker threads, 0 = all cores  (default 0);\n"
       "                     fleet cells spread their clients, and trace\n"
-      "                     cells their smoothing windows, over the same\n"
-      "                     workers (results identical at any N)\n"
+      "                     cells their file parse and smoothing windows,\n"
+      "                     over the same workers (results identical at\n"
+      "                     any N)\n"
       "  --warmup-s S       discard first S seconds        (default 3600)\n"
       "  --no-wire          skip the NTP wire-format round trip\n"
       "  --check-wire       assert, for every produced stamp, that the\n"
@@ -561,10 +563,12 @@ int main(int argc, char** argv) {
     }
     // Validate every trace file up front: a malformed file is a usage
     // error diagnosed with the reader's precise message, not a FAILED cell
-    // discovered after the simulated grid already ran.
+    // discovered after the simulated grid already ran. The parse runs on
+    // as many workers as the sweep; its message does not depend on them.
+    ThreadPool validation_pool(options.threads);
     for (const auto& path : grid.trace_inputs) {
       try {
-        trace::read_trace(path);
+        trace::read_trace(path, &validation_pool);
       } catch (const trace::TraceIoError& e) {
         std::fprintf(stderr, "--trace-in %s: %s\n", path.c_str(), e.what());
         return 2;
