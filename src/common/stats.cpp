@@ -1,42 +1,102 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/contracts.hpp"
 
 namespace tscclock {
 
+namespace {
+
+/// The quantiles of a PercentileSummary, ascending.
+constexpr std::array<double, 5> kSummaryQuantiles{0.01, 0.25, 0.50, 0.75,
+                                                  0.99};
+
+/// Where percentile() reads the `q` percentile of n values: the order
+/// statistics lo and hi, and the interpolation weight of hi.
+struct Rank {
+  std::size_t lo;
+  std::size_t hi;
+  double frac;
+};
+
+Rank rank_of(std::size_t n, double q) {
+  const double pos = q * static_cast<double>(n - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  return {lo, std::min(lo + 1, n - 1), pos - static_cast<double>(lo)};
+}
+
+/// percentile() at each of the ascending quantiles `qs`, from one copy of
+/// `values`. The middle quantile's lo is selected over the whole copy;
+/// each quantile below it is then selected in the slice under its upper
+/// neighbour's lo, each one above it in the slice over its lower
+/// neighbour's lo. A lo that coincides with its neighbour's is already in
+/// place. Every selected lo then holds its sorted value, and the values
+/// between two selected positions are bounded by theirs, so s[lo + 1] is
+/// the smallest value between lo and the next selected position.
+template <std::size_t N>
+std::array<double, N> select_percentiles(std::span<const double> values,
+                                         const std::array<double, N>& qs) {
+  const std::size_t n = values.size();
+  std::vector<double> v(values.begin(), values.end());
+  const auto at = [&v](std::size_t k) {
+    return v.begin() + static_cast<std::ptrdiff_t>(k);
+  };
+  std::array<Rank, N> ranks{};
+  for (std::size_t i = 0; i < N; ++i) ranks[i] = rank_of(n, qs[i]);
+
+  constexpr std::size_t mid = N / 2;
+  std::nth_element(v.begin(), at(ranks[mid].lo), v.end());
+  for (std::size_t i = mid; i-- > 0;) {
+    if (ranks[i].lo < ranks[i + 1].lo)
+      std::nth_element(v.begin(), at(ranks[i].lo), at(ranks[i + 1].lo));
+  }
+  for (std::size_t i = mid + 1; i < N; ++i) {
+    if (ranks[i].lo > ranks[i - 1].lo)
+      std::nth_element(at(ranks[i - 1].lo + 1), at(ranks[i].lo), v.end());
+  }
+
+  std::array<double, N> out{};
+  for (std::size_t i = 0; i < N; ++i) {
+    const Rank& r = ranks[i];
+    std::size_t next = n;  // the next selected position above lo
+    for (std::size_t j = i + 1; j < N; ++j) {
+      if (ranks[j].lo > r.lo) {
+        next = ranks[j].lo;
+        break;
+      }
+    }
+    double hi = v[r.lo];  // hi == lo at the top rank
+    if (r.hi == next) {
+      hi = v[next];
+    } else if (r.hi > r.lo) {
+      hi = *std::min_element(at(r.hi), at(next));
+    }
+    out[i] = v[r.lo] * (1.0 - r.frac) + hi * r.frac;
+  }
+  return out;
+}
+
+}  // namespace
+
 double percentile(std::span<const double> values, double q) {
   TSC_EXPECTS(!values.empty());
   TSC_EXPECTS(q >= 0.0 && q <= 1.0);
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted.size() == 1) return sorted.front();
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  if (values.size() == 1) return values.front();
+  return select_percentiles<1>(values, {q})[0];
 }
 
 PercentileSummary percentile_summary(std::span<const double> values) {
   TSC_EXPECTS(!values.empty());
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  const auto at = [&](double q) {
-    const double pos = q * static_cast<double>(sorted.size() - 1);
-    const auto lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-  };
+  const auto p = select_percentiles(values, kSummaryQuantiles);
   PercentileSummary s;
-  s.p01 = at(0.01);
-  s.p25 = at(0.25);
-  s.p50 = at(0.50);
-  s.p75 = at(0.75);
-  s.p99 = at(0.99);
+  s.p01 = p[0];
+  s.p25 = p[1];
+  s.p50 = p[2];
+  s.p75 = p[3];
+  s.p99 = p[4];
   return s;
 }
 
@@ -191,11 +251,27 @@ double P2Quantile::value() const {
   return heights_[2];
 }
 
-StreamingSeriesSummary::StreamingSeriesSummary()
-    : p01_(0.01), p25_(0.25), p50_(0.50), p75_(0.75), p99_(0.99) {}
+StreamingSeriesSummary::StreamingSeriesSummary() {
+  for (std::size_t k = 0; k < kQuantiles; ++k) {
+    const double q = kSummaryQuantiles[k];
+    for (std::size_t i = 0; i < kMarkers; ++i)
+      positions_[i][k] = static_cast<double>(i + 1);
+    desired_[0][k] = 1.0;
+    desired_[1][k] = 1.0 + 2.0 * q;
+    desired_[2][k] = 1.0 + 4.0 * q;
+    desired_[3][k] = 3.0 + 2.0 * q;
+    desired_[4][k] = 5.0;
+    desired_increment_[0][k] = 0.0;
+    desired_increment_[1][k] = q / 2.0;
+    desired_increment_[2][k] = q;
+    desired_increment_[3][k] = (1.0 + q) / 2.0;
+    desired_increment_[4][k] = 1.0;
+  }
+}
 
 void StreamingSeriesSummary::add(double value) {
-  if (moments_.count() == 0) {
+  const std::size_t seen = moments_.count();
+  if (seen == 0) {
     min_ = value;
     max_ = value;
   } else {
@@ -203,11 +279,78 @@ void StreamingSeriesSummary::add(double value) {
     max_ = std::max(max_, value);
   }
   moments_.update(value);
-  p01_.add(value);
-  p25_.add(value);
-  p50_.add(value);
-  p75_.add(value);
-  p99_.add(value);
+
+  // Every estimator stores the first five samples as they arrive and sorts
+  // them once the fifth is in, as P2Quantile::add does.
+  if (seen < kMarkers) {
+    for (std::size_t k = 0; k < kQuantiles; ++k) heights_[seen][k] = value;
+    if (seen + 1 == kMarkers) {
+      double first[kMarkers]{};
+      for (std::size_t i = 0; i < kMarkers; ++i) first[i] = heights_[i][0];
+      std::sort(first, first + kMarkers);
+      for (std::size_t i = 0; i < kMarkers; ++i)
+        for (std::size_t k = 0; k < kQuantiles; ++k) heights_[i][k] = first[i];
+    }
+    return;
+  }
+
+  for (std::size_t i = 0; i < kMarkers; ++i) {
+    for (std::size_t k = 0; k < kQuantiles; ++k)
+      desired_[i][k] += desired_increment_[i][k];
+  }
+
+  // Per quantile, P2Quantile::add's steps with its expressions: locate the
+  // marker cell and clamp the extremes, move the markers above the cell,
+  // then nudge markers 1..3 in order toward their desired positions.
+  for (std::size_t k = 0; k < kQuantiles; ++k) {
+    std::size_t cell = 0;
+    if (value < heights_[0][k]) {
+      heights_[0][k] = value;
+    } else if (value >= heights_[4][k]) {
+      heights_[4][k] = value;
+      cell = 3;
+    } else {
+      while (cell < 3 && value >= heights_[cell + 1][k]) ++cell;
+    }
+    for (std::size_t i = 1; i < kMarkers; ++i)
+      positions_[i][k] += i > cell ? 1.0 : 0.0;
+
+    for (std::size_t i = 1; i <= 3; ++i) {
+      const double d = desired_[i][k] - positions_[i][k];
+      const double below = positions_[i][k] - positions_[i - 1][k];
+      const double above = positions_[i + 1][k] - positions_[i][k];
+      if ((d >= 1.0 && above > 1.0) || (d <= -1.0 && below > 1.0)) {
+        double& h = heights_[i][k];
+        const double h_below = heights_[i - 1][k];
+        const double h_above = heights_[i + 1][k];
+        const double sign = d >= 1.0 ? 1.0 : -1.0;
+        const double span = positions_[i + 1][k] - positions_[i - 1][k];
+        const double parabolic =
+            h + sign / span *
+                    ((below + sign) * (h_above - h) / above +
+                     (above - sign) * (h - h_below) / below);
+        if (h_below < parabolic && parabolic < h_above) {
+          h = parabolic;
+        } else if (sign > 0.0) {
+          h += (h_above - h) / above;
+        } else {
+          h -= (h - h_below) / below;
+        }
+        positions_[i][k] += sign;
+      }
+    }
+  }
+}
+
+double StreamingSeriesSummary::estimate(std::size_t k) const {
+  const std::size_t n = moments_.count();
+  if (n <= kMarkers) {
+    double sorted[kMarkers]{};
+    for (std::size_t i = 0; i < n; ++i) sorted[i] = heights_[i][k];
+    std::sort(sorted, sorted + n);
+    return percentile(std::span<const double>(sorted, n), kSummaryQuantiles[k]);
+  }
+  return heights_[2][k];
 }
 
 SeriesSummary StreamingSeriesSummary::summary() const {
@@ -218,11 +361,11 @@ SeriesSummary StreamingSeriesSummary::summary() const {
   s.max = max_;
   s.mean = moments_.mean();
   s.stddev = moments_.stddev();
-  s.percentiles.p01 = p01_.value();
-  s.percentiles.p25 = p25_.value();
-  s.percentiles.p50 = p50_.value();
-  s.percentiles.p75 = p75_.value();
-  s.percentiles.p99 = p99_.value();
+  s.percentiles.p01 = estimate(0);
+  s.percentiles.p25 = estimate(1);
+  s.percentiles.p50 = estimate(2);
+  s.percentiles.p75 = estimate(3);
+  s.percentiles.p99 = estimate(4);
   return s;
 }
 

@@ -80,8 +80,14 @@ class WindowedMin {
   std::deque<Entry> monotone_;
 };
 
-/// Linear-interpolation percentile of a sample set; `q` in [0, 1].
-/// The input span is copied and sorted internally.
+/// Linear-interpolation percentile of a sample set; `q` in [0, 1]. With
+/// the n values in ascending order s[0..n), pos = q·(n − 1), lo = ⌊pos⌋,
+/// hi = min(lo + 1, n − 1) and frac = pos − lo, the result is
+/// s[lo]·(1 − frac) + s[hi]·frac, bit for bit; a lone value is returned as
+/// is. The span is copied once and only s[lo] and s[hi] are selected
+/// (std::nth_element), never fully sorted. A −0.0/+0.0 tie at lo or hi may
+/// yield either zero, as any sort may order them either way; with a NaN in
+/// the input the result is unspecified, but the call stays memory-safe.
 double percentile(std::span<const double> values, double q);
 
 /// The five percentile curves the paper plots in figures 9 and 10.
@@ -94,6 +100,10 @@ struct PercentileSummary {
   [[nodiscard]] double iqr() const { return p75 - p25; }
 };
 
+/// The five percentiles of one copy of `values`, each by percentile()'s
+/// interpolation (bit for bit, with its ±0.0 and NaN caveats). Nested
+/// selections read the ten order statistics: p50 over the whole copy,
+/// then p25 and p01 in the slice below it, p75 and p99 in the slice above.
 PercentileSummary percentile_summary(std::span<const double> values);
 
 /// Full descriptive summary used by EXPERIMENTS.md and the benches.
@@ -156,7 +166,8 @@ class RunningMoments {
 /// quantile of a stream with five markers — O(1) memory and O(1) per
 /// sample, no buffering. Exact for the first five observations, a
 /// piecewise-parabolic approximation afterwards; accuracy tests live in
-/// tests/test_stats.cpp.
+/// tests/test_stats.cpp, which also compare StreamingSeriesSummary's five
+/// fused estimators with this one, bit for bit.
 class P2Quantile {
  public:
   /// `q` in (0, 1), e.g. 0.5 for the median.
@@ -181,6 +192,12 @@ class P2Quantile {
 /// buffered reduction bit-for-bit), the five percentiles are P²
 /// approximations. harness::ReducerSink keeps one per error series under
 /// its Percentiles::kSketch policy.
+///
+/// The five estimators (q = 0.01, 0.25, 0.50, 0.75, 0.99) share one
+/// marker-major state, [marker][quantile]: the desired positions step as
+/// one straight loop, and one loop over the quantiles runs the rest of
+/// P2Quantile::add with its expressions and its marker order. So every
+/// estimate equals a P2Quantile fed the same stream, bit for bit.
 class StreamingSeriesSummary {
  public:
   StreamingSeriesSummary();
@@ -192,10 +209,22 @@ class StreamingSeriesSummary {
   [[nodiscard]] SeriesSummary summary() const;
 
  private:
+  static constexpr std::size_t kMarkers = 5;
+  static constexpr std::size_t kQuantiles = 5;
+  using Markers = double[kMarkers][kQuantiles];
+
+  /// One quantile's estimate, as P2Quantile::value().
+  [[nodiscard]] double estimate(std::size_t k) const;
+
   RunningMoments moments_;
   double min_ = 0;
   double max_ = 0;
-  P2Quantile p01_, p25_, p50_, p75_, p99_;
+  // The extreme markers are not min_/max_: a tie with the top marker takes
+  // the new value (`>=`), while std::max keeps the old one.
+  Markers heights_{};           ///< marker heights q_i
+  Markers positions_{};         ///< actual positions n_i
+  Markers desired_{};           ///< desired positions n'_i
+  Markers desired_increment_{};
 };
 
 }  // namespace tscclock

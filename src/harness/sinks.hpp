@@ -62,10 +62,10 @@ class CallbackSink final : public SampleSink {
 };
 
 /// Which engine computes a reduction's five percentiles (1/25/50/75/99):
-/// kExact buffers the error series and sorts it (summarize()), so the
-/// golden sweep tests pin every value bit-for-bit; kSketch keeps a
-/// StreamingSeriesSummary per series (P² sketch) in O(1) memory. Count,
-/// min, max, mean and stddev are bit-identical under both.
+/// kExact buffers the error series and selects its order statistics
+/// (summarize()), so the golden sweep tests pin every value bit-for-bit;
+/// kSketch keeps a StreamingSeriesSummary per series (P² sketch) in O(1)
+/// memory. Count, min, max, mean and stddev are bit-identical under both.
 enum class Percentiles { kExact, kSketch };
 
 /// Reduces the evaluated stream into the sweep's per-scenario statistics:

@@ -107,10 +107,10 @@ struct SweepOptions {
   Seconds discard_warmup = duration::kHour;
   /// Reduce each cell's ReducerSinks under Percentiles::kSketch (a P²
   /// sketch, O(1) memory) instead of kExact (the two error series buffered
-  /// and sorted). Counts, means, stddevs and ADEV are bit-identical either
-  /// way; only the percentiles differ. For grids × durations too large to
-  /// buffer every evaluated exchange. Default off — the determinism tests
-  /// pin the exact percentiles.
+  /// and their order statistics selected). Counts, means, stddevs and ADEV
+  /// are bit-identical either way; only the percentiles differ. For grids ×
+  /// durations too large to buffer every evaluated exchange. Default off —
+  /// the determinism tests pin the exact percentiles.
   bool streaming_reduction = false;
   /// When non-empty, every scenario's per-exchange trace (including lost and
   /// warm-up records, flagged) is dumped to this CSV file in grid order via

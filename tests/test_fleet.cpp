@@ -362,7 +362,9 @@ TEST(FleetSweep, QuotedScenarioNamesSurviveTraceCsvMerge) {
   single.threads = 1;
   single.discard_warmup = 10 * duration::kMinute;
   single.csv_path = (tmp / "single.csv").string();
-  engine.run(single);
+  const std::size_t cells =
+      engine.scenarios().size() * grid.estimators.size();
+  ASSERT_EQ(engine.run(single).size(), cells);
   ASSERT_TRUE(engine.csv_error().empty()) << engine.csv_error();
   const std::string reference_csv = read_file(tmp / "single.csv");
   ASSERT_NE(reference_csv.find("\"ServerLoc"), std::string::npos)
@@ -370,16 +372,18 @@ TEST(FleetSweep, QuotedScenarioNamesSurviveTraceCsvMerge) {
 
   std::vector<sweep::ShardDump> dumps;
   std::vector<std::string> traces;
+  std::size_t shard_cells = 0;
   for (std::size_t i = 1; i <= 2; ++i) {
     sweep::SweepOptions options = single;
     options.shard = sweep::ShardSpec{i, 2};
     options.csv_path = (tmp / ("s" + std::to_string(i) + ".csv")).string();
     options.dump_path = (tmp / ("s" + std::to_string(i) + ".dump")).string();
-    engine.run(options);
+    shard_cells += engine.run(options).size();
     ASSERT_TRUE(engine.dump_error().empty()) << engine.dump_error();
     dumps.push_back(sweep::read_shard_dump(options.dump_path));
     traces.push_back(options.csv_path);
   }
+  EXPECT_EQ(shard_cells, cells);  // the two shards cover the grid once
 
   const sweep::MergedSweep merged = sweep::merge_shard_dumps(dumps);
   const fs::path merged_csv = tmp / "merged.csv";

@@ -178,7 +178,7 @@ TEST(TraceRecorder, RecordsExactlyWhatTheSessionSaw) {
 
 TEST(TraceRecorder, SessionWithoutRecordingRefusesTraceAccess) {
   MultiEstimatorSession multi;
-  EXPECT_THROW(multi.trace(), ContractViolation);
+  EXPECT_THROW((void)multi.trace(), ContractViolation);
 }
 
 // -- ReplaySession scoring semantics ---------------------------------------

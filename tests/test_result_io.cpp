@@ -431,6 +431,12 @@ class CheckpointFixture : public ::testing::Test {
   std::vector<std::string> labels() {
     return {"robust", "offline"};
   }
+
+  /// Runs the whole grid, which writes the checkpoint.
+  void run_grid() {
+    EXPECT_EQ(engine_.run(options_).size(),
+              engine_.scenarios().size() * labels().size());
+  }
 };
 
 TEST_F(CheckpointFixture, TornTrailingRecordIsDiscardedAndRecomputed) {
@@ -455,12 +461,16 @@ TEST_F(CheckpointFixture, TornTrailingRecordIsDiscardedAndRecomputed) {
   }
 
   // Resuming recomputes the discarded cell(s) to the identical bytes.
-  engine_.run(options_);
+  const auto resumed = engine_.run(options_);
+  ASSERT_EQ(resumed.size(), reference.size());
+  for (std::size_t i = 0; i < resumed.size(); ++i) {
+    expect_results_identical(resumed[i], reference[i]);
+  }
   EXPECT_EQ(read_file(options_.checkpoint_path), full);
 }
 
 TEST_F(CheckpointFixture, CorruptedMidFileRecordEndsTheCommittedPrefix) {
-  engine_.run(options_);
+  run_grid();
   std::string content = read_file(options_.checkpoint_path);
   // Flip a digit inside the *first* done record's scenario index: every
   // later record is unreachable (corruption is never skipped over).
@@ -477,7 +487,7 @@ TEST_F(CheckpointFixture, CorruptedMidFileRecordEndsTheCommittedPrefix) {
 }
 
 TEST_F(CheckpointFixture, FingerprintMismatchIsAPreciseUsageError) {
-  engine_.run(options_);
+  run_grid();
   CheckpointHeader other = expected_header();
   other.run_hash ^= 0xff;
   try {
@@ -493,7 +503,7 @@ TEST_F(CheckpointFixture, FingerprintMismatchIsAPreciseUsageError) {
 }
 
 TEST_F(CheckpointFixture, ShardAndCsvMismatchesAreUsageErrors) {
-  engine_.run(options_);
+  run_grid();
   CheckpointHeader wrong_shard = expected_header();
   wrong_shard.shard = ShardSpec{2, 3};
   EXPECT_THROW(load_checkpoint(options_.checkpoint_path, wrong_shard,
@@ -506,7 +516,7 @@ TEST_F(CheckpointFixture, ShardAndCsvMismatchesAreUsageErrors) {
 }
 
 TEST_F(CheckpointFixture, RunRefusesIncompatibleCheckpointBeforeAnyWork) {
-  engine_.run(options_);
+  run_grid();
   // Same checkpoint file, different master seed: the resume must be
   // refused as a usage error before any scenario runs.
   GridSpec reseeded = grid_;
