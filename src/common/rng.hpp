@@ -62,6 +62,17 @@ inline double canonical_double(std::uint64_t word) {
   return u < 1.0 ? u : 0x1.fffffffffffffp-1;
 }
 
+/// splitmix64 finalizer: spreads related inputs (a seed XOR an identity
+/// hash) across the full 64-bit space, so seeds derived from them are well
+/// decorrelated. The sweep's scenario seeds and the fleet's client, path and
+/// bridge seeds all derive through it.
+inline std::uint64_t splitmix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
 /// Seeded pseudo-random source with the distribution draws the testbed needs.
 /// The per-draw methods are inline: the simulation substrate makes ~35 draws
 /// per generated exchange. Every draw goes through canonical(), and none

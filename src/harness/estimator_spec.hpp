@@ -20,11 +20,10 @@
 // resolved parameters. `tools/sweep --list-estimators` renders all of it;
 // adding a future baseline or ablation is a single registration.
 //
-// Canonicalization contract: parse("robust( use_local_rate = 0 )").label()
-// is "robust(use_local_rate=0)" — values canonicalized, keys in the
-// family's declared order, defaults elided (so "robust()" ≡ "robust" and
-// parse ∘ label is idempotent). The canonical label is the identity used by
-// reports, comparison tables, aggregates and --csv dumps. The estimator
+// The grammar and its canonicalization contract live in common/spec.hpp:
+// parse("robust( use_local_rate = 0 )").label() is
+// "robust(use_local_rate=0)", and the canonical label is the identity used
+// by reports, comparison tables, aggregates and --csv dumps. The estimator
 // axis is never part of a scenario's RNG identity, so every spec of a
 // scenario scores the same seed and packets by construction.
 //
@@ -40,12 +39,11 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
+#include "common/spec.hpp"
 #include "common/thread_pool.hpp"
 #include "core/params.hpp"
 
@@ -54,95 +52,10 @@ namespace tscclock::harness {
 class ClockEstimator;   // harness/estimator.hpp
 class ReplayEstimator;  // harness/replay.hpp
 
-/// Malformed spec text or an invalid registration. The message is precise
-/// enough to print verbatim as a CLI usage error (exit 2 in tools/sweep).
-class EstimatorSpecError : public std::runtime_error {
- public:
-  explicit EstimatorSpecError(const std::string& what)
-      : std::runtime_error(what) {}
-};
-
-/// Value type of one tunable key.
-enum class TunableType {
-  kBool,    ///< accepted: 0/1/true/false — canonical 0/1
-  kDouble,  ///< finite decimal — canonical %g
-  kChoice,  ///< one of `choices`, verbatim
-};
-
-/// One tunable key of a family: type, canonical default, and the metadata
-/// --list-estimators surfaces.
-struct TunableSpec {
-  std::string key;
-  TunableType type = TunableType::kBool;
-  /// Canonical spelling of the default. A parsed value equal to it is elided
-  /// from the canonical label (and from the overrides), so the default also
-  /// means "inherit whatever the session's base configuration says".
-  std::string default_value;
-  std::string description;
-  std::vector<std::string> choices;  ///< kChoice only
-  /// kDouble only: overridden values below (or, with min_exclusive, at) this
-  /// bound are parse errors — so boundary specs die as exit-2 usage errors,
-  /// never as runtime FAILED cells.
-  double min_value = -1e308;
-  bool min_exclusive = false;
-
-  static TunableSpec boolean(std::string key, std::string default_value,
-                             std::string description) {
-    return {std::move(key), TunableType::kBool, std::move(default_value),
-            std::move(description), {}, -1e308, false};
-  }
-  static TunableSpec number(std::string key, std::string default_value,
-                            std::string description,
-                            double min_value = -1e308,
-                            bool min_exclusive = false) {
-    return {std::move(key), TunableType::kDouble, std::move(default_value),
-            std::move(description), {}, min_value, min_exclusive};
-  }
-  static TunableSpec choice(std::string key, std::string default_value,
-                            std::string description,
-                            std::vector<std::string> choices) {
-    return {std::move(key), TunableType::kChoice, std::move(default_value),
-            std::move(description), std::move(choices), -1e308, false};
-  }
-};
-
-/// A parsed, validated, canonical estimator spec: a registered family name
-/// plus the non-default tunable overrides in declared-key order.
-struct EstimatorSpec {
-  std::string family;
-  /// (key, canonical value) pairs, family-declared key order, defaults
-  /// elided. Populated by EstimatorRegistry::parse — hand-built specs should
-  /// carry an empty list (bare family) or go through parse().
-  std::vector<std::pair<std::string, std::string>> overrides;
-
-  /// Canonical label, e.g. "robust" or "robust(use_local_rate=0)". Flows
-  /// through ScenarioResult, comparison tables, aggregates and --csv dumps;
-  /// parse(label()) == *this for registry-produced specs.
-  [[nodiscard]] std::string label() const;
-
-  bool operator==(const EstimatorSpec&) const = default;
-};
-
-/// A spec resolved against its family: every tunable key present, override
-/// or default, with typed accessors for the factories.
-class ResolvedSpec {
- public:
-  [[nodiscard]] bool get_bool(std::string_view key) const;
-  [[nodiscard]] double get_double(std::string_view key) const;
-  [[nodiscard]] const std::string& get_choice(std::string_view key) const;
-  /// True when the spec set this key explicitly (factories that treat the
-  /// default as "inherit from the base Params" branch on this).
-  [[nodiscard]] bool is_overridden(std::string_view key) const;
-
- private:
-  friend class EstimatorRegistry;
-  struct Value {
-    std::string value;
-    TunableType type = TunableType::kBool;
-    bool overridden = false;
-  };
-  std::map<std::string, Value, std::less<>> values_;
-};
+/// The estimator axis's names for the shared grammar's types: an
+/// EstimatorSpec is a canonical spec of a registered family.
+using EstimatorSpecError = SpecError;
+using EstimatorSpec = Spec;
 
 class EstimatorRegistry {
  public:
@@ -179,8 +92,7 @@ class EstimatorRegistry {
   static EstimatorRegistry& instance();
 
   /// Register a family. Throws EstimatorSpecError on a duplicate name, a
-  /// malformed name (must be [a-z0-9_-]+), a missing factory, or a tunable
-  /// whose default does not parse as its own type.
+  /// missing factory, or a table validate_family refuses.
   void register_family(Family family);
 
   [[nodiscard]] bool has_family(std::string_view name) const;
@@ -189,16 +101,14 @@ class EstimatorRegistry {
   /// Every registered family in listing order.
   [[nodiscard]] std::vector<const Family*> families() const;
 
-  /// Parse one spec: `family` or `family(key=value,…)`, whitespace tolerated
-  /// around every token. Throws EstimatorSpecError with a precise message on
-  /// unbalanced parens, unknown family, unknown/duplicate keys, empty or
-  /// ill-typed values, or values the family's check refuses. The result is
-  /// canonical (see EstimatorSpec::label).
+  /// Parse one spec into its canonical form (common/spec.hpp). Throws
+  /// EstimatorSpecError with a precise message on malformed syntax, an
+  /// unknown family or key, an ill-typed value, or one the family's check
+  /// refuses.
   [[nodiscard]] EstimatorSpec parse(std::string_view text) const;
 
-  /// Parse a comma-separated spec list; commas inside parens do not split
-  /// ("robust,robust(use_local_rate=0,enable_aging=0)" is two specs). Empty
-  /// items ("a,,b", trailing comma) are errors, like every malformed value.
+  /// parse() over a comma-separated list under the grammar's list rule
+  /// (parse_spec_list): empty items and repeated lanes are refused.
   [[nodiscard]] std::vector<EstimatorSpec> parse_list(
       std::string_view text) const;
 

@@ -5,20 +5,12 @@
 #include <string>
 
 #include "common/contracts.hpp"
+#include "common/rng.hpp"
 #include "common/serialize.hpp"
 
 namespace tscclock::sim {
 
 namespace {
-
-/// Same finalizer the sweep uses for scenario seeds: decorrelates the
-/// client-identity hash from the base seed's bit patterns.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 /// The shared-congestion schedule component: identical level-shift windows
 /// injected into every client's EventSchedule. A pure function of the

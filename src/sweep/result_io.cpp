@@ -8,6 +8,7 @@
 #include "common/contracts.hpp"
 #include "common/csv.hpp"
 #include "common/serialize.hpp"
+#include "common/spec.hpp"
 #include "common/table.hpp"
 
 namespace tscclock::sweep {
@@ -37,31 +38,21 @@ sim::Environment parse_environment_token(const std::string& token) {
 /// Reconstruct an EstimatorSpec from its canonical label without consulting
 /// the registry: the merge tool must render results for any family a shard
 /// binary knew, including out-of-tree ones this binary never linked. The
-/// canonical form — family, then "(k=v,...)" with no spaces and no nested
-/// punctuation in values — splits unambiguously.
+/// grammar's syntax check still applies, and the label must re-render to
+/// itself, so a tampered field is refused rather than renamed.
 harness::EstimatorSpec spec_from_label(const std::string& label) {
-  harness::EstimatorSpec spec;
-  const std::size_t open = label.find('(');
-  if (open == std::string::npos) {
-    spec.family = label;
-    return spec;
-  }
-  if (label.back() != ')') {
-    throw ResultIoError("malformed estimator label '" + label + "'");
-  }
-  spec.family = label.substr(0, open);
-  const std::string inner = label.substr(open + 1, label.size() - open - 2);
-  for (const auto& item : split_fields(inner, ',')) {
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      throw ResultIoError("malformed estimator label '" + label + "'");
+  try {
+    const SpecSyntax syntax = parse_spec_syntax(label, "estimator");
+    harness::EstimatorSpec spec{syntax.family, syntax.items};
+    if (spec.label() != label) {
+      throw SpecError(syntax.context + ": not canonical (renders as '" +
+                      spec.label() + "')");
     }
-    spec.overrides.emplace_back(item.substr(0, eq), item.substr(eq + 1));
+    return spec;
+  } catch (const SpecError& error) {
+    throw ResultIoError(std::string("malformed estimator field: ") +
+                        error.what());
   }
-  if (spec.family.empty() || spec.overrides.empty()) {
-    throw ResultIoError("malformed estimator label '" + label + "'");
-  }
-  return spec;
 }
 
 void append_summary(std::ostringstream& out, const SeriesSummary& s) {

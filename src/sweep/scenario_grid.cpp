@@ -1,179 +1,83 @@
 #include "sweep/scenario_grid.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <set>
 #include <sstream>
 #include <string_view>
 
 #include "common/contracts.hpp"
+#include "common/rng.hpp"
 #include "common/serialize.hpp"
 #include "common/table.hpp"
 #include "sweep/shard.hpp"
 
 namespace tscclock::sweep {
 
-namespace {
-
-/// splitmix64 finalizer: spreads related inputs (master ^ hash) across the
-/// full 64-bit space so mt19937_64 seeds are well decorrelated.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
+const std::vector<TunableSpec>& fleet_tunables() {
+  static const std::vector<TunableSpec> tunables = [] {
+    const sim::FleetConfig defaults;
+    std::vector<TunableSpec> table = {
+        {.key = "n", .type = TunableType::kCount,
+         .default_value = format_count(defaults.n_clients),
+         .description = "clients per cell; client k's scenario seed is "
+                        "derived from the cell seed and k (client 0 keeps "
+                        "the cell seed verbatim)",
+         .min_value = 1, .max_value = 1024},
+        TunableSpec::boolean(
+            "shared_congestion", format_bool_value(defaults.shared_congestion),
+            "overlay three fleet-wide congestion windows (every client's "
+            "delays rise together) plus a per-client private asymmetric "
+            "delay shift"),
+        TunableSpec::boolean(
+            "hierarchy", format_bool_value(defaults.hierarchy),
+            "client 0 is a bridge: clients 1..n-1 sync to its served clock "
+            "(master->bridge->slave) and lose every poll before "
+            "bridge_warmup"),
+        TunableSpec::number(
+            "bridge_warmup", format_double_value(defaults.bridge_warmup),
+            "seconds before the bridge starts serving time (hierarchy=1 "
+            "only)",
+            0.0),
+    };
+    validate_family("fleet", "fleet", table);
+    return table;
+  }();
+  return tunables;
 }
-
-std::string_view trim(std::string_view text) {
-  while (!text.empty() && std::isspace(static_cast<unsigned char>(text.front())))
-    text.remove_prefix(1);
-  while (!text.empty() && std::isspace(static_cast<unsigned char>(text.back())))
-    text.remove_suffix(1);
-  return text;
-}
-
-/// Parse one `fleet` / `fleet(key=value,…)` item. Every rejection names the
-/// offending item verbatim — these surface as exit-2 CLI usage errors.
-FleetSpec parse_fleet_spec(std::string_view item) {
-  const std::string context = "fleet spec '" + std::string(item) + "'";
-  if (item.empty()) throw SweepUsageError(context + ": empty spec");
-
-  std::string_view head = item;
-  std::string_view body;
-  bool has_params = false;
-  const std::size_t open = item.find('(');
-  if (open != std::string_view::npos) {
-    if (item.back() != ')') throw SweepUsageError(context + ": missing ')'");
-    head = trim(item.substr(0, open));
-    body = item.substr(open + 1, item.size() - open - 2);
-    if (body.find('(') != std::string_view::npos ||
-        body.find(')') != std::string_view::npos) {
-      throw SweepUsageError(context + ": nested or unbalanced parentheses");
-    }
-    has_params = true;
-  } else if (item.find(')') != std::string_view::npos) {
-    throw SweepUsageError(context + ": unmatched ')'");
-  }
-  if (head != "fleet") {
-    throw SweepUsageError(context + ": expected 'fleet' or 'fleet(...)', got '" +
-                          std::string(head) + "'");
-  }
-
-  FleetSpec spec;
-  if (!has_params || trim(body).empty()) return spec;
-
-  std::set<std::string> seen_keys;
-  std::string_view rest = body;
-  while (true) {
-    const std::size_t comma = rest.find(',');
-    const std::string_view pair = trim(rest.substr(0, comma));
-    const std::size_t eq = pair.find('=');
-    if (pair.empty() || eq == std::string_view::npos || eq == 0) {
-      throw SweepUsageError(context + ": expected key=value, got '" +
-                            std::string(pair) + "'");
-    }
-    const std::string key(trim(pair.substr(0, eq)));
-    const std::string value(trim(pair.substr(eq + 1)));
-    if (!seen_keys.insert(key).second) {
-      throw SweepUsageError(context + ": duplicate key '" + key + "'");
-    }
-    try {
-      if (key == "n") {
-        const std::uint64_t n = parse_u64_exact(value);
-        if (n < 1 || n > 1024) {
-          throw SweepUsageError(context + ": n must be in [1, 1024], got " +
-                                value);
-        }
-        spec.config.n_clients = static_cast<std::size_t>(n);
-      } else if (key == "shared_congestion" || key == "hierarchy") {
-        if (value != "0" && value != "1") {
-          throw SweepUsageError(context + ": " + key +
-                                " must be 0 or 1, got '" + value + "'");
-        }
-        (key == "hierarchy" ? spec.config.hierarchy
-                            : spec.config.shared_congestion) = value == "1";
-      } else if (key == "bridge_warmup") {
-        const double warmup = parse_double_exact(value);
-        if (!(warmup >= 0.0)) {
-          throw SweepUsageError(context +
-                                ": bridge_warmup must be >= 0 seconds, got '" +
-                                value + "'");
-        }
-        spec.config.bridge_warmup = warmup;
-      } else {
-        throw SweepUsageError(
-            context + ": unknown key '" + key +
-            "' (tunable keys: n, shared_congestion, hierarchy, "
-            "bridge_warmup)");
-      }
-    } catch (const std::runtime_error& error) {
-      // parse_u64_exact/parse_double_exact throw plain runtime_errors;
-      // rewrap so every malformed spec surfaces as a usage error.
-      if (dynamic_cast<const SweepUsageError*>(&error)) throw;
-      throw SweepUsageError(context + ": value '" + value + "' for '" + key +
-                            "' does not parse (" + error.what() + ")");
-    }
-    if (comma == std::string_view::npos) break;
-    rest = rest.substr(comma + 1);
-  }
-  return spec;
-}
-
-}  // namespace
 
 std::string FleetSpec::label() const {
-  const sim::FleetConfig defaults;
-  std::vector<std::string> parts;
-  if (config.n_clients != defaults.n_clients)
-    parts.push_back(strfmt("n=%zu", config.n_clients));
-  if (config.shared_congestion != defaults.shared_congestion)
-    parts.push_back("shared_congestion=1");
-  if (config.hierarchy != defaults.hierarchy) parts.push_back("hierarchy=1");
-  if (config.bridge_warmup != defaults.bridge_warmup)
-    parts.push_back(strfmt("bridge_warmup=%g", config.bridge_warmup));
-  if (parts.empty()) return "fleet";
-  std::string out = "fleet(";
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += ',';
-    out += parts[i];
-  }
-  out += ')';
-  return out;
+  const std::string values[] = {format_count(config.n_clients),
+                                format_bool_value(config.shared_congestion),
+                                format_bool_value(config.hierarchy),
+                                format_double_value(config.bridge_warmup)};
+  return spec_from_values("fleet", fleet_tunables(), values).label();
 }
 
 std::vector<FleetSpec> parse_fleet_specs(const std::string& text) {
-  const std::string context = "fleet list '" + text + "'";
-  // Paren-aware top-level comma split (the estimator-axis splitter's
-  // technique): commas inside fleet(...) do not separate items.
-  std::vector<std::string> items;
-  std::string current;
-  int depth = 0;
-  for (const char c : text) {
-    if (c == '(') ++depth;
-    if (c == ')' && --depth < 0)
-      throw SweepUsageError(context + ": unmatched ')'");
-    if (c == ',' && depth == 0) {
-      items.push_back(current);
-      current.clear();
-      continue;
+  const auto parse_one = [](std::string_view item) {
+    const SpecSyntax syntax = parse_spec_syntax(item, "fleet");
+    if (syntax.family != "fleet") {
+      throw SpecError(syntax.context +
+                      ": expected 'fleet' or 'fleet(...)', got '" +
+                      syntax.family + "'");
     }
-    current += c;
-  }
-  items.push_back(current);
-
-  std::vector<FleetSpec> specs;
-  std::set<std::string> seen;
-  for (const auto& item : items) {
-    const std::string_view trimmed = trim(item);
-    if (trimmed.empty()) throw SweepUsageError(context + ": empty item");
-    FleetSpec spec = parse_fleet_spec(trimmed);
-    if (!seen.insert(spec.label()).second) {
-      throw SweepUsageError(context + ": duplicate fleet spec '" +
-                            spec.label() + "'");
+    return canonicalize(syntax, fleet_tunables(), "fleet");
+  };
+  std::vector<FleetSpec> fleets;
+  try {
+    for (const Spec& spec : parse_spec_list(text, "fleet", parse_one)) {
+      const ResolvedSpec values(spec, fleet_tunables(), "fleet");
+      FleetSpec fleet;
+      fleet.config.n_clients = values.get_count("n");
+      fleet.config.shared_congestion = values.get_bool("shared_congestion");
+      fleet.config.hierarchy = values.get_bool("hierarchy");
+      fleet.config.bridge_warmup = values.get_double("bridge_warmup");
+      fleets.push_back(fleet);
     }
-    specs.push_back(spec);
+  } catch (const SpecError& error) {
+    throw SweepUsageError(error.what());
   }
-  return specs;
+  return fleets;
 }
 
 std::string scenario_name(sim::ServerKind server, sim::Environment environment,
@@ -199,6 +103,11 @@ std::vector<SweepScenario> expand_grid(const GridSpec& grid) {
     TSC_EXPECTS(fleet.config.n_clients >= 1);
     TSC_EXPECTS(fleet.config.n_clients <= 1024);
     TSC_EXPECTS(fleet.config.bridge_warmup >= 0.0);
+    // A non-single cell is named (and seeded) by its label, which prints
+    // the warm-up as %g: a warm-up %g does not print exactly would run
+    // under another configuration's name.
+    TSC_EXPECTS(parse_double_exact(format_double_value(
+                    fleet.config.bridge_warmup)) == fleet.config.bridge_warmup);
   }
   // The estimator axis is not part of the expansion (it never touches the
   // seeds), but a sweep with no or duplicate estimators is still a grid

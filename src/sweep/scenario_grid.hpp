@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/spec.hpp"
 #include "common/time_types.hpp"
 #include "harness/estimator_spec.hpp"
 #include "sim/events.hpp"
@@ -45,18 +46,21 @@ struct FleetSpec {
            config.bridge_warmup == defaults.bridge_warmup;
   }
 
-  /// Canonical rendering: `fleet` for all-default, otherwise
+  /// Canonical label: `fleet` for all-default, otherwise
   /// `fleet(n=…,shared_congestion=…,hierarchy=…,bridge_warmup=…)` with
-  /// default-valued keys elided (so equal specs always render equally).
+  /// default-valued keys elided, rendered through the spec grammar's
+  /// canonical formatters (common/spec.hpp).
   [[nodiscard]] std::string label() const;
 };
 
+/// The fleet family's tunables, one row per sim::FleetConfig field, with
+/// defaults taken from sim::FleetConfig{}.
+const std::vector<TunableSpec>& fleet_tunables();
+
 /// Parse a comma-separated list of fleet specs — `fleet`, `fleet(n=4)`,
-/// `fleet(n=8,shared_congestion=1,hierarchy=1,bridge_warmup=600)`; commas
-/// inside parens do not split. Throws SweepUsageError with a precise
-/// message on malformed shapes: unknown/duplicate keys, non-numeric or
-/// out-of-range values (n must be in [1, 1024]), empty items, unbalanced
-/// parens, duplicate specs.
+/// `fleet(n=8,shared_congestion=1,hierarchy=1,bridge_warmup=600)` — in the
+/// shared spec grammar (common/spec.hpp). Throws SweepUsageError with the
+/// grammar's precise message on any spec or list it refuses.
 std::vector<FleetSpec> parse_fleet_specs(const std::string& text);
 
 /// Smallest poll period the sweep accepts. The simulated paths have ms-scale

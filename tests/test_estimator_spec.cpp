@@ -169,6 +169,23 @@ TEST(EstimatorSpecParse, RejectsMalformedLists) {
                EstimatorSpecError);
 }
 
+TEST(EstimatorSpecParse, RefusesRepeatedLanesByCanonicalLabel) {
+  // "robust" and "robust()" (or any default-valued override) are one lane;
+  // the list parse refuses the repeat like the fleet axis does.
+  for (const char* text :
+       {"robust,robust()", "robust(use_local_rate=1),robust",
+        "swntp(step_threshold=0.50),naive,swntp(step_threshold=0.5)"}) {
+    try {
+      (void)registry().parse_list(text);
+      ADD_FAILURE() << "expected EstimatorSpecError for '" << text << "'";
+    } catch (const EstimatorSpecError& e) {
+      EXPECT_NE(std::string(e.what()).find("duplicate estimator spec"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // -- Registry metadata -----------------------------------------------------
 
 TEST(EstimatorRegistrySpec, ListsBuiltinFamiliesInReportingOrder) {

@@ -1067,6 +1067,72 @@ TEST(FleetSpecParse, RejectsMalformedShapesWithPreciseErrors) {
   expect_error("fleet(n=2),fleet(n=2)", "duplicate");
 }
 
+// The fleet axis speaks the estimator axis's grammar: every accepted spec
+// parses to a canonical fixed point, and the label names exactly the
+// configuration the cell simulates.
+TEST(FleetSpecParse, ParsesToACanonicalFixedPoint) {
+  const auto parse_one = [](const std::string& text) {
+    const auto specs = sweep::parse_fleet_specs(text);
+    EXPECT_EQ(specs.size(), 1u) << text;
+    return specs.at(0);
+  };
+  const auto same_config = [](const sim::FleetConfig& a,
+                              const sim::FleetConfig& b) {
+    return a.n_clients == b.n_clients &&
+           a.shared_congestion == b.shared_congestion &&
+           a.hierarchy == b.hierarchy && a.bridge_warmup == b.bridge_warmup;
+  };
+  for (const std::string text :
+       {"fleet", "fleet()", " fleet ( n = 3 ) ", "fleet(n=01)",
+        "fleet(hierarchy=true,n=5)", "fleet(shared_congestion=false)",
+        "fleet(n=2,bridge_warmup=600.0000001)",
+        "fleet(bridge_warmup=900.0000001)", "fleet(bridge_warmup=-0)",
+        "fleet(n=1024,shared_congestion=1,hierarchy=1,bridge_warmup=1e5)"}) {
+    const sweep::FleetSpec first = parse_one(text);
+    const sweep::FleetSpec again = parse_one(first.label());
+    EXPECT_TRUE(same_config(first.config, again.config)) << text;
+    EXPECT_EQ(again.label(), first.label()) << text;
+    // The label prints the warm-up the cell simulates (a default warm-up is
+    // elided from the label, so it is the default).
+    const std::string label = first.label();
+    const std::string key = "bridge_warmup=";
+    const std::size_t at = label.find(key);
+    const double printed = at == std::string::npos
+                               ? sim::FleetConfig{}.bridge_warmup
+                               : std::stod(label.substr(at + key.size()));
+    EXPECT_EQ(first.config.bridge_warmup, printed) << text;
+  }
+  EXPECT_EQ(parse_one("fleet(n=2,bridge_warmup=600.0000001)").label(),
+            "fleet(n=2,bridge_warmup=600)");
+  EXPECT_EQ(parse_one("fleet(bridge_warmup=900.0000001)").label(), "fleet");
+  EXPECT_TRUE(parse_one("fleet(bridge_warmup=900.0000001)").single());
+  EXPECT_EQ(parse_one("fleet(hierarchy=true,n=5)").label(),
+            "fleet(n=5,hierarchy=1)");
+  EXPECT_EQ(parse_one("fleet(n=01)").label(), "fleet");
+  // A hand-built warm-up its label cannot print exactly is refused by the
+  // grid, not run under another configuration's name.
+  sweep::GridSpec grid;
+  sweep::FleetSpec hand_built;
+  hand_built.config.bridge_warmup = 900.0000001;
+  grid.fleets = {hand_built};
+  EXPECT_THROW((void)sweep::expand_grid(grid), ContractViolation);
+}
+
+TEST(FleetSpecParse, RefusesNonFiniteWarmups) {
+  for (const char* text :
+       {"fleet(n=2,bridge_warmup=1e400)", "fleet(bridge_warmup=inf)",
+        "fleet(bridge_warmup=nan)"}) {
+    try {
+      sweep::parse_fleet_specs(text);
+      ADD_FAILURE() << "expected SweepUsageError for '" << text << "'";
+    } catch (const sweep::SweepUsageError& e) {
+      EXPECT_NE(std::string(e.what()).find("bridge_warmup"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // -- Grid identity ------------------------------------------------------------
 
 TEST(FleetGrid, NonSingleValuesExtendNamesWithoutReseedingSingles) {

@@ -131,6 +131,34 @@ TEST(CellSerialization, RejectsTornAndReshapedRecords) {
   EXPECT_THROW(parse_result(corrupt), ResultIoError);
 }
 
+TEST(CellSerialization, RefusesTamperedEstimatorLabels) {
+  // A dump's estimator field must pass the spec grammar's syntax check and
+  // re-render to itself; anything else is a tampered or torn record.
+  const std::string line = serialize_result(gnarly_result());
+  const std::string label = "robust(use_local_rate=0)";
+  const std::size_t at = line.find('\t' + label + '\t');
+  ASSERT_NE(at, std::string::npos);
+  for (const char* tampered :
+       {"robust(a=1,a=2)", "Robust!", "robust()", "robust(a=1", "robust(=1)",
+        "robust( a=1)", "robust(A=1)", ""}) {
+    std::string corrupt = line;
+    corrupt.replace(at + 1, label.size(), tampered);
+    try {
+      (void)parse_result(corrupt);
+      ADD_FAILURE() << "expected ResultIoError for '" << tampered << "'";
+    } catch (const ResultIoError& e) {
+      EXPECT_NE(std::string(e.what()).find("estimator field"),
+                std::string::npos)
+          << tampered << " -> " << e.what();
+    }
+  }
+  // Out-of-tree families and keys still read without the registry.
+  std::string foreign = line;
+  foreign.replace(at + 1, label.size(), "lagged-naive(noop=1,k_2=x)");
+  EXPECT_EQ(parse_result(foreign).estimator.label(),
+            "lagged-naive(noop=1,k_2=x)");
+}
+
 TEST(RunHash, SensitiveToResultAffectingInputsOnly) {
   GridSpec grid;
   grid.duration = 0.2 * duration::kHour;

@@ -77,10 +77,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/spec.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
 #include "harness/estimator_spec.hpp"
@@ -117,27 +117,17 @@ std::uint64_t parse_u64(const std::string& flag, const std::string& text) {
   return v;
 }
 
+/// A plain comma list under the spec grammar's list rule: an empty item is
+/// a usage error, never silently dropped.
 std::vector<std::string> split_csv(const std::string& flag,
                                    const std::string& text) {
-  std::vector<std::string> out;
-  std::stringstream stream(text);
-  std::string item;
-  while (std::getline(stream, item, ',')) out.push_back(item);
-  // getline never yields the final empty field of "a," (the stream ends at
-  // the delimiter), so a trailing comma — like an empty input — must be
-  // materialized by hand to be caught below.
-  if (text.empty() || text.back() == ',') out.push_back("");
-  for (const auto& entry : out) {
-    // An empty item is always a typo ("robust,,naive", a trailing comma):
-    // silently dropping it would run a different grid than the user asked
-    // for. Usage error, like every other malformed value.
-    if (entry.empty()) {
-      std::fprintf(stderr, "empty item in %s list '%s'\n", flag.c_str(),
-                   text.c_str());
-      std::exit(2);
-    }
+  try {
+    const auto items = split_list(text, flag + " list '" + text + "'");
+    return {items.begin(), items.end()};
+  } catch (const SpecError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(2);
   }
-  return out;
 }
 
 sim::ServerKind parse_server(const std::string& name) {
@@ -157,16 +147,16 @@ sim::Environment parse_environment(const std::string& name) {
   std::exit(2);
 }
 
-/// Parse the --estimators value into validated specs. Any malformed spec —
-/// unbalanced parens, unknown family, unknown/duplicated keys, empty values
-/// or list items — is a usage error (exit 2) with the registry's precise
-/// message, never a silent drop.
-std::vector<harness::EstimatorSpec> parse_estimator_specs_or_die(
-    const std::string& text) {
+/// Run a --estimators/--fleet list parse. A malformed list — unbalanced
+/// parens, unknown family, unknown/duplicated keys, ill-typed values, empty
+/// items, repeated lanes — is a usage error (exit 2) with the spec grammar's
+/// precise message, never a silent drop.
+template <typename Parse>
+auto parse_specs_or_die(Parse parse, const char* listing) {
   try {
-    return harness::estimator_registry().parse_list(text);
-  } catch (const harness::EstimatorSpecError& e) {
-    std::fprintf(stderr, "%s (see --list-estimators)\n", e.what());
+    return parse();
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "%s (see %s)\n", e.what(), listing);
     std::exit(2);
   }
 }
@@ -182,81 +172,24 @@ std::vector<harness::EstimatorSpec> parse_estimator_specs_or_die(
 
   print_banner(std::cout,
                "Tunable keys (spec syntax: family(key=value,...))");
-  TablePrinter tunables({"estimator", "key", "type", "default",
-                         "description"});
-  for (const auto* family : registry.families()) {
-    for (const auto& t : family->tunables) {
-      std::string type;
-      switch (t.type) {
-        case harness::TunableType::kBool:
-          type = "bool";
-          break;
-        case harness::TunableType::kDouble:
-          type = "double";
-          break;
-        case harness::TunableType::kChoice: {
-          for (const auto& choice : t.choices) {
-            if (!type.empty()) type += "|";
-            type += choice;
-          }
-          break;
-        }
-      }
-      tunables.add_row(
-          {family->name, t.key, type, t.default_value, t.description});
-    }
-  }
-  tunables.print(std::cout);
+  std::vector<TunableFamily> tunables;
+  for (const auto* family : registry.families())
+    tunables.push_back({family->name, family->tunables});
+  print_tunables(std::cout, "estimator", tunables);
   std::cout << "\nexample: --estimators "
                "\"robust,robust(use_local_rate=0),offline(split=shifts)\"\n";
   std::exit(0);
 }
 
-/// Parse the --fleet value into validated fleet specs. Malformed shapes —
-/// unbalanced parens, unknown/duplicate keys, out-of-range n, empty items,
-/// duplicate specs — are usage errors (exit 2) with the parser's precise
-/// message.
-std::vector<sweep::FleetSpec> parse_fleet_specs_or_die(
-    const std::string& text) {
-  try {
-    return sweep::parse_fleet_specs(text);
-  } catch (const sweep::SweepUsageError& e) {
-    std::fprintf(stderr, "%s (see --list-topologies)\n", e.what());
-    std::exit(2);
-  }
-}
-
 [[noreturn]] void list_topologies() {
-  const sim::FleetConfig defaults;
-  TablePrinter table({"key", "type", "default", "description"});
-  table.add_row({"n", "int [1,1024]", strfmt("%zu", defaults.n_clients),
-                 "clients per cell; client k's scenario seed is derived "
-                 "from the cell seed and k (client 0 keeps the cell seed "
-                 "verbatim)"});
-  table.add_row({"shared_congestion", "0|1",
-                 defaults.shared_congestion ? "1" : "0",
-                 "overlay three fleet-wide congestion windows (every "
-                 "client's delays rise together) plus a per-client private "
-                 "asymmetric delay shift"});
-  table.add_row({"hierarchy", "0|1", defaults.hierarchy ? "1" : "0",
-                 "client 0 is a bridge: clients 1..n-1 sync to its served "
-                 "clock (master->bridge->slave) and lose every poll before "
-                 "bridge_warmup"});
-  table.add_row({"bridge_warmup", "seconds >= 0",
-                 strfmt("%g", defaults.bridge_warmup),
-                 "when the bridge starts serving time (hierarchy=1 only)"});
-  table.print(std::cout);
+  const TunableFamily fleet[] = {{"fleet", sweep::fleet_tunables()}};
+  print_tunables(std::cout, "fleet", fleet);
   std::cout <<
-      "\nspec syntax: fleet[(key=value,...)] - comma-separate multiple specs"
-      "\n  fleet                 the classic single-client cell (default "
-      "axis);\n                        keeps its pre-fleet name and seed\n"
-      "  fleet(n=16)           16 independent clients, same path "
-      "conditions\n"
-      "  fleet(n=8,shared_congestion=1,hierarchy=1,bridge_warmup=600)\n"
-      "non-single values suffix the scenario name with /fleet(...) - the "
-      "seed\nderives from that identity, so adding fleet values never "
-      "reseeds\nexisting cells. Replay estimators (offline) cannot score "
-      "multi-client\ncells: a fleet trace mixes clients.\n"
+      "\nspec syntax: fleet[(key=value,...)], the --estimators grammar. "
+      "'fleet' is the\nclassic single-client cell and keeps its pre-fleet "
+      "name and seed; non-single\nvalues suffix the scenario name (and so "
+      "its seed) with /fleet(...). Replay\nestimators (offline) cannot score "
+      "multi-client cells: a fleet trace mixes\nclients.\n"
       "example: --fleet \"fleet,fleet(n=16),fleet(n=8,hierarchy=1)\"\n";
   std::exit(0);
 }
@@ -421,9 +354,14 @@ int main(int argc, char** argv) {
     } else if (arg == "--schedules") {
       schedule_names = split_csv(arg, value());
     } else if (arg == "--estimators") {
-      estimator_specs = parse_estimator_specs_or_die(value());
+      const std::string text = value();
+      estimator_specs = parse_specs_or_die(
+          [&] { return harness::estimator_registry().parse_list(text); },
+          "--list-estimators");
     } else if (arg == "--fleet") {
-      grid.fleets = parse_fleet_specs_or_die(value());
+      const std::string text = value();
+      grid.fleets = parse_specs_or_die(
+          [&] { return sweep::parse_fleet_specs(text); }, "--list-topologies");
     } else if (arg == "--exact-reduction") {
       options.streaming_reduction = false;
     } else if (arg == "--duration-hours") {
@@ -510,21 +448,16 @@ int main(int argc, char** argv) {
     return std::adjacent_find(values.begin(), values.end()) != values.end();
   };
   // Poll periods collide on their *formatted* form (the scenario-name
-  // identity uses %g), so near-equal values must be rejected too; estimator
-  // specs collide on their *canonical* label, so "robust" and "robust()"
-  // (or any default-valued override) are the same lane.
+  // identity uses %g), so near-equal values must be rejected too. Repeated
+  // estimator lanes are refused by the spec list parse.
   std::vector<std::string> poll_names;
   for (const auto poll : grid.poll_periods)
     poll_names.push_back(strfmt("%g", poll));
-  std::vector<std::string> estimator_labels;
-  for (const auto& spec : estimator_specs)
-    estimator_labels.push_back(spec.label());
   if (has_duplicates(grid.servers) || has_duplicates(grid.environments) ||
-      has_duplicates(poll_names) || has_duplicates(schedule_names) ||
-      has_duplicates(estimator_labels)) {
+      has_duplicates(poll_names) || has_duplicates(schedule_names)) {
     std::fprintf(stderr,
-                 "--servers/--envs/--polls/--schedules/--estimators entries "
-                 "must be unique\n");
+                 "--servers/--envs/--polls/--schedules entries must be "
+                 "unique\n");
     return 2;
   }
   // Replay estimators score a recorded single-client trace; a multi-client
