@@ -29,12 +29,15 @@ void drain(sim::Testbed& testbed, Consume&& consume) {
   }
 }
 
-/// Client k's generated rows not yet estimated: a carried suffix of the
-/// previous epoch, then this epoch's rows. Cache-line aligned, because
-/// clients on different cores append to their own buffers.
-struct alignas(64) Buffered {
-  sim::ExchangeBatch rows;
-  std::size_t merged = 0;  ///< leading rows the last merge placed in chunks
+/// Rows of the whole fleet in one parallel step of the fleet drive.
+constexpr std::size_t kStepRows = 4 * kBatchChunk;
+
+/// Client k's share of the fleet drive. Cache-line aligned, because clients
+/// on different cores fill their own.
+struct alignas(64) ClientStep {
+  sim::ExchangeBatch rows;  ///< the burst being estimated
+  /// Per capture page: the send time (truth.ta) of each row of the step.
+  std::array<std::vector<Seconds>, 2> sent;
 };
 
 /// Run `fn(i)` for every i in [0, n), on the pool when there is one.
@@ -89,7 +92,7 @@ void ClockSession::emit(const SampleRecord& record) {
   for (auto* sink : sinks_) sink->on_sample(record);
 }
 
-void ClockSession::process(const sim::Exchange& ex) {
+bool ClockSession::process(const sim::Exchange& ex) {
   ++summary_.exchanges;
   if (ex.lost) {
     ++summary_.lost;
@@ -103,7 +106,7 @@ void ClockSession::process(const sim::Exchange& ex) {
       record.in_warmup = exchange_in_warmup(config_, ex);
       emit(record);
     }
-    return;
+    return config_.emit_unevaluated;
   }
 
   SampleRecord record;
@@ -142,24 +145,25 @@ void ClockSession::process(const sim::Exchange& ex) {
 
   record.evaluated = ex.ref_available && !record.in_warmup;
   if (record.evaluated) ++summary_.evaluated;
-  if (record.evaluated || config_.emit_unevaluated) emit(record);
-}
-
-void ClockSession::process_batch(const sim::ExchangeBatch& batch) {
-  process_batch(batch, 0, batch.size());
+  const bool emitted = record.evaluated || config_.emit_unevaluated;
+  if (emitted) emit(record);
+  return emitted;
 }
 
 void ClockSession::process_batch(const sim::ExchangeBatch& batch,
-                                 std::size_t begin, std::size_t end) {
-  TSC_EXPECTS(begin <= end && end <= batch.size());
+                                 std::vector<std::uint8_t>* emitted) {
+  const std::size_t rows = batch.size();
+  const std::size_t flags = emitted != nullptr ? emitted->size() : 0;
+  if (emitted != nullptr) emitted->resize(flags + rows, 0);
   for (auto* sink : sinks_) {
     if (!sink->wants_batch()) {
       // A record-shaped sink is attached: materialize each row and run the
       // per-exchange sequence, so every sink observes the stream exactly as
       // process() emits it.
-      for (std::size_t i = begin; i < end; ++i) {
+      for (std::size_t i = 0; i < rows; ++i) {
         batch.materialize(i, scratch_);
-        process(scratch_);
+        const bool out = process(scratch_);
+        if (emitted != nullptr) (*emitted)[flags + i] = out ? 1 : 0;
       }
       return;
     }
@@ -171,8 +175,8 @@ void ClockSession::process_batch(const sim::ExchangeBatch& batch,
   // accumulated value is computed by the very expressions process() uses,
   // so the lane is bit-identical to the per-exchange one.
   batch_.clear();
-  batch_.reserve(end - begin);
-  for (std::size_t i = begin; i < end; ++i) {
+  batch_.reserve(rows);
+  for (std::size_t i = 0; i < rows; ++i) {
     ++summary_.exchanges;
     if (batch.lost[i] != 0) {
       ++summary_.lost;
@@ -197,6 +201,7 @@ void ClockSession::process_batch(const sim::ExchangeBatch& batch,
         estimator_->absolute_time(batch.tf_counts[i]) - batch.tg[i];
     ++summary_.evaluated;
     batch_.push(batch.tb_stamp[i], abs_clock_error, offset_error);
+    if (emitted != nullptr) (*emitted)[flags + i] = 1;
   }
   for (auto* sink : sinks_) sink->on_batch(batch_);
 }
@@ -220,13 +225,14 @@ const SessionSummary& ClockSession::summary() {
 
 // -- MultiEstimatorSession -------------------------------------------------
 
-/// What one lane emits for its shared sinks during one epoch of the fleet
-/// drive, kept in the shape the lane delivered it (records, or one
-/// SampleBatch per process_batch call) and cut into one segment per merged
-/// chunk, so the feed step can hand it to every shared sink in the serial
-/// drive's order. Two pages: the lane fills one epoch's page while the feed
-/// reads the previous epoch's. Its batch preference is the shared sinks', so
-/// the lane takes the fast path exactly when it would with them attached.
+/// What one lane emits for its shared sinks in the fleet drive, in the
+/// shape the lane delivered it (records, or batch values), with one emitted
+/// flag per row of the step so the feed can cut it at chunk boundaries. Two
+/// pages: the lane fills one step's page while the feed reads the previous
+/// step's. The feed moves each chunk's share into the open chunk and hands
+/// that on once the chunk is complete, so a chunk may span steps. Its batch
+/// preference is the shared sinks', so the lane takes the fast path exactly
+/// when it would with them attached.
 class MultiEstimatorSession::SharedCapture final : public SampleSink {
  public:
   void add(SampleSink& sink) { shared_.push_back(&sink); }
@@ -240,49 +246,70 @@ class MultiEstimatorSession::SharedCapture final : public SampleSink {
         [](const SampleSink* sink) { return sink->wants_batch(); });
   }
   void on_batch(const SampleBatch& batch) override {
-    Page& page = *filling_;
-    if (page.batches_used == page.batches.size()) page.batches.emplace_back();
-    page.batches[page.batches_used++] = batch;
+    append(filling_->values, batch, 0, batch.size());
   }
 
   /// Start filling `page` (0 or 1), dropping what it held.
   void start(std::size_t page) {
     filling_ = &pages_[page];
+    filling_->emitted.clear();
     filling_->records.clear();
-    filling_->batches_used = 0;
-    filling_->marks.clear();
+    filling_->values.clear();
+    filling_->row = 0;
+    filling_->output = 0;
   }
-  /// End the current chunk's segment.
-  void mark() {
-    filling_->marks.push_back(
-        {filling_->records.size(), filling_->batches_used});
+  /// The filling page's emitted flags, one per row processed so far.
+  [[nodiscard]] std::vector<std::uint8_t>& emitted() {
+    return filling_->emitted;
   }
 
-  /// Feed chunk `c`'s segment of `page` to every shared sink.
-  void replay(std::size_t page, std::size_t c) const {
-    const Page& p = pages_[page];
-    const Mark begin = c == 0 ? Mark{} : p.marks[c - 1];
-    for (std::size_t i = begin.records; i < p.marks[c].records; ++i)
-      for (SampleSink* sink : shared_) sink->on_sample(p.records[i]);
-    for (std::size_t i = begin.batches; i < p.marks[c].batches; ++i)
-      for (SampleSink* sink : shared_) sink->on_batch(p.batches[i]);
+  /// Move the output of `page`'s next `rows` rows into the open chunk.
+  void take(std::size_t page, std::size_t rows) {
+    Page& p = pages_[page];
+    const auto first = p.emitted.begin() + static_cast<std::ptrdiff_t>(p.row);
+    const auto outputs = static_cast<std::size_t>(std::count(
+        first, first + static_cast<std::ptrdiff_t>(rows), std::uint8_t{1}));
+    p.row += rows;
+    // A lane emits records or batch values, never both.
+    if (!p.records.empty()) {
+      const auto from = p.records.begin() + static_cast<std::ptrdiff_t>(p.output);
+      open_records_.insert(open_records_.end(), from,
+                           from + static_cast<std::ptrdiff_t>(outputs));
+    } else {
+      append(open_values_, p.values, p.output, p.output + outputs);
+    }
+    p.output += outputs;
+  }
+  /// Hand the open chunk's output to every shared sink and empty it.
+  void flush() {
+    for (const SampleRecord& record : open_records_)
+      for (SampleSink* sink : shared_) sink->on_sample(record);
+    if (!open_values_.empty())
+      for (SampleSink* sink : shared_) sink->on_batch(open_values_);
+    open_records_.clear();
+    open_values_.clear();
   }
 
  private:
-  struct Mark {
-    std::size_t records = 0;
-    std::size_t batches = 0;
-  };
   struct Page {
+    std::vector<std::uint8_t> emitted;  ///< one flag per row of the step
     std::vector<SampleRecord> records;
-    std::vector<SampleBatch> batches;  ///< reused across epochs
-    std::size_t batches_used = 0;
-    std::vector<Mark> marks;  ///< segment ends, one per chunk
+    SampleBatch values;
+    std::size_t row = 0;     ///< rows the feed has taken
+    std::size_t output = 0;  ///< outputs the feed has taken
   };
+
+  static void append(SampleBatch& to, const SampleBatch& from,
+                     std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i)
+      to.push(from.tb[i], from.abs_clock_error[i], from.offset_error[i]);
+  }
 
   std::vector<SampleSink*> shared_;
   std::array<Page, 2> pages_;
   Page* filling_ = &pages_[0];
+  std::vector<SampleRecord> open_records_;
+  SampleBatch open_values_;
 };
 
 MultiEstimatorSession::MultiEstimatorSession() = default;
@@ -376,112 +403,119 @@ void MultiEstimatorSession::run(sim::FleetTestbed& fleet, ThreadPool* pool) {
     TSC_EXPECTS(k < n);
     lanes_of[k].push_back(lane);
   }
+  const bool shared = std::any_of(
+      captures_.begin(), captures_.end(),
+      [](const auto& capture) { return capture != nullptr; });
   constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
-  // An epoch buffers about one chunk's worth of rows over all clients.
-  const Seconds epoch = static_cast<double>(kBatchChunk) *
-                        fleet.client(0).config().poll_period /
-                        static_cast<double>(n);
+  const Seconds step = static_cast<double>(kStepRows) *
+                       fleet.client(0).config().poll_period /
+                       static_cast<double>(n);
+  // About one chunk of raw rows in flight over all clients.
+  const std::size_t burst = std::max<std::size_t>(1, kBatchChunk / n);
 
-  // Every row sent before the horizon is buffered and no later one is, so
-  // merging the buffers reproduces a prefix of the serial merge exactly.
-  std::vector<Buffered> buffered(n);
-  std::vector<std::size_t> counts;  ///< counts[c * n + k]: k's rows in chunk c
-  using Head = std::pair<Seconds, std::size_t>;  ///< (truth.ta, client)
-  std::vector<Head> heap;
+  std::vector<ClientStep> clients(n);
   Seconds horizon = -kNever;
   const auto next_horizon = [&] {
     Seconds first = kNever;
     for (std::size_t k = 0; k < n; ++k)
       first = std::min(first, fleet.next_send_time(k));
-    if (first == kNever) return;
+    if (first == kNever) return false;
     // Start past the earliest pending send, so an outage costs no empty
-    // epochs and every epoch makes progress.
-    horizon = std::max(horizon, first) + epoch;
+    // steps and every step makes progress.
+    horizon = std::max(horizon, first) + step;
     if (!(horizon > first)) horizon = std::nextafter(first, kNever);
-  };
-  const auto generate = [&](std::size_t k) {
-    buffered[k].rows.erase_front(buffered[k].merged);
-    fleet.generate_until(k, horizon, buffered[k].rows);
+    return true;
   };
 
-  // The shared sinks' feed of an epoch's captures: chunk, then client, then
-  // lane — the serial drive's order.
-  const auto feed = [&](std::size_t page, std::size_t chunks) {
-    for (std::size_t c = 0; c < chunks; ++c)
-      for (const auto& lanes : lanes_of)
-        for (const std::size_t lane : lanes)
-          if (captures_[lane]) captures_[lane]->replay(page, c);
+  // Client k's share of a step: generate its rows below the horizon a burst
+  // at a time and run each of its lanes over each burst (feeding their own
+  // sinks directly, capturing the shared sinks' share on `page`), keeping
+  // each row's send time for the feed.
+  const auto run_client = [&](std::size_t k, std::size_t page) {
+    ClientStep& client = clients[k];
+    std::vector<Seconds>& sent = client.sent[page];
+    sent.clear();
+    for (const std::size_t lane : lanes_of[k])
+      if (captures_[lane]) captures_[lane]->start(page);
+    while (fleet.generate_until(k, horizon, client.rows, burst) > 0) {
+      for (const std::size_t lane : lanes_of[k]) {
+        SharedCapture* capture = captures_[lane].get();
+        lanes_[lane]->process_batch(
+            client.rows, capture != nullptr ? &capture->emitted() : nullptr);
+      }
+      if (shared)
+        sent.insert(sent.end(), client.rows.truth_ta.begin(),
+                    client.rows.truth_ta.end());
+    }
   };
 
-  next_horizon();
-  for_each_task(pool, n, generate);
-  std::size_t page = 0;        ///< the capture page lanes fill this epoch
-  std::size_t fed_chunks = 0;  ///< chunks on the other page, fed next step
-  for (;;) {
-    bool dry = true;
-    for (std::size_t k = 0; k < n; ++k)
-      dry = dry && fleet.next_send_time(k) == kNever;
-
-    // Merge (serial): by send time, ties to the lower client, into whole
-    // chunks; the remainder waits for the next epoch unless the fleet ran
-    // dry, when it forms the final short chunk.
-    std::size_t total = 0;
+  // The shared sinks' feed of one page: merge the clients' send times (ties
+  // to the lower client) into the serial drive's global chunks and hand each
+  // complete chunk on, client by client, then lane by lane. A step holds
+  // every row sent before its horizon and no later one, so the merged pages
+  // concatenate to the serial merge; a chunk may start on an earlier page.
+  std::size_t open = 0;  ///< rows in the open chunk
+  std::vector<std::size_t> segment(n);  ///< k's rows in the open chunk
+  using Head = std::pair<Seconds, std::size_t>;  ///< (truth.ta, client)
+  std::vector<Head> heap;
+  std::vector<std::size_t> cursor(n);
+  const auto take_open_chunk = [&](std::size_t page, bool flush) {
+    for (std::size_t k = 0; k < n; ++k) {
+      for (const std::size_t lane : lanes_of[k]) {
+        SharedCapture* capture = captures_[lane].get();
+        if (capture == nullptr) continue;
+        capture->take(page, segment[k]);
+        if (flush) capture->flush();
+      }
+      segment[k] = 0;
+    }
+  };
+  const auto feed = [&](std::size_t page) {
     heap.clear();
     for (std::size_t k = 0; k < n; ++k) {
-      const sim::ExchangeBatch& rows = buffered[k].rows;
-      total += rows.size();
-      buffered[k].merged = 0;
-      if (!rows.empty()) heap.emplace_back(rows.truth_ta[0], k);
+      cursor[k] = 0;
+      if (!clients[k].sent[page].empty())
+        heap.emplace_back(clients[k].sent[page].front(), k);
     }
-    const std::size_t rows = dry ? total : total - total % kBatchChunk;
-    const std::size_t chunks = (rows + kBatchChunk - 1) / kBatchChunk;
-    counts.assign(chunks * n, 0);
     std::make_heap(heap.begin(), heap.end(), std::greater<>{});
-    for (std::size_t r = 0; r < rows; ++r) {
+    while (!heap.empty()) {
       std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
       const std::size_t k = heap.back().second;
-      ++counts[r / kBatchChunk * n + k];
-      const std::size_t next = ++buffered[k].merged;
-      if (next < buffered[k].rows.size()) {
-        heap.back().first = buffered[k].rows.truth_ta[next];
+      const std::vector<Seconds>& sent = clients[k].sent[page];
+      ++segment[k];
+      if (++cursor[k] < sent.size()) {
+        heap.back().first = sent[cursor[k]];
         std::push_heap(heap.begin(), heap.end(), std::greater<>{});
       } else {
         heap.pop_back();
       }
+      if (++open == kBatchChunk) {
+        take_open_chunk(page, true);
+        open = 0;
+      }
     }
-    if (!dry) next_horizon();
+    take_open_chunk(page, false);
+  };
 
-    // One parallel step: task 0 feeds the shared sinks the previous epoch's
-    // captures; task k + 1 runs client k's lanes over its segment of every
-    // chunk (feeding their own sinks directly, capturing the shared sinks'
-    // share on the other page), then generates client k's next epoch, which
-    // needs nothing from the lanes and keeps the client's rows on one core.
-    const std::size_t previous = page ^ 1;
+  // One parallel step: task 0 feeds the shared sinks the previous step's
+  // page; task k + 1 runs client k over this step's page.
+  std::size_t page = 0;
+  bool more = next_horizon();
+  while (more) {
     for_each_task(pool, n + 1, [&](std::size_t task) {
       if (task == 0) {
-        feed(previous, fed_chunks);
+        if (shared) feed(page ^ 1);
         return;
       }
-      const std::size_t k = task - 1;
-      for (const std::size_t lane : lanes_of[k])
-        if (captures_[lane]) captures_[lane]->start(page);
-      std::size_t begin = 0;
-      for (std::size_t c = 0; c < chunks; ++c) {
-        const std::size_t end = begin + counts[c * n + k];
-        for (const std::size_t lane : lanes_of[k]) {
-          if (end > begin)
-            lanes_[lane]->process_batch(buffered[k].rows, begin, end);
-          if (captures_[lane]) captures_[lane]->mark();
-        }
-        begin = end;
-      }
-      if (!dry) generate(k);
+      run_client(task - 1, page);
     });
-    fed_chunks = chunks;
-    page = previous;
-    if (dry) break;
+    more = next_horizon();
+    page ^= 1;
   }
-  feed(page ^ 1, fed_chunks);
+  if (shared) {
+    feed(page ^ 1);
+    take_open_chunk(page ^ 1, true);  // the final short chunk
+  }
   for (auto& lane : lanes_)
     lane->set_polls_enumerated(
         fleet.client(lane->config().client_id).polls_enumerated());

@@ -76,11 +76,13 @@ namespace tscclock::harness {
 class TraceRecorder;  // harness/replay.hpp
 struct ReplayTrace;   // harness/replay.hpp
 
-/// Rows per generate_batch call in every whole-stream drive (ClockSession
-/// and MultiEstimatorSession run(), over a Testbed or a fleet): large enough
-/// to amortize the per-batch sink flush, small enough to keep the working
-/// set (~200 bytes/exchange) inside L2. One constant for every drive: the
-/// 1-client fleet ≡ ClockSession golden needs the identical chunking.
+/// Rows per generate_batch call in the Testbed drives (ClockSession and
+/// MultiEstimatorSession run()): large enough to amortize the per-batch sink
+/// flush, small enough to keep the working set (~200 bytes/exchange) inside
+/// L2. Lanes and the reducers do not depend on it (a reducer sees values
+/// only in order). What does is the fleet drive's shared-sink feed: a sink
+/// shared by several lanes sees the fleet's send-time-merged stream cut into
+/// kBatchChunk-row chunks, chunk by chunk, then client by client.
 inline constexpr std::size_t kBatchChunk = 1024;
 
 /// Which timebase the warm-up discard cut uses.
@@ -243,8 +245,9 @@ class ClockSession {
 
   /// Process one exchange through the canonical sequence: the path
   /// process_batch takes for record-shaped sinks, and the reference the
-  /// batched lane is pinned against.
-  void process(const sim::Exchange& exchange);
+  /// batched lane is pinned against. Returns whether a record reached the
+  /// sinks.
+  bool process(const sim::Exchange& exchange);
 
   /// Process a generator-written SoA batch (sim::Testbed::generate_batch)
   /// through the identical canonical sequence. When every attached sink
@@ -255,13 +258,11 @@ class ClockSession {
   /// record-shaped sink attached, each row is materialized into one scratch
   /// Exchange and run through process(), so every sink observes exactly the
   /// per-exchange stream and a CallbackSink reading this lane's clock sees
-  /// it as of its own record.
-  void process_batch(const sim::ExchangeBatch& batch);
-
-  /// The same over rows [begin, end) of `batch` (the fleet drive hands each
-  /// lane its segment of a client's epoch buffer without copying it).
-  void process_batch(const sim::ExchangeBatch& batch, std::size_t begin,
-                     std::size_t end);
+  /// it as of its own record. When `emitted` is given, one flag per row is
+  /// appended to it: 1 when the row reached the sinks (the fleet drive cuts
+  /// a lane's output at chunk boundaries by them).
+  void process_batch(const sim::ExchangeBatch& batch,
+                     std::vector<std::uint8_t>* emitted = nullptr);
 
   /// Drain the whole testbed — Testbed::generate_batch → process_batch in
   /// kBatchChunk-row chunks — and return the final summary.
@@ -312,13 +313,14 @@ class ClockSession {
 /// head-to-head comparison — one lane per algorithm (per client), all
 /// scored by the same pipeline.
 ///
-/// Cross-lane rule: lanes consume the stream one chunk at a time, a lane
-/// draining its whole segment of a chunk before the client's next lane
-/// starts it. A sink sees its own lane's state as of its own record, but a
-/// lane of the same client only at chunk granularity, and under the fleet
-/// drive another client's lanes not at all (they run on other threads). To
-/// pair values across lanes, key them by SampleRecord::index and combine
-/// them after run().
+/// Cross-lane rule: lanes consume the stream one batch at a time (a chunk
+/// over a Testbed, a burst of the client's rows under the fleet drive), a
+/// lane draining the whole batch before the client's next lane starts it.
+/// A sink sees its own lane's state as of its own record, but a lane of the
+/// same client only at batch granularity, and under the fleet drive another
+/// client's lanes not at all (they run on other threads). To pair values
+/// across lanes, key them by SampleRecord::index and combine them after
+/// run().
 class MultiEstimatorSession {
  public:
   MultiEstimatorSession();
@@ -349,10 +351,10 @@ class MultiEstimatorSession {
   /// Attach one sink to several lanes (fleet-wide reducers, trace dumps).
   /// Under run(FleetTestbed&) it is fed by one task at a time in the serial
   /// drive's order: chunk by chunk, then client by client, then lane by
-  /// lane, in the shape each lane emitted (records or batches). It sees each
-  /// epoch's output while the lanes run the next epoch, so it must not read
-  /// lane state. run(Testbed&) refuses a sink shared by several lanes; with
-  /// one lane this is add_sink.
+  /// lane, each lane's records as records and its batch values as batches.
+  /// It sees a step's output while the lanes run the next step, so it must
+  /// not read lane state. run(Testbed&) refuses a sink shared by several
+  /// lanes; with one lane this is add_sink.
   void add_shared_sink(std::span<const std::size_t> lanes, SampleSink& sink);
 
   [[nodiscard]] std::size_t lane_count() const { return lanes_.size(); }
@@ -365,19 +367,43 @@ class MultiEstimatorSession {
   /// ClockSession::process_batch. Back-fills each lane's poll-slot count.
   void run(sim::Testbed& testbed);
 
-  /// Drain the fleet in epochs of kBatchChunk × poll_period / client_count
-  /// seconds and back-fill each lane's poll-slot count from its client.
-  /// Reproduces the serial merge drive bit for bit: the fleet stream merged
-  /// by send time and cut into kBatchChunk-row chunks, each chunk's
-  /// per-client segment fed to the client's lanes in lane order. Each epoch
-  /// generates every client's exchanges up to a horizon (parallel), merges
-  /// the buffered rows into whole chunks (serial), runs each client's lanes
-  /// over their segments of those chunks (parallel), then feeds the shared
-  /// sinks what the lanes emitted (one task, beside the next epoch's
-  /// lanes). The per-client steps run on `pool` when one is given, else on
-  /// the calling thread; the results are identical either way. When several
-  /// clients throw in one step, the lowest client's exception propagates.
-  /// Refuses a trace recording and a lane whose client the fleet lacks.
+  /// Drain the fleet and back-fill each lane's poll-slot count from its
+  /// client. Every lane and every sink ends as under the serial merge drive
+  /// (the fleet stream merged by send time, ties to the lower client, cut
+  /// into kBatchChunk-row chunks, each chunk's per-client segment fed to the
+  /// client's lanes in lane order), bit for bit.
+  ///
+  /// The drive runs in parallel steps of 4 × kBatchChunk × poll_period /
+  /// client_count seconds, about 4 × kBatchChunk / client_count polls per
+  /// client. In a step, client k's task generates its rows below the step's
+  /// horizon at most max(1, kBatchChunk / client_count) at a time and runs
+  /// each of its lanes over each burst, so sinks attached to one lane are
+  /// fed there. For the shared sinks it keeps only each lane's output, one
+  /// emitted flag per row and lane, and each row's send time. One more task
+  /// merges the previous step's send times into chunks and feeds the shared
+  /// sinks that step's output in the serial drive's order; the open chunk's
+  /// output carries into the next step's feed. The tasks run on `pool` when
+  /// one is given, else on the calling thread; the results are identical
+  /// either way.
+  ///
+  /// What a step holds does not grow with the duration or the thread count:
+  /// the raw rows in flight (about kBatchChunk over all clients, ~120 B
+  /// each), and twice over (the page the lanes fill and the one being fed)
+  /// each row's send time (8 B), plus per lane with shared sinks one flag
+  /// (1 B) and its output (24 B per evaluated row for batch sinks, one
+  /// SampleRecord per emitted row for record sinks), plus the open chunk's
+  /// output and about 1 KiB of buffer headers per client. At n = 16 a step
+  /// is about 4,100 rows: ~120 KiB of raw rows, ~64 KiB of send times and
+  /// ~200 KiB of batch output per estimator. At n = 1024 it is at most
+  /// about 5,100 rows (four or five per client): ~120 KiB, ~80 KiB and
+  /// ~250 KiB, beside ~1 MiB of per-client headers.
+  ///
+  /// Failure rule: the drive stops at the first step in which a task
+  /// throws. In that step the feed of the previous step's output wins, then
+  /// the lowest client, so an earlier step's failure beats a later one's
+  /// and the exception a FAILED row reports does not depend on the thread
+  /// count. Refuses a trace recording and a lane whose client the fleet
+  /// lacks.
   void run(sim::FleetTestbed& fleet, ThreadPool* pool = nullptr);
 
   /// Forward to run(); kept for callers written against the old name.

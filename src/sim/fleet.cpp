@@ -149,13 +149,19 @@ std::size_t FleetTestbed::generate_batch(FleetBatch& out,
   return rows;
 }
 
-void FleetTestbed::generate_until(std::size_t k, Seconds horizon,
-                                  ExchangeBatch& out) {
+std::size_t FleetTestbed::generate_until(std::size_t k, Seconds horizon,
+                                         ExchangeBatch& out,
+                                         std::size_t max_rows) {
   TSC_EXPECTS(k < pending_.size());
-  while (pending_[k].valid && pending_[k].ex.truth.ta < horizon) {
-    out.push(pending_[k].ex);
+  out.resize(max_rows);
+  std::size_t rows = 0;
+  while (rows < max_rows && pending_[k].valid &&
+         pending_[k].ex.truth.ta < horizon) {
+    out.store(rows++, pending_[k].ex);
     refill(k);
   }
+  out.resize(rows);
+  return rows;
 }
 
 Seconds FleetTestbed::next_send_time(std::size_t k) const {

@@ -94,11 +94,14 @@ class FleetTestbed {
   /// to the next_into() stream.
   std::size_t generate_batch(FleetBatch& out, std::size_t max_rows);
 
-  /// Append client k's exchanges whose send time truth.ta lies below
-  /// `horizon` to `out`, in generation order, from the same one-exchange
-  /// lookahead the merge reads. Calls for distinct clients touch disjoint
-  /// state and may run concurrently.
-  void generate_until(std::size_t k, Seconds horizon, ExchangeBatch& out);
+  /// Replace `out` with client k's next exchanges whose send time truth.ta
+  /// lies below `horizon`, at most `max_rows` of them, in generation order,
+  /// from the same one-exchange lookahead the merge reads. Returns the row
+  /// count (< max_rows only once the next send is at or past the horizon).
+  /// Calls for distinct clients touch disjoint state and may run
+  /// concurrently.
+  std::size_t generate_until(std::size_t k, Seconds horizon,
+                             ExchangeBatch& out, std::size_t max_rows);
 
   /// Send time of client k's next exchange; +infinity once its duration
   /// is exhausted.

@@ -239,14 +239,6 @@ void ExchangeBatch::push(const Exchange& in) {
   store(row, in);
 }
 
-void ExchangeBatch::erase_front(std::size_t rows) {
-  TSC_EXPECTS(rows <= size());
-  for_each_column([rows](auto& column) {
-    column.erase(column.begin(),
-                 column.begin() + static_cast<std::ptrdiff_t>(rows));
-  });
-}
-
 ClientNode::ClientNode(const ScenarioConfig& config, std::uint32_t client_id,
                        std::optional<BridgeLink> bridge)
     : config_(config),

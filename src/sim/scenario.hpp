@@ -172,12 +172,8 @@ struct ExchangeBatch {
   /// stream scattered back into per-client column batches).
   void push_row(const ExchangeBatch& src, std::size_t i);
 
-  /// Append `in` as a new last row (a client's epoch buffer in the fleet
-  /// drive).
+  /// Append `in` as a new last row.
   void push(const Exchange& in);
-
-  /// Drop the first `rows` rows, keeping the rest in order.
-  void erase_front(std::size_t rows);
 
  private:
   /// Apply `fn` to every column vector.

@@ -1,7 +1,7 @@
 // Fleet simulation tests: the seed-identity contract (a 1-client fleet is
 // bit-identical to the classic single-client Testbed/ClockSession drive),
 // merge determinism across thread counts and shard slices, the
-// client-parallel epoch drive against the serial merge drive, the correlated
+// client-parallel step drive against the serial merge drive, the correlated
 // shared-congestion coupling, the bridge-hierarchy warm-up ordering, the
 // mixed-client replay rejection, and the fleet(...) spec parser.
 #include "sim/fleet.hpp"
@@ -415,7 +415,7 @@ TEST(FleetSweep, FleetMetricsPopulatedAndPrinted) {
 
 // -- Serial-merge oracle ------------------------------------------------------
 
-/// The serial merge drive the epoch drive replaced, kept as its reference:
+/// The serial merge drive, kept as the fleet drive's reference:
 /// the fleet's send-time-merged stream in kBatchChunk-row chunks, each chunk
 /// demultiplexed by client and fed lane by lane. Shared sinks are attached
 /// to every lane directly, so they see the records as the lanes emit them.
@@ -651,6 +651,79 @@ TEST(FleetParallel, CongestedCellDigestIsPinned) {
             0x4eb79b45c9bfd704ull);
 }
 
+/// One grid's cells, one topology and one schedule each.
+std::vector<sweep::SweepScenario> edge_cells(const std::string& fleet,
+                                             Seconds duration,
+                                             sweep::ScheduleVariant schedule) {
+  sweep::GridSpec grid;
+  grid.servers = {sim::ServerKind::kInt};
+  grid.environments = {sim::Environment::kMachineRoom};
+  grid.poll_periods = {16.0};
+  grid.schedules = {std::move(schedule)};
+  grid.duration = duration;
+  grid.master_seed = 20040704;
+  grid.fleets = sweep::parse_fleet_specs(fleet);
+  return sweep::expand_grid(grid);
+}
+
+TEST(FleetParallel, StepDriveMatchesTheSerialMergeDriveAtItsEdges) {
+  // The step drive against the serial merge drive where its step and burst
+  // sizes move: one client (one 1024-row burst at a time, four per step), a
+  // wide fleet (21-row bursts, about 85 rows per client per step), and an
+  // outage schedule whose gaps outlast a step, with a short active window
+  // between them (steps of a few hundred rows, so a chunk spans several
+  // steps) and a gap that reaches past the end (the fleet runs dry mid-step).
+  // Every duration ends mid-chunk. On pools of 1, 2 and 4 workers, exact and
+  // streaming, with the record-shaped trace collector as a shared sink.
+  sweep::ScheduleVariant outage;
+  outage.name = "gaps";
+  outage.events.add_outage(4 * duration::kHour, 9 * duration::kHour);
+  outage.events.add_outage(9 * duration::kHour + 10 * duration::kMinute,
+                           14 * duration::kHour);
+  outage.events.add_outage(26 * duration::kHour, 40 * duration::kHour);
+  std::vector<sweep::SweepScenario> scenarios;
+  for (auto cells :
+       {edge_cells("fleet(n=1,shared_congestion=1)", 40 * duration::kHour + 7,
+                   {}),
+        edge_cells("fleet(n=48)", 4 * duration::kHour + 13, {}),
+        edge_cells("fleet(n=5,shared_congestion=1)", 30 * duration::kHour + 29,
+                   outage)})
+    scenarios.insert(scenarios.end(), cells.begin(), cells.end());
+  ASSERT_EQ(scenarios.size(), 3u);
+  const std::vector<harness::EstimatorSpec> specs = {
+      harness::EstimatorSpec{"robust", {}},
+      harness::EstimatorSpec{"swntp", {}}};
+  const Seconds warmup = 30 * duration::kMinute;
+
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (const std::size_t workers : {1u, 2u, 4u})
+    pools.push_back(std::make_unique<ThreadPool>(workers));
+  for (const auto& scenario : scenarios) {
+    for (const bool streaming : {false, true}) {
+      SCOPED_TRACE(scenario.name + (streaming ? " streaming" : " exact"));
+      std::vector<OracleCell> oracle;
+      for (const auto& spec : specs)
+        oracle.push_back(oracle_cell(scenario, spec, warmup, streaming));
+      ASSERT_NE(oracle.front().result.exchanges % harness::kBatchChunk, 0u);
+      for (const auto& pool : pools) {
+        SCOPED_TRACE(pool->thread_count());
+        std::vector<harness::CollectorSink> traces(specs.size());
+        std::vector<harness::SampleSink*> sinks;
+        for (auto& trace : traces) sinks.push_back(&trace);
+        const auto results = sweep::run_scenario_multi(
+            scenario, specs, warmup, sinks, streaming, {}, pool.get());
+        ASSERT_EQ(results.size(), specs.size());
+        for (std::size_t e = 0; e < specs.size(); ++e) {
+          ASSERT_FALSE(results[e].failed) << results[e].error;
+          EXPECT_EQ(sweep::serialize_result(results[e]),
+                    sweep::serialize_result(oracle[e].result));
+          expect_records_identical(traces[e].records(), oracle[e].records);
+        }
+      }
+    }
+  }
+}
+
 /// The robust clock, refusing its `fail_at`-th exchange with a
 /// ContractViolation that names its client.
 class FailingEstimator final : public harness::ClockEstimator {
@@ -717,6 +790,43 @@ TEST(FleetParallel, LowestFailingClientWinsAtEveryThreadCount) {
       FAIL() << "expected a ContractViolation";
     } catch (const ContractViolation& e) {
       EXPECT_STREQ(e.what(), "client 1 refused exchange 100");
+    }
+  }
+}
+
+TEST(FleetParallel, LowestFailingClientYieldsToAnEarlierStep) {
+  // Client 3 fails at its 100th exchange, client 1 at its 5000th, many
+  // steps later. The drive stops at the first step that throws, so client
+  // 3's exception surfaces at every thread count, though client 1 is lower.
+  sim::ScenarioConfig scenario = fast_scenario();
+  scenario.duration = duration::kDay;
+  const harness::SessionConfig config = fast_session_config(scenario);
+  sim::FleetConfig topology;
+  topology.n_clients = 4;
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  pools.push_back(nullptr);  // the calling thread
+  for (const std::size_t workers : {1u, 2u, 4u})
+    pools.push_back(std::make_unique<ThreadPool>(workers));
+  for (const auto& pool : pools) {
+    SCOPED_TRACE(pool ? pool->thread_count() : 0);
+    sim::FleetTestbed fleet(scenario, topology);
+    harness::MultiEstimatorSession session;
+    for (std::size_t k = 0; k < topology.n_clients; ++k) {
+      std::unique_ptr<harness::ClockEstimator> estimator =
+          std::make_unique<harness::TscNtpEstimator>(
+              config.params, fleet.client(k).nominal_period());
+      if (k == 1 || k == 3)
+        estimator = std::make_unique<FailingEstimator>(
+            std::move(estimator), k, k == 1 ? 5000 : 100);
+      harness::SessionConfig lane = config;
+      lane.client_id = static_cast<std::uint32_t>(k);
+      session.add_lane(lane, std::move(estimator));
+    }
+    try {
+      session.run(fleet, pool.get());
+      FAIL() << "expected a ContractViolation";
+    } catch (const ContractViolation& e) {
+      EXPECT_STREQ(e.what(), "client 3 refused exchange 100");
     }
   }
 }
