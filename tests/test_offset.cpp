@@ -4,8 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 
+#include "common/serialize.hpp"
+#include "core/clock.hpp"
 #include "core/point_error.hpp"
+#include "sim/scenario.hpp"
 #include "synthetic_link.hpp"
 
 namespace tscclock::core {
@@ -235,6 +240,63 @@ TEST(Offset, WeightingDisabledUsesFallbackPath) {
   const auto eval = h.feed(link.next());
   EXPECT_FALSE(eval.weighted);
   EXPECT_TRUE(eval.fallback);
+}
+
+// -- Every packet's estimate, pinned ------------------------------------------
+
+struct EstimateDigest {
+  std::uint64_t digest = 0;
+  std::size_t packets = 0;
+  std::size_t weighted = 0;
+};
+
+/// The robust clock over a simulated two-day stream: an FNV-1a digest of
+/// θ̂(t) after every arrived packet, as exact hexfloat. The reduction goldens
+/// hash percentiles and means, where one changed weight could hide; this
+/// one moves if any packet's weighted sum does.
+EstimateDigest online_estimates(sim::ServerKind server, std::uint64_t seed) {
+  sim::ScenarioConfig config;
+  config.server = server;
+  config.environment = sim::Environment::kLaboratory;
+  config.poll_period = 16.0;
+  config.duration = 2 * duration::kDay;
+  config.seed = seed;
+  sim::Testbed testbed(config);
+  TscNtpClock clock(Params::for_poll_period(config.poll_period),
+                    testbed.nominal_period());
+  std::string text;
+  EstimateDigest result;
+  while (const auto ex = testbed.next()) {
+    if (ex->lost) continue;
+    const ProcessReport report = clock.process_exchange(
+        RawExchange{ex->ta_counts, ex->tb_stamp, ex->te_stamp, ex->tf_counts});
+    append_double_exact(text, report.offset_estimate);
+    text += '\n';
+    ++result.packets;
+    if (report.offset_weighted) ++result.weighted;
+  }
+  result.digest = fnv1a64(text);
+  return result;
+}
+
+TEST(OffsetGolden, EveryPacketsEstimateOnTwoDayLabStreamsIsPinned) {
+  const struct {
+    sim::ServerKind server;
+    std::uint64_t seed;
+    std::size_t packets;
+    std::uint64_t digest;
+  } cases[] = {
+      {sim::ServerKind::kLoc, 20041025, 10779, 0x99183b579dde9ca3ull},
+      {sim::ServerKind::kInt, 20041026, 10771, 0x42372fa2c0aa1bedull},
+      {sim::ServerKind::kExt, 20041027, 10727, 0x4ed71c5b58f4e2a4ull},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(sim::to_string(c.server));
+    const EstimateDigest got = online_estimates(c.server, c.seed);
+    EXPECT_EQ(got.packets, c.packets);
+    EXPECT_GT(got.weighted, got.packets / 2);
+    EXPECT_EQ(got.digest, c.digest);
+  }
 }
 
 }  // namespace

@@ -14,16 +14,21 @@
 //     (warm-up cut + reference availability), so a ReducerSink attached to
 //     a ReplaySession reduces a directly comparable stream;
 //   * degenerate traces (fewer than two arrived packets) yield zero
-//     evaluated records instead of throwing.
+//     evaluated records instead of throwing;
+//   * every smoothed offset of a month-scale stress trace, with and without
+//     the shift split, is pinned by digest.
 #include "harness/replay.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/contracts.hpp"
+#include "common/serialize.hpp"
 #include "core/offline.hpp"
 #include "harness/estimator_spec.hpp"
 #include "harness/sinks.hpp"
@@ -353,6 +358,56 @@ TEST(OfflineSplit, LevelShiftTraceIsCutAndRebasesTheMinimum) {
   ASSERT_EQ(plain.offsets.size(), split.offsets.size());
   EXPECT_NE(plain.offsets, split.offsets);
   EXPECT_TRUE(std::isfinite(split.worst));
+}
+
+// -- Every smoothed offset, pinned -------------------------------------------
+
+TEST(OfflineGolden, MonthStressTraceOffsetsArePinned) {
+  // The sweep's `stress` schedule over 30 days on MR-Int at 16 s: an
+  // outage, a switch to ServerLoc and a 150 ms server fault. An FNV-1a
+  // digest of every smoothed offset (exact hexfloat) for offline and
+  // offline(split=shifts): the reduction goldens hash percentiles, where
+  // one changed weight could hide.
+  sim::ScenarioConfig scenario;
+  scenario.server = sim::ServerKind::kInt;
+  scenario.environment = sim::Environment::kMachineRoom;
+  scenario.poll_period = 16.0;
+  scenario.duration = 30 * duration::kDay;
+  scenario.seed = 2004;
+  const Seconds d = scenario.duration;
+  scenario.events.add_outage(0.25 * d, 0.25 * d + 20 * duration::kMinute);
+  scenario.events.add_server_fault(0.55 * d, 0.55 * d + 10 * duration::kMinute,
+                                   150 * duration::kMillisecond);
+  scenario.server_switches = {{d / 2, sim::ServerKind::kLoc}};
+  const auto config = replay_config(scenario);
+
+  sim::Testbed testbed(scenario);
+  MultiEstimatorSession online;
+  online.enable_trace_recording(config);
+  online.run(testbed);
+
+  const struct {
+    OfflineSmootherEstimator::Split split;
+    std::size_t segments;
+    std::uint64_t digest;
+  } cases[] = {
+      {OfflineSmootherEstimator::Split::kNone, 1, 0xac4df30cbedfcd58ull},
+      {OfflineSmootherEstimator::Split::kShifts, 2, 0x3e86ae3745e815c0ull},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.segments);
+    OfflineSmootherEstimator smoother(config.params, testbed.nominal_period(),
+                                      c.split);
+    const ReplayOutput output = smoother.process_trace(online.trace().samples);
+    ASSERT_EQ(output.offsets.size(), online.trace().arrived());
+    std::string text;
+    for (const Seconds offset : output.offsets) {
+      append_double_exact(text, offset);
+      text += '\n';
+    }
+    EXPECT_EQ(smoother.segments(), c.segments);
+    EXPECT_EQ(fnv1a64(text), c.digest);
+  }
 }
 
 // -- Registry (replay side) ------------------------------------------------
