@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "common/contracts.hpp"
+#include "common/exp.hpp"
 #include "core/naive.hpp"
 
 namespace tscclock::core {
@@ -125,6 +127,8 @@ OfflineResult smooth_offsets(std::span<const RawExchange> trace,
   const auto smooth_block = [&](std::size_t block) {
     const std::size_t end = std::min(n, (block + 1) * kSmoothBlock);
     std::size_t lo = block_lo[block];
+    // The window's total errors, then (in place) its exponents and weights.
+    std::vector<double> weights;
     for (std::size_t k = block * kSmoothBlock; k < end; ++k) {
       lo = advance_lo(lo, k);
       // The window's best packet first: the weights are only worth their
@@ -132,26 +136,29 @@ OfflineResult smooth_offsets(std::span<const RawExchange> trace,
       Seconds best_total = std::numeric_limits<double>::infinity();
       std::size_t best_idx = k;
       std::size_t hi = lo;
+      weights.clear();
       for (; hi < n; ++hi) {
         const Seconds distance =
             std::fabs(timescale.between(trace[hi].tf, trace[k].tf));
         if (hi > k && distance > half_window) break;
         const Seconds total = total_error(distance, hi);
+        weights.push_back(total);
         if (total < best_total) {
           best_total = total;
           best_idx = hi;
         }
       }
       if (best_total <= params.extreme_quality()) {
+        for (double& w : weights) {
+          const double z = w / params.offset_quality;
+          w = -z * z;
+        }
+        exp_batch(weights, weights);
         double weight_sum = 0;
         double weighted = 0;
-        for (std::size_t i = lo; i < hi; ++i) {
-          const Seconds distance =
-              std::fabs(timescale.between(trace[i].tf, trace[k].tf));
-          const double z = total_error(distance, i) / params.offset_quality;
-          const double w = std::exp(-z * z);
-          weight_sum += w;
-          weighted += w * naive[i];
+        for (std::size_t j = 0; j < weights.size(); ++j) {
+          weight_sum += weights[j];
+          weighted += weights[j] * naive[lo + j];
         }
         // A large extreme_quality_factor can still underflow every weight.
         if (weight_sum > 0.0) {

@@ -45,9 +45,12 @@ inline constexpr std::size_t kSmoothBlock = 4096;
 /// Smooth a complete trace. The exchanges must be in send order.
 /// Throws ContractViolation for traces with fewer than two packets.
 ///
-/// With a `pool`, the per-packet windows run in fixed-size blocks on it;
-/// each packet's arithmetic is the same as without one, so the result is
-/// bit-identical at every worker count.
+/// Each packet's window weights come from one exp_batch call
+/// (common/exp.hpp, bit-identical to std::exp) over its exponents, then
+/// are summed in window order. The windows run in fixed-size blocks, one
+/// scratch per block; with a `pool` the blocks run on it. Each packet's
+/// arithmetic is the same either way, so the result is bit-identical at
+/// every worker count.
 OfflineResult smooth_offsets(std::span<const RawExchange> trace,
                              const Params& params, double nominal_period,
                              ThreadPool* pool = nullptr);

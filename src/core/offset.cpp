@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/contracts.hpp"
+#include "common/exp.hpp"
 #include "core/naive.hpp"
 
 namespace tscclock::core {
@@ -49,10 +50,13 @@ OffsetEvaluation OffsetEstimator::process(const PacketRecord& packet,
       params_.offset_quality *
       (in_warmup ? params_.warmup_quality_inflation : 1.0);
 
-  // Stages (i)-(iii): total errors, weights, weighted combination.
-  double weight_sum = 0;
-  double weighted_offset = 0;
-  for (std::size_t k = 0; k < window_.size(); ++k) {
+  // Stages (i)-(iii): total errors, weights, weighted combination. The
+  // exponent and the slope-corrected offset of every window packet first,
+  // then all the weights in one exp_batch, then the sums in window order.
+  const std::size_t n = window_.size();
+  weights_.resize(n);
+  terms_.resize(n);
+  for (std::size_t k = 0; k < n; ++k) {
     const auto& rec = window_[k];
     const Seconds age = clock.between(rec.stamps.tf, packet.stamps.tf);
     const Seconds point_error =
@@ -62,10 +66,15 @@ OffsetEvaluation OffsetEstimator::process(const PacketRecord& packet,
     if (total_error < eval.min_total_error) eval.min_total_error = total_error;
 
     const double z = total_error / quality_scale;
-    const double w = std::exp(-z * z);
-    const Seconds theta_i = naive_offset(rec.stamps, clock);
-    weight_sum += w;
-    weighted_offset += w * (theta_i - gamma_local * age);
+    weights_[k] = -z * z;
+    terms_[k] = naive_offset(rec.stamps, clock) - gamma_local * age;
+  }
+  exp_batch(weights_, weights_);
+  double weight_sum = 0;
+  double weighted_offset = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    weight_sum += weights_[k];
+    weighted_offset += weights_[k] * terms_[k];
   }
   eval.weight_sum = weight_sum;
 

@@ -15,6 +15,11 @@
 //        Es = 1 ms — orders of magnitude beyond what the hardware can do —
 //        otherwise the most recent trusted value is duplicated.
 //
+// The weights of stage (ii) are computed for the whole window in one
+// exp_batch call (common/exp.hpp), bit-identical to std::exp, and the sums of
+// stage (iii) are then accumulated in window order, so the estimate is the
+// same as with one std::exp per packet.
+//
 // Gap handling (§6.1): when a long gap (> τ̄/2) has starved the window and
 // quality is poor, the new naive estimate is blended with the aged previous
 // estimate, weighting each by its own quality, so recovery is immediate but
@@ -28,6 +33,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "common/ring_buffer.hpp"
 #include "common/time_types.hpp"
@@ -80,6 +86,12 @@ class OffsetEstimator {
  private:
   Params params_;
   RingBuffer<PacketRecord> window_;
+
+  // Per-packet scratch of stages (ii)-(iii), one slot per window packet:
+  // the exponents −z² (then, in place, the weights) and the slope-corrected
+  // offsets θ̂_i − γ̂_l·age_i.
+  std::vector<double> weights_;
+  std::vector<Seconds> terms_;
 
   // Last *measured* estimate (weighted / blend / first): basis of fallback
   // extrapolation and of the aged weight in the gap blend.

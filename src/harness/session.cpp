@@ -370,11 +370,6 @@ ClockSession& MultiEstimatorSession::lane(std::size_t index) {
   return *lanes_[index];
 }
 
-const ClockSession& MultiEstimatorSession::lane(std::size_t index) const {
-  TSC_EXPECTS(index < lanes_.size());
-  return *lanes_[index];
-}
-
 void MultiEstimatorSession::run(sim::Testbed& testbed) {
   // Lanes run one after another on this thread; a shared sink would see
   // lane-major order, not the fleet drive's client-major one.

@@ -359,7 +359,6 @@ class MultiEstimatorSession {
 
   [[nodiscard]] std::size_t lane_count() const { return lanes_.size(); }
   [[nodiscard]] ClockSession& lane(std::size_t index);
-  [[nodiscard]] const ClockSession& lane(std::size_t index) const;
 
   /// Drain the whole testbed, kBatchChunk rows at a time: the shared
   /// recorder observes each row once (materialized through one scratch
