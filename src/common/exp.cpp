@@ -255,30 +255,28 @@ __attribute__((target("avx2,fma"))) void exp_batch_avx2(const double* x,
 
 }  // namespace
 
+#endif  // TSCCLOCK_EXP_KERNEL
+
 bool exp_batch_vectorized() {
+#if TSCCLOCK_EXP_KERNEL
   // glibc's ifunc selects its FMA exp under the same two feature bits.
   static const bool vectorized =
       __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
   return vectorized;
+#else
+  return false;
+#endif
 }
 
 void exp_batch(std::span<const double> x, std::span<double> out) {
   TSC_EXPECTS(out.size() >= x.size());
+#if TSCCLOCK_EXP_KERNEL
   if (exp_batch_vectorized()) {
     exp_batch_avx2(x.data(), out.data(), x.size());
-  } else {
-    exp_batch_libm(x, out);
+    return;
   }
-}
-
-#else  // !TSCCLOCK_EXP_KERNEL
-
-bool exp_batch_vectorized() { return false; }
-
-void exp_batch(std::span<const double> x, std::span<double> out) {
+#endif
   exp_batch_libm(x, out);
 }
-
-#endif
 
 }  // namespace tscclock
