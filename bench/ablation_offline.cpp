@@ -65,19 +65,16 @@ int main() {
   params.poll_period = scenario.poll_period;
 
   // Online pass: the perturbed exchanges go through the canonical harness
-  // sequence as one batch (the record-shaped collector keeps the session on
-  // the per-record path, so it scores each packet exactly as the figure
-  // benches do), and the recorder keeps the estimator-independent trace for
-  // the replay lane. Every replayed exchange has a reference and no warm-up
-  // cut applies, so online records, replay records and the recorded trace
-  // all align 1:1.
+  // sequence as one batch (the record-shaped collector gets one record per
+  // packet, as in the figure benches), and the recorder reads the same batch
+  // into the estimator-independent trace for the replay lane. Every
+  // replayed exchange has a reference and no warm-up cut applies, so online
+  // records, replay records and the recorded trace all align 1:1.
   const auto config = bench::session_config(params);
   sim::ExchangeBatch batch;
+  for (const auto& ex : exchanges) batch.push(ex);
   harness::TraceRecorder recorder(config);
-  for (const auto& ex : exchanges) {
-    batch.push(ex);
-    recorder.observe(ex);
-  }
+  recorder.observe(batch);
   harness::ClockSession online(config, testbed.nominal_period());
   harness::CollectorSink online_records;
   online.add_sink(online_records);

@@ -18,32 +18,17 @@ namespace tscclock::harness {
 
 TraceRecorder::TraceRecorder(const SessionConfig& config) : config_(config) {}
 
-void TraceRecorder::observe(const sim::Exchange& ex) {
-  ++trace_.exchanges;
-  ReplaySample sample;
-  sample.index = ex.index;
-  sample.client_id = config_.client_id;
-  sample.truth_ta = ex.truth.ta;
-  sample.truth_tb = ex.truth.tb;
-  sample.in_warmup = exchange_in_warmup(config_, ex);
-  if (ex.lost) {
-    ++trace_.lost;
-    sample.lost = true;
-    trace_.samples.push_back(sample);
-    return;
+void TraceRecorder::observe(const sim::ExchangeBatch& batch) {
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const ReplaySample& sample = trace_.samples.emplace_back(
+        observe_row(config_, server_changes_, batch, i));
+    ++trace_.exchanges;
+    if (sample.lost) ++trace_.lost;
   }
-  sample.raw = core::RawExchange{ex.ta_counts, ex.tb_stamp, ex.te_stamp,
-                                 ex.tf_counts};
-  sample.tf_counts_corrected = ex.tf_counts_corrected;
-  sample.t_day = ex.tb_stamp / duration::kDay;
-  sample.ref_available = ex.ref_available;
-  sample.tg = ex.tg;
-  if (config_.track_server_changes &&
-      server_changes_.observe(
-          core::ServerIdentity{ex.server_id, ex.server_stratum}, ex.index)) {
-    sample.server_changed = true;
-  }
-  trace_.samples.push_back(sample);
+}
+
+void TraceRecorder::observe(const sim::Exchange& exchange) {
+  observe(one_row(exchange));
 }
 
 // -- OfflineSmootherEstimator ----------------------------------------------
@@ -248,11 +233,7 @@ ReplaySession::ReplaySession(const SessionConfig& config,
   TSC_EXPECTS(estimator_ != nullptr);
 }
 
-void ReplaySession::add_sink(SampleSink& sink) { sinks_.push_back(&sink); }
-
-void ReplaySession::emit(const SampleRecord& record) {
-  for (auto* sink : sinks_) sink->on_sample(record);
-}
+void ReplaySession::add_sink(SampleSink& sink) { sinks_.add(sink); }
 
 const SessionSummary& ReplaySession::run(const ReplayTrace& trace) {
   summary_ = SessionSummary{};
@@ -276,7 +257,6 @@ const SessionSummary& ReplaySession::run(const ReplayTrace& trace) {
   // Too few packets for any whole-trace estimate: emit at most the lost/
   // unevaluated skeleton so the cell reads "n/a", never FAILED.
   const bool scorable = trace.arrived() >= 2;
-  const bool relative = trace.ground_truth == GroundTruthMode::kRelativeOnly;
   ReplayOutput output;
   if (scorable) {
     output = estimator_->process_trace(trace.samples);
@@ -286,65 +266,34 @@ const SessionSummary& ReplaySession::run(const ReplayTrace& trace) {
     summary_.final_status = output.status;
   }
 
+  const bool records = sinks_.wants_records();
   std::size_t k = 0;  // running index over non-lost samples
-  for (const auto& sample : trace.samples) {
+  for (const ReplaySample& sample : trace.samples) {
     SampleRecord record;
-    record.index = sample.index;
-    record.client_id = sample.client_id;
-    record.truth_ta = sample.truth_ta;
-    record.truth_tb = sample.truth_tb;
-    record.in_warmup = sample.in_warmup;
-    if (sample.lost) {
-      record.lost = true;
-      if (config_.emit_unevaluated) emit(record);
-      continue;
-    }
-    record.raw = sample.raw;
-    record.tf_counts_corrected = sample.tf_counts_corrected;
-    record.t_day = sample.t_day;
-    record.ref_available = sample.ref_available;
-    record.tg = sample.tg;
-    record.server_changed = sample.server_changed;
-    if (scorable) {
+    if (!sample.lost && scorable) {
       record.report.offset_estimate = output.offsets[k];
       record.report.naive_offset =
           core::naive_offset(sample.raw, output.timescale);
       if (!output.point_errors.empty())
         record.report.point_error = output.point_errors[k];
+      static_cast<Score&>(record) = score_exchange(
+          sample, record.report, output.timescale.read(sample.raw.tf),
+          std::nullopt, trace.ground_truth);
       record.warmed_up = true;
       record.period = output.period;
-      if (relative) {
-        // No reference exists, so the absolute columns stay 0 and must not
-        // be read (the mode-aware ReducerSink never collects them). The
-        // tracking residual grades the estimate against the only clock a
-        // real-internet trace can see: the server's, through the path.
-        record.offset_error =
-            record.report.offset_estimate - record.report.naive_offset;
-        record.evaluated = !sample.in_warmup;
-      } else if (sample.ref_available) {
-        // Identical alignment arithmetic to ClockSession::process: θg from
-        // the estimator's own C, errors as estimate − θg. The replay's
-        // absolute clock is Ca(T) = C(T) − θ̂(t_k) (the smoothed correction
-        // at packet k), so its clock error is the negated tracking error by
-        // construction.
-        record.reference_offset =
-            output.timescale.read(sample.raw.tf) - sample.tg;
-        record.offset_error =
-            record.report.offset_estimate - record.reference_offset;
-        record.naive_error =
-            record.report.naive_offset - record.reference_offset;
-        // Ca(Tf) − Tg = (C(Tf) − θ̂(t_k)) − Tg: with the correction applied
-        // at the very packet being scored, the clock error IS the negated
-        // tracking error — computed as such so the identity is bit-exact.
-        record.abs_clock_error = -record.offset_error;
-      }
-      if (!relative)
-        record.evaluated = sample.ref_available && !sample.in_warmup;
+      ++k;
     }
-    ++k;
     if (record.evaluated) ++summary_.evaluated;
-    if (record.evaluated || config_.emit_unevaluated) emit(record);
+    if (!records) {
+      if (record.evaluated)
+        sinks_.push(sample.raw.tb, record.abs_clock_error,
+                    record.offset_error);
+    } else if (record.evaluated || config_.emit_unevaluated) {
+      static_cast<ReplaySample&>(record) = sample;
+      sinks_.deliver(record);
+    }
   }
+  sinks_.flush();
   return summary_;
 }
 

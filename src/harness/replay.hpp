@@ -9,18 +9,19 @@
 // MultiEstimatorSession::enable_trace_recording) and replays it through
 // ReplayEstimators after the drain:
 //
-//   * TraceRecorder retains, per poll, everything a post-hoc estimator and
-//     its scoring need — the RawExchange quadruple, the DAG ground truth,
-//     the warm-up flag under the recording config's policy, and loss/server
-//     -change markers — and nothing any online lane computed;
+//   * TraceRecorder retains, per poll, the ReplaySample observe_row()
+//     reads (harness/session.hpp) — the RawExchange quadruple, the DAG
+//     ground truth, the warm-up flag under the recording config's policy,
+//     and loss/server-change markers — and nothing any online lane
+//     computed;
 //   * ReplayEstimator consumes the complete trace at once (non-causal by
 //     construction) and returns per-packet offsets over a fixed whole-trace
 //     timescale; OfflineSmootherEstimator adapts core::smooth_offsets;
-//   * ReplaySession walks the recorded trace emitting one SampleRecord per
-//     sample to ordinary SampleSinks, with the reference alignment
-//     (θg = C(Tf) − Tg), warm-up flags and `evaluated` semantics matching
-//     ClockSession exactly — so percentiles/ADEV of replay lanes come from
-//     the identical ReducerSink code path as every online lane.
+//   * ReplaySession walks the recorded trace, scores each arrived sample
+//     with the online lanes' score_exchange() (θg = C(Tf) − Tg on the
+//     estimator's whole-trace C) and delivers through the same SinkChain —
+//     so percentiles/ADEV of replay lanes come from the identical
+//     ReducerSink code path as every online lane.
 //
 // A replayed estimate at packet k uses packets after k: replay rows measure
 // what post-processing can achieve on the identical packets, not what a
@@ -41,48 +42,6 @@
 #include "harness/session.hpp"
 
 namespace tscclock::harness {
-
-/// Estimator-independent view of one Testbed poll, as retained by trace
-/// recording. Lost polls are kept (flagged) so replay lanes can emit
-/// gap-visible traces exactly like online lanes with emit_unevaluated.
-struct ReplaySample {
-  std::uint64_t index = 0;      ///< poll sequence number
-  bool lost = false;            ///< no reply reached the host
-  std::uint32_t client_id = 0;  ///< fleet position of the recorded client
-
-  // -- Observables (valid when !lost) --------------------------------------
-  core::RawExchange raw;             ///< the {Ta, Tb, Te, Tf} quadruple
-  TscCount tf_counts_corrected = 0;  ///< side-mode-corrected Tf (§2.4)
-  double t_day = 0;                  ///< raw.tb in days
-
-  // -- Ground truth ---------------------------------------------------------
-  bool ref_available = false;
-  Seconds tg = 0;        ///< DAG stamp (valid when ref_available)
-  Seconds truth_ta = 0;  ///< also filled for lost polls
-  Seconds truth_tb = 0;
-
-  // -- Drive-level flags (per the recording config) -------------------------
-  bool in_warmup = false;
-  bool server_changed = false;  ///< this reply's transport identity changed
-};
-
-/// What kind of ground truth a trace carries — designed into the replay
-/// lane, not bolted onto the file format, because it changes what
-/// `evaluated` and the error columns MEAN:
-///
-///   * kReference: a reference clock observed every exchange (the DAG
-///     monitor in simulation, a GPS-disciplined capture in the field).
-///     ref_available/tg are meaningful, and the reduction fills both the
-///     absolute clock error Ca(Tf)−Tg and the tracking error θ̂−θg.
-///   * kRelativeOnly: no reference exists (the real-internet case: a
-///     collector only sees {Ta,Tb,Te,Tf}). Absolute-error columns are
-///     structurally unavailable (n/a downstream, never zeros), and the
-///     tracking/stability columns grade the estimate against the server's
-///     own clock through the path: θ̂ − θ̂_naive, the per-packet residual of
-///     the estimate against the instantaneous symmetric-path measurement.
-///     Its spread and ADEV measure how stably the estimator tracks the one
-///     clock it can actually see.
-enum class GroundTruthMode { kReference, kRelativeOnly };
 
 /// A recorded exchange stream plus the drive-level counters a summary needs.
 struct ReplayTrace {
@@ -108,7 +67,11 @@ class TraceRecorder {
   /// ignored.
   explicit TraceRecorder(const SessionConfig& config);
 
-  /// Record one exchange (lost ones included).
+  /// Record every row of `batch` (lost ones included), read by
+  /// observe_row() exactly as a ClockSession under the same config reads it.
+  void observe(const sim::ExchangeBatch& batch);
+
+  /// Record one exchange: observe() over a one-row batch.
   void observe(const sim::Exchange& exchange);
 
   void set_polls_enumerated(std::uint64_t polls) {
@@ -198,12 +161,11 @@ class OfflineSmootherEstimator final : public ReplayEstimator {
   std::size_t segments_ = 0;
 };
 
-/// Scores one ReplayEstimator over a recorded trace through the identical
-/// reduction code path as the online lanes: one SampleRecord per sample to
-/// the attached SampleSinks, in trace order. The record fields mirror
-/// ClockSession::process — same reference alignment, same warm-up flags,
-/// same `evaluated` definition — so a ReducerSink (or CsvTraceSink) attached
-/// here produces statistics directly comparable with every online lane.
+/// Scores one ReplayEstimator over a recorded trace with the online lanes'
+/// score_exchange() (relative-only traces are a mode of it) and delivers in
+/// trace order through a SinkChain, so a ReducerSink (or CsvTraceSink)
+/// attached here produces statistics directly comparable with every online
+/// lane, and a replay never buffers more than kBatchChunk rows of output.
 class ReplaySession {
  public:
   ReplaySession(const SessionConfig& config,
@@ -226,11 +188,9 @@ class ReplaySession {
   [[nodiscard]] const SessionConfig& config() const { return config_; }
 
  private:
-  void emit(const SampleRecord& record);
-
   SessionConfig config_;
   std::unique_ptr<ReplayEstimator> estimator_;
-  std::vector<SampleSink*> sinks_;
+  SinkChain sinks_;
   SessionSummary summary_;
 };
 

@@ -53,16 +53,32 @@ void for_each_task(ThreadPool* pool, std::size_t n,
 
 }  // namespace
 
-bool exchange_in_warmup(const SessionConfig& config, bool lost,
-                        Seconds tb_stamp, Seconds truth_tb) {
-  const Seconds cut_time =
-      !lost && config.warmup_policy == WarmupPolicy::kObservable ? tb_stamp
-                                                                 : truth_tb;
-  return cut_time < config.discard_warmup;
+sim::ExchangeBatch one_row(const sim::Exchange& exchange) {
+  sim::ExchangeBatch batch;
+  batch.push(exchange);
+  return batch;
 }
 
-bool exchange_in_warmup(const SessionConfig& config, const sim::Exchange& ex) {
-  return exchange_in_warmup(config, ex.lost, ex.tb_stamp, ex.truth.tb);
+bool SinkChain::wants_records() const {
+  return std::any_of(sinks_.begin(), sinks_.end(), [](const SampleSink* sink) {
+    return !sink->wants_batch();
+  });
+}
+
+void SinkChain::deliver(const SampleRecord& record) const {
+  for (auto* sink : sinks_) sink->on_sample(record);
+}
+
+void SinkChain::push(Seconds tb, Seconds clock_error,
+                     Seconds tracking_error) {
+  if (batch_.size() == kBatchChunk) flush();
+  batch_.push(tb, clock_error, tracking_error);
+}
+
+void SinkChain::flush() {
+  if (batch_.empty()) return;
+  for (auto* sink : sinks_) sink->on_batch(batch_);
+  batch_.clear();
 }
 
 ClockSession::ClockSession(const SessionConfig& config, double nominal_period)
@@ -76,7 +92,7 @@ ClockSession::ClockSession(const SessionConfig& config,
   robust_ = dynamic_cast<TscNtpEstimator*>(estimator_.get());
 }
 
-void ClockSession::add_sink(SampleSink& sink) { sinks_.push_back(&sink); }
+void ClockSession::add_sink(SampleSink& sink) { sinks_.add(sink); }
 
 core::TscNtpClock& ClockSession::clock() {
   TSC_EXPECTS(robust_ != nullptr);
@@ -88,66 +104,8 @@ const core::TscNtpClock& ClockSession::clock() const {
   return robust_->clock();
 }
 
-void ClockSession::emit(const SampleRecord& record) {
-  for (auto* sink : sinks_) sink->on_sample(record);
-}
-
-bool ClockSession::process(const sim::Exchange& ex) {
-  ++summary_.exchanges;
-  if (ex.lost) {
-    ++summary_.lost;
-    if (config_.emit_unevaluated) {
-      SampleRecord record;
-      record.index = ex.index;
-      record.client_id = config_.client_id;
-      record.lost = true;
-      record.truth_ta = ex.truth.ta;
-      record.truth_tb = ex.truth.tb;
-      record.in_warmup = exchange_in_warmup(config_, ex);
-      emit(record);
-    }
-    return config_.emit_unevaluated;
-  }
-
-  SampleRecord record;
-  record.index = ex.index;
-  record.client_id = config_.client_id;
-  record.ref_available = ex.ref_available;
-  record.raw = core::RawExchange{ex.ta_counts, ex.tb_stamp, ex.te_stamp,
-                                 ex.tf_counts};
-  record.tf_counts_corrected = ex.tf_counts_corrected;
-  record.tg = ex.tg;
-  record.truth_ta = ex.truth.ta;
-  record.truth_tb = ex.truth.tb;
-  record.t_day = ex.tb_stamp / duration::kDay;
-
-  if (config_.track_server_changes &&
-      server_changes_.observe(
-          core::ServerIdentity{ex.server_id, ex.server_stratum}, ex.index)) {
-    estimator_->notify_server_change();
-    record.server_changed = true;
-  }
-
-  record.report = estimator_->process_exchange(record.raw);
-  record.warmed_up = estimator_->warmed_up();
-  record.period = estimator_->period();
-
-  record.in_warmup = exchange_in_warmup(config_, ex);
-
-  if (ex.ref_available) {
-    record.reference_offset =
-        estimator_->uncorrected_time(ex.tf_counts) - ex.tg;
-    record.offset_error = record.report.offset_estimate -
-                          record.reference_offset;
-    record.naive_error = record.report.naive_offset - record.reference_offset;
-    record.abs_clock_error = estimator_->absolute_time(ex.tf_counts) - ex.tg;
-  }
-
-  record.evaluated = ex.ref_available && !record.in_warmup;
-  if (record.evaluated) ++summary_.evaluated;
-  const bool emitted = record.evaluated || config_.emit_unevaluated;
-  if (emitted) emit(record);
-  return emitted;
+void ClockSession::process(const sim::Exchange& exchange) {
+  process_batch(one_row(exchange));
 }
 
 void ClockSession::process_batch(const sim::ExchangeBatch& batch,
@@ -155,55 +113,51 @@ void ClockSession::process_batch(const sim::ExchangeBatch& batch,
   const std::size_t rows = batch.size();
   const std::size_t flags = emitted != nullptr ? emitted->size() : 0;
   if (emitted != nullptr) emitted->resize(flags + rows, 0);
-  for (auto* sink : sinks_) {
-    if (!sink->wants_batch()) {
-      // A record-shaped sink is attached: materialize each row and run the
-      // per-exchange sequence, so every sink observes the stream exactly as
-      // process() emits it.
-      for (std::size_t i = 0; i < rows; ++i) {
-        batch.materialize(i, scratch_);
-        const bool out = process(scratch_);
-        if (emitted != nullptr) (*emitted)[flags + i] = out ? 1 : 0;
-      }
-      return;
-    }
-  }
-
-  // Fast lane: columns in, columns out. Same estimator/detector
-  // sequence as process(), reading the SoA stream directly, but no
-  // SampleRecord is built and no per-record virtual dispatch happens. Every
-  // accumulated value is computed by the very expressions process() uses,
-  // so the lane is bit-identical to the per-exchange one.
-  batch_.clear();
-  batch_.reserve(rows);
+  // Records are built only for record-shaped sinks, and only they see
+  // unevaluated rows.
+  const bool records = sinks_.wants_records();
+  const bool emit_unevaluated = records && config_.emit_unevaluated;
   for (std::size_t i = 0; i < rows; ++i) {
+    const ReplaySample sample = observe_row(config_, server_changes_, batch, i);
     ++summary_.exchanges;
-    if (batch.lost[i] != 0) {
+    if (sample.lost) {
       ++summary_.lost;
-      continue;  // batch sinks never consume unevaluated records
-    }
-    if (config_.track_server_changes &&
-        server_changes_.observe(
-            core::ServerIdentity{batch.server_id[i], batch.server_stratum[i]},
-            batch.index[i]))
-      estimator_->notify_server_change();
-    const core::RawExchange raw{batch.ta_counts[i], batch.tb_stamp[i],
-                                batch.te_stamp[i], batch.tf_counts[i]};
-    const auto report = estimator_->process_exchange(raw);
-    if (batch.ref_available[i] == 0 ||
-        exchange_in_warmup(config_, false, batch.tb_stamp[i],
-                           batch.truth_tb[i]))
+      if (!emit_unevaluated) continue;
+      SampleRecord record;
+      static_cast<ReplaySample&>(record) = sample;
+      sinks_.deliver(record);
+      if (emitted != nullptr) (*emitted)[flags + i] = 1;
       continue;
-    const Seconds reference_offset =
-        estimator_->uncorrected_time(batch.tf_counts[i]) - batch.tg[i];
-    const Seconds offset_error = report.offset_estimate - reference_offset;
-    const Seconds abs_clock_error =
-        estimator_->absolute_time(batch.tf_counts[i]) - batch.tg[i];
-    ++summary_.evaluated;
-    batch_.push(batch.tb_stamp[i], abs_clock_error, offset_error);
+    }
+    if (sample.server_changed) estimator_->notify_server_change();
+    const core::ProcessReport report = estimator_->process_exchange(sample.raw);
+
+    // A record carries the errors of every referenced row; the column path
+    // delivers post-warm-up rows only, so it reads the clocks for those.
+    Seconds uncorrected = 0;
+    std::optional<Seconds> absolute;
+    if (sample.ref_available && (records || !sample.in_warmup)) {
+      uncorrected = estimator_->uncorrected_time(sample.raw.tf);
+      absolute = estimator_->absolute_time(sample.raw.tf);
+    }
+    const Score score = score_exchange(sample, report, uncorrected, absolute,
+                                       GroundTruthMode::kReference);
+    if (score.evaluated) ++summary_.evaluated;
+    if (!score.evaluated && !emit_unevaluated) continue;
     if (emitted != nullptr) (*emitted)[flags + i] = 1;
+    if (!records) {
+      sinks_.push(sample.raw.tb, score.abs_clock_error, score.offset_error);
+      continue;
+    }
+    SampleRecord record;
+    static_cast<ReplaySample&>(record) = sample;
+    static_cast<Score&>(record) = score;
+    record.warmed_up = estimator_->warmed_up();
+    record.report = report;
+    record.period = estimator_->period();
+    sinks_.deliver(record);
   }
-  for (auto* sink : sinks_) sink->on_batch(batch_);
+  sinks_.flush();
 }
 
 const SessionSummary& ClockSession::run(sim::Testbed& testbed) {
@@ -230,23 +184,24 @@ const SessionSummary& ClockSession::summary() {
 /// flag per row of the step so the feed can cut it at chunk boundaries. Two
 /// pages: the lane fills one step's page while the feed reads the previous
 /// step's. The feed moves each chunk's share into the open chunk and hands
-/// that on once the chunk is complete, so a chunk may span steps. Its batch
-/// preference is the shared sinks', so the lane takes the fast path exactly
-/// when it would with them attached.
+/// that on through the shared sinks' own SinkChain once the chunk is
+/// complete, so a chunk may span steps. Its batch preference is the shared
+/// sinks', so the lane builds records exactly when it would with them
+/// attached.
 class MultiEstimatorSession::SharedCapture final : public SampleSink {
  public:
-  void add(SampleSink& sink) { shared_.push_back(&sink); }
+  void add(SampleSink& sink) { shared_.add(sink); }
 
   void on_sample(const SampleRecord& record) override {
     filling_->records.push_back(record);
   }
   [[nodiscard]] bool wants_batch() const override {
-    return std::all_of(
-        shared_.begin(), shared_.end(),
-        [](const SampleSink* sink) { return sink->wants_batch(); });
+    return !shared_.wants_records();
   }
   void on_batch(const SampleBatch& batch) override {
-    append(filling_->values, batch, 0, batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i)
+      filling_->values.push(batch.tb[i], batch.abs_clock_error[i],
+                            batch.offset_error[i]);
   }
 
   /// Start filling `page` (0 or 1), dropping what it held.
@@ -276,18 +231,17 @@ class MultiEstimatorSession::SharedCapture final : public SampleSink {
       open_records_.insert(open_records_.end(), from,
                            from + static_cast<std::ptrdiff_t>(outputs));
     } else {
-      append(open_values_, p.values, p.output, p.output + outputs);
+      for (std::size_t i = p.output; i < p.output + outputs; ++i)
+        shared_.push(p.values.tb[i], p.values.abs_clock_error[i],
+                     p.values.offset_error[i]);
     }
     p.output += outputs;
   }
   /// Hand the open chunk's output to every shared sink and empty it.
   void flush() {
-    for (const SampleRecord& record : open_records_)
-      for (SampleSink* sink : shared_) sink->on_sample(record);
-    if (!open_values_.empty())
-      for (SampleSink* sink : shared_) sink->on_batch(open_values_);
+    for (const SampleRecord& record : open_records_) shared_.deliver(record);
+    shared_.flush();
     open_records_.clear();
-    open_values_.clear();
   }
 
  private:
@@ -299,17 +253,10 @@ class MultiEstimatorSession::SharedCapture final : public SampleSink {
     std::size_t output = 0;  ///< outputs the feed has taken
   };
 
-  static void append(SampleBatch& to, const SampleBatch& from,
-                     std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i)
-      to.push(from.tb[i], from.abs_clock_error[i], from.offset_error[i]);
-  }
-
-  std::vector<SampleSink*> shared_;
+  SinkChain shared_;  ///< buffers the open chunk's batch values
   std::array<Page, 2> pages_;
   Page* filling_ = &pages_[0];
   std::vector<SampleRecord> open_records_;
-  SampleBatch open_values_;
 };
 
 MultiEstimatorSession::MultiEstimatorSession() = default;
@@ -376,12 +323,7 @@ void MultiEstimatorSession::run(sim::Testbed& testbed) {
   TSC_EXPECTS(std::none_of(captures_.begin(), captures_.end(),
                            [](const auto& capture) { return capture != nullptr; }));
   drain(testbed, [this](const sim::ExchangeBatch& batch) {
-    if (recorder_) {
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        batch.materialize(i, scratch_);
-        recorder_->observe(scratch_);
-      }
-    }
+    if (recorder_) recorder_->observe(batch);
     for (auto& lane : lanes_) lane->process_batch(batch);
   });
   for (auto& lane : lanes_)

@@ -3,30 +3,26 @@
 // Every evaluation surface in this repo — the per-figure benches, the
 // examples, and the parallel scenario sweep — measures the same thing: a
 // Testbed exchange stream processed by a clock algorithm and scored against
-// the DAG reference monitor. ClockSession owns that exchange-processing
-// sequence exactly once:
+// the DAG reference monitor. Each step of that sequence exists once, and
+// the replay lane (harness/replay.hpp) shares steps 1, 4 and 5:
 //
-//   1. drain the Testbed (loss accounting for exchanges that never arrive);
-//   2. feed each reply's transport identity to a ServerChangeDetector and
-//      forward changes via ClockEstimator::notify_server_change() (identity
-//      lives on the transport endpoint, not the NTP reference-id field —
-//      two distinct servers can both report "GPS");
+//   1. observe_row() reads an exchange row (loss accounting, the warm-up
+//      cut) and feeds the reply's transport identity to a
+//      ServerChangeDetector (identity lives on the transport endpoint, not
+//      the NTP reference-id field — two distinct servers can both report
+//      "GPS");
+//   2. forward a change via ClockEstimator::notify_server_change();
 //   3. process_exchange() on the {Ta, Tb, Te, Tf} quadruple;
-//   4. align with the reference: θg_i = C(Tf_i) − Tg_i, where C is the
-//      algorithm's own uncorrected clock (paper §2.4, §5.3). Because both
-//      the estimate and θg use the same C, the arbitrary clock origin
-//      cancels and the error measures pure tracking quality (up to the Δ/2
-//      path-asymmetry ambiguity);
-//   5. apply the configured warm-up policy and emit a SampleRecord to every
-//      attached SampleSink.
+//   4. score_exchange() aligns with the reference: θg_i = C(Tf_i) − Tg_i,
+//      where C is the algorithm's own uncorrected clock (paper §2.4, §5.3).
+//      Because both the estimate and θg use the same C, the arbitrary clock
+//      origin cancels and the error measures pure tracking quality (up to
+//      the Δ/2 path-asymmetry ambiguity);
+//   5. a SinkChain delivers the row to every attached SampleSink.
 //
 // There is one whole-stream drive: run() pulls the Testbed's SoA stream in
 // kBatchChunk-row chunks (Testbed::generate_batch) and hands each chunk to
-// process_batch(ExchangeBatch). Lanes whose sinks are all reducers take the
-// record-free fast path; a lane with any record-shaped sink materializes
-// each row and runs process(), the per-exchange sequence, so every
-// SampleRecord is the one a per-exchange loop would emit. process() stays
-// public as the reference the batched lane is pinned against.
+// process_batch(ExchangeBatch), one loop over its rows.
 //
 // Which algorithm processes the stream is a ClockEstimator (see
 // harness/estimator.hpp); the default is the robust TscNtpClock via
@@ -53,6 +49,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -95,19 +92,6 @@ enum class WarmupPolicy {
   kGroundTruth,
 };
 
-/// Warm-up flag of one exchange under `config`'s policy — THE definition of
-/// the warm-up cut, shared by ClockSession and TraceRecorder so the replay
-/// lane's `evaluated` set can never drift from the online lanes'. A lost
-/// poll has no server stamp, so it is cut on ground truth under either
-/// policy.
-struct SessionConfig;
-bool exchange_in_warmup(const SessionConfig& config, const sim::Exchange& ex);
-
-/// The same warm-up cut from SoA fields (the ExchangeBatch fast lane); the
-/// Exchange overload forwards here so there is still one definition.
-bool exchange_in_warmup(const SessionConfig& config, bool lost,
-                        Seconds tb_stamp, Seconds truth_tb);
-
 struct SessionConfig {
   core::Params params;
   /// Records earlier than this (by the policy's timebase) are flagged as
@@ -121,7 +105,8 @@ struct SessionConfig {
   /// level-shift path (see bench/ext_server_change.cpp).
   bool track_server_changes = true;
   /// Also emit records for lost, reference-less and warm-up exchanges
-  /// (flagged via SampleRecord::lost / ref_available / in_warmup). Off by
+  /// (flagged via SampleRecord::lost / ref_available / in_warmup) to
+  /// record-shaped sinks; batch sinks never see unevaluated rows. Off by
   /// default: most consumers only score evaluated packets.
   bool emit_unevaluated = false;
   /// Fleet position of the client this session drives; stamped onto every
@@ -130,38 +115,86 @@ struct SessionConfig {
   std::uint32_t client_id = 0;
 };
 
-/// One exchange as scored by the session — a superset of the fields the
-/// figure benches (bench::RunPoint) and the sweep reduction historically
-/// collected, so every consumer can be fed from the same record stream.
-struct SampleRecord {
-  std::uint64_t index = 0;  ///< poll sequence number (sim::Exchange::index)
-  bool lost = false;        ///< no reply reached the host
-  bool ref_available = false;
+/// What kind of ground truth a stream carries — designed into the scoring
+/// step, not bolted onto the trace file format, because it changes what
+/// `evaluated` and the error columns MEAN:
+///
+///   * kReference: a reference clock observed every exchange (the DAG
+///     monitor in simulation, a GPS-disciplined capture in the field).
+///     ref_available/tg are meaningful, and the reduction fills both the
+///     absolute clock error Ca(Tf)−Tg and the tracking error θ̂−θg.
+///   * kRelativeOnly: no reference exists (the real-internet case: a
+///     collector only sees {Ta,Tb,Te,Tf}). Absolute-error columns are
+///     structurally unavailable (n/a downstream, never zeros), and the
+///     tracking/stability columns grade the estimate against the server's
+///     own clock through the path: θ̂ − θ̂_naive, the per-packet residual of
+///     the estimate against the instantaneous symmetric-path measurement.
+///     Its spread and ADEV measure how stably the estimator tracks the one
+///     clock it can actually see.
+enum class GroundTruthMode { kReference, kRelativeOnly };
+
+/// Estimator-independent view of one poll, as observe_row() reads it and a
+/// trace recording retains it. Lost polls are kept (flagged) so replay lanes
+/// can emit gap-visible traces exactly like online lanes with
+/// emit_unevaluated.
+struct ReplaySample {
+  std::uint64_t index = 0;      ///< poll sequence number
+  bool lost = false;            ///< no reply reached the host
+  bool ref_available = false;   ///< the reference observed this reply
   bool in_warmup = false;       ///< before the configured discard cut
-  bool evaluated = false;       ///< !lost && ref_available && !in_warmup
-  bool server_changed = false;  ///< this reply triggered notify_server_change
-  std::uint32_t client_id = 0;  ///< fleet position of the emitting client
+  bool server_changed = false;  ///< this reply's transport identity changed
+  std::uint32_t client_id = 0;  ///< fleet position of the observing client
 
   // -- Observables (valid when !lost) --------------------------------------
   core::RawExchange raw;             ///< the {Ta, Tb, Te, Tf} quadruple
   TscCount tf_counts_corrected = 0;  ///< side-mode-corrected Tf (§2.4)
+  double t_day = 0;                  ///< raw.tb in days (figure x-axes)
+
+  // -- Ground truth ---------------------------------------------------------
   Seconds tg = 0;        ///< DAG stamp (valid when ref_available)
   Seconds truth_ta = 0;  ///< ground-truth wire departure (simulation-only;
-                         ///< also filled for lost records)
+                         ///< also filled for lost polls)
   Seconds truth_tb = 0;  ///< ground-truth server arrival (simulation-only)
-  double t_day = 0;      ///< raw.tb in days (figure x-axes)
+};
 
-  // -- Clock state after this exchange (valid when !lost) ------------------
-  core::ProcessReport report;
-  bool warmed_up = false;  ///< clock's own warm-up flag (§6.1)
-  double period = 0;       ///< p̂ after this packet [s/count]
-
-  // -- Reference-aligned errors (valid when !lost && ref_available) --------
+/// What score_exchange() makes of one arrived packet (the errors are valid
+/// when ref_available, offset_error alone under kRelativeOnly).
+struct Score {
   Seconds reference_offset = 0;  ///< θg = C(Tf) − Tg
-  Seconds offset_error = 0;      ///< θ̂(t) − θg
+  Seconds offset_error = 0;      ///< θ̂(t) − θg (θ̂ − θ̂_naive, relative)
   Seconds naive_error = 0;       ///< θ̂_i (naive) − θg
   Seconds abs_clock_error = 0;   ///< Ca(Tf) − Tg
+  bool evaluated = false;        ///< counted: see score_exchange()
 };
+
+/// One exchange as scored by a session — a superset of the fields the
+/// figure benches (bench::RunPoint) and the sweep reduction historically
+/// collected, so every consumer can be fed from the same record stream.
+struct SampleRecord : ReplaySample, Score {
+  // -- Clock state after this exchange (valid when !lost) ------------------
+  bool warmed_up = false;  ///< clock's own warm-up flag (§6.1)
+  core::ProcessReport report;
+  double period = 0;  ///< p̂ after this packet [s/count]
+};
+
+/// Row `row` of `batch` as `config` observes it (warm-up cut, client_id,
+/// and the reply's identity fed to `server_changes` when
+/// config.track_server_changes) — shared by ClockSession and TraceRecorder
+/// so a replay lane's observations can never drift from an online lane's.
+ReplaySample observe_row(const SessionConfig& config,
+                         core::ServerChangeDetector& server_changes,
+                         const sim::ExchangeBatch& batch, std::size_t row);
+
+/// THE scoring step of every lane, online and replay: `report`'s θ̂ and
+/// naive offset against `sample`'s reference, through the estimator's
+/// `uncorrected` C(Tf) and `absolute` Ca(Tf) (read only for a kReference
+/// sample with ref_available). A replay passes no Ca: its absolute clock is
+/// C − θ̂ of the very packet scored, so its clock error is −offset_error.
+/// Under kRelativeOnly the only error is θ̂ − θ̂_naive and every post-warm-up
+/// arrival counts. Precondition: !sample.lost.
+Score score_exchange(const ReplaySample& sample,
+                     const core::ProcessReport& report, Seconds uncorrected,
+                     std::optional<Seconds> absolute, GroundTruthMode mode);
 
 /// Aggregate outcome of a session (counts match the legacy drive loops:
 /// `exchanges` includes lost ones, `evaluated` survives warm-up discard).
@@ -179,9 +212,9 @@ struct SessionSummary {
 /// exactly the three series the sweep reductions consume (server receive
 /// stamp raw.tb, absolute clock error Ca(Tf)−Tg, offset tracking error
 /// θ̂−θg), in emission order. Batch-aware sinks receive these through one
-/// on_batch() call per batch instead of one on_sample() virtual call per
-/// record, and ClockSession::process_batch skips building the ~200-byte
-/// SampleRecord entirely when only batch-aware sinks are attached.
+/// on_batch() call per flushed block (at most kBatchChunk rows) instead of
+/// one on_sample() virtual call per record, and a session skips building the
+/// ~230-byte SampleRecord entirely when only batch-aware sinks are attached.
 struct SampleBatch {
   std::vector<double> tb;               ///< server receive stamps [s]
   std::vector<double> abs_clock_error;  ///< Ca(Tf) − Tg
@@ -193,11 +226,6 @@ struct SampleBatch {
     tb.clear();
     abs_clock_error.clear();
     offset_error.clear();
-  }
-  void reserve(std::size_t n) {
-    tb.reserve(n);
-    abs_clock_error.reserve(n);
-    offset_error.reserve(n);
   }
   void push(double tb_stamp, double clock_error, double tracking_error) {
     tb.push_back(tb_stamp);
@@ -214,18 +242,39 @@ class SampleSink {
   virtual void on_sample(const SampleRecord& record) = 0;
 
   /// Opt in to batched delivery: when every sink attached to a session
-  /// reports true, ClockSession::process_batch delivers the evaluated stream
-  /// as SampleBatch struct-of-arrays via on_batch() and never materializes
-  /// SampleRecords. Only sinks that consume nothing beyond
+  /// reports true, the session's SinkChain delivers the evaluated stream as
+  /// SampleBatch struct-of-arrays via on_batch() and no SampleRecord is
+  /// built. Only sinks that consume nothing beyond
   /// {raw.tb, abs_clock_error, offset_error} of *evaluated* records (the
   /// reducers) should opt in; record-shaped consumers keep the default.
-  /// Batch-aware sinks must still implement on_sample identically — the
-  /// per-exchange adapter and mixed-sink sessions feed them per record.
+  /// Batch-aware sinks must still implement on_sample identically —
+  /// mixed-sink sessions feed them per record.
   [[nodiscard]] virtual bool wants_batch() const { return false; }
 
-  /// Batched delivery; invoked only from process_batch, and only when every
-  /// attached sink wants_batch(). Default: ignore.
+  /// Batched delivery; invoked by a SinkChain (ClockSession::process_batch,
+  /// ReplaySession::run) only when every attached sink wants_batch().
+  /// Default: ignore.
   virtual void on_batch(const SampleBatch& batch) { (void)batch; }
+};
+
+/// The sinks of one session, in attachment order. When every sink
+/// wants_batch(), the session push()es evaluated rows, handed on at most
+/// kBatchChunk at a time; otherwise it deliver()s records.
+class SinkChain {
+ public:
+  void add(SampleSink& sink) { sinks_.push_back(&sink); }
+
+  /// Whether some sink is record-shaped. Asked per batch: a sink's answer
+  /// may change as sinks are attached to it (the shared-sink capture).
+  [[nodiscard]] bool wants_records() const;
+  void deliver(const SampleRecord& record) const;
+  void push(Seconds tb, Seconds clock_error, Seconds tracking_error);
+  /// Hand the pushed rows to every sink's on_batch(), if there are any.
+  void flush();
+
+ private:
+  std::vector<SampleSink*> sinks_;
+  SampleBatch batch_;  ///< rows pushed since the last flush
 };
 
 class ClockSession {
@@ -243,22 +292,17 @@ class ClockSession {
   /// Sinks are invoked in attachment order, synchronously per record.
   void add_sink(SampleSink& sink);
 
-  /// Process one exchange through the canonical sequence: the path
-  /// process_batch takes for record-shaped sinks, and the reference the
-  /// batched lane is pinned against. Returns whether a record reached the
-  /// sinks.
-  bool process(const sim::Exchange& exchange);
+  /// Process one exchange: process_batch over a one-row batch.
+  void process(const sim::Exchange& exchange);
 
   /// Process a generator-written SoA batch (sim::Testbed::generate_batch)
-  /// through the identical canonical sequence. When every attached sink
-  /// wants_batch() (the sweep/bench reducer case), columns are read
-  /// directly, no SampleRecord is built and the evaluated
-  /// {tb, abs_clock_error, offset_error} series reach the sinks through one
-  /// on_batch() call — values bit-identical to process()'s. With any
-  /// record-shaped sink attached, each row is materialized into one scratch
-  /// Exchange and run through process(), so every sink observes exactly the
-  /// per-exchange stream and a CallbackSink reading this lane's clock sees
-  /// it as of its own record. When `emitted` is given, one flag per row is
+  /// through the canonical sequence, one row at a time. When every attached
+  /// sink wants_batch() (the sweep/bench reducer case), no SampleRecord is
+  /// built and the evaluated {tb, abs_clock_error, offset_error} series
+  /// reach the sinks through on_batch() at the end of the batch. Otherwise
+  /// each emitted row's record is delivered right after its
+  /// process_exchange(), so a CallbackSink reading this lane's clock sees it
+  /// as of its own record. When `emitted` is given, one flag per row is
   /// appended to it: 1 when the row reached the sinks (the fleet drive cuts
   /// a lane's output at chunk boundaries by them).
   void process_batch(const sim::ExchangeBatch& batch,
@@ -292,17 +336,16 @@ class ClockSession {
   [[nodiscard]] const SessionConfig& config() const { return config_; }
 
  private:
-  void emit(const SampleRecord& record);
-
   SessionConfig config_;
   std::unique_ptr<ClockEstimator> estimator_;
   TscNtpEstimator* robust_ = nullptr;  ///< set when estimator_ is the default
   core::ServerChangeDetector server_changes_;
-  std::vector<SampleSink*> sinks_;
+  SinkChain sinks_;
   SessionSummary summary_;
-  SampleBatch batch_;  ///< process_batch scratch (reused across batches)
-  sim::Exchange scratch_;  ///< SoA-row materialization scratch
 };
+
+/// `exchange` as a one-row batch (the per-exchange forwards).
+sim::ExchangeBatch one_row(const sim::Exchange& exchange);
 
 /// Fan exchange streams into lanes keyed by (client, estimator): every lane
 /// is a full ClockSession (own estimator, own ServerChangeDetector, own
@@ -361,8 +404,7 @@ class MultiEstimatorSession {
   [[nodiscard]] ClockSession& lane(std::size_t index);
 
   /// Drain the whole testbed, kBatchChunk rows at a time: the shared
-  /// recorder observes each row once (materialized through one scratch
-  /// Exchange), then every lane consumes the chunk through
+  /// recorder observes each chunk once, then every lane consumes it through
   /// ClockSession::process_batch. Back-fills each lane's poll-slot count.
   void run(sim::Testbed& testbed);
 
@@ -420,7 +462,6 @@ class MultiEstimatorSession {
   std::vector<std::unique_ptr<SharedCapture>> captures_;
   std::vector<const SampleSink*> attached_;
   std::unique_ptr<TraceRecorder> recorder_;
-  sim::Exchange scratch_;  ///< SoA-row materialization scratch
 };
 
 }  // namespace tscclock::harness

@@ -23,28 +23,22 @@ ReducerSink::ReducerSink(Percentiles percentiles)
       offset_error_(percentiles) {}
 
 void ReducerSink::on_sample(const SampleRecord& record) {
-  if (!record.evaluated) return;
-  // In relative mode abs_clock_error is structurally 0 (no reference): it
-  // must never enter a summary where it would read as perfect tracking.
-  const bool reference = mode_ == GroundTruthMode::kReference;
-  if (reference) clock_error_.add(record.abs_clock_error);
-  offset_error_.add(record.offset_error);
-  if (adev_) {
-    adev_->add(record.raw.tb,
-               reference ? record.abs_clock_error : record.offset_error);
-  }
+  if (record.evaluated)
+    add(record.raw.tb, record.abs_clock_error, record.offset_error);
 }
 
 void ReducerSink::on_batch(const SampleBatch& batch) {
+  for (std::size_t i = 0; i < batch.size(); ++i)
+    add(batch.tb[i], batch.abs_clock_error[i], batch.offset_error[i]);
+}
+
+void ReducerSink::add(double tb, double clock_error, double offset_error) {
+  // In relative mode abs_clock_error is structurally 0 (no reference): it
+  // must never enter a summary where it would read as perfect tracking.
   const bool reference = mode_ == GroundTruthMode::kReference;
-  if (reference) clock_error_.add(batch.abs_clock_error);
-  offset_error_.add(batch.offset_error);
-  if (adev_) {
-    const std::vector<double>& errors =
-        reference ? batch.abs_clock_error : batch.offset_error;
-    for (std::size_t i = 0; i < batch.size(); ++i)
-      adev_->add(batch.tb[i], errors[i]);
-  }
+  if (reference) clock_error_.add(clock_error);
+  offset_error_.add(offset_error);
+  if (adev_) adev_->add(tb, reference ? clock_error : offset_error);
 }
 
 ReducerSink::Reduction ReducerSink::reduce() const {
@@ -70,14 +64,6 @@ void ReducerSink::Series::add(double value) {
     values_.push_back(value);
   else
     sketch_.add(value);
-}
-
-void ReducerSink::Series::add(const std::vector<double>& values) {
-  if (exact_) {
-    values_.insert(values_.end(), values.begin(), values.end());
-  } else {
-    for (const double value : values) sketch_.add(value);
-  }
 }
 
 std::size_t ReducerSink::Series::count() const {

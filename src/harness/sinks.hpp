@@ -24,7 +24,6 @@
 #include "common/allan.hpp"
 #include "common/csv.hpp"
 #include "common/stats.hpp"
-#include "harness/replay.hpp"
 #include "harness/session.hpp"
 
 namespace tscclock::harness {
@@ -91,7 +90,7 @@ class ReducerSink : public SampleSink {
 
   /// `tau0` is the polling period: the ADEV resampling grid and the scale
   /// unit for the averaging factors. `mode` declares what ground truth the
-  /// stream carries (GroundTruthMode doc in harness/replay.hpp): under
+  /// stream carries (GroundTruthMode doc in harness/session.hpp): under
   /// kRelativeOnly the clock-error series is never collected (its summary
   /// stays zero-initialized with count 0, the structural-n/a sentinel) and
   /// the ADEV scales are computed over the tracking residual instead — the
@@ -108,8 +107,8 @@ class ReducerSink : public SampleSink {
 
   void on_sample(const SampleRecord& record) override;
 
-  /// Batch-aware: consumes exactly the three SampleBatch series, so the
-  /// session's fast lane can skip record materialization entirely. Each
+  /// Batch-aware: consumes exactly the three SampleBatch series, so a
+  /// session feeding only reducers builds no SampleRecord. Each
   /// accumulator sees the values on_sample would have given it, in the same
   /// order — reduce() is bit-identical either way.
   [[nodiscard]] bool wants_batch() const override { return true; }
@@ -125,7 +124,6 @@ class ReducerSink : public SampleSink {
     explicit Series(Percentiles percentiles)
         : exact_(percentiles == Percentiles::kExact) {}
     void add(double value);
-    void add(const std::vector<double>& values);
     [[nodiscard]] std::size_t count() const;
     /// Zero-initialized when empty (summarize() requires a non-empty
     /// series).
@@ -136,6 +134,9 @@ class ReducerSink : public SampleSink {
     std::vector<double> values_;     ///< kExact
     StreamingSeriesSummary sketch_;  ///< kSketch
   };
+
+  /// One evaluated row: the on_sample and on_batch paths meet here.
+  void add(double tb, double clock_error, double offset_error);
 
   GroundTruthMode mode_;
   Series clock_error_;   ///< Ca(Tf) − Tg (empty in relative mode)

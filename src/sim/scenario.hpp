@@ -126,7 +126,7 @@ struct Exchange {
 
 /// Struct-of-arrays exchange stream: one column per Exchange field. The
 /// generators store each Exchange they produce as one row (store()), and the
-/// session's batched fast lane reads the columns directly. Row i across all
+/// sessions read the columns directly, row by row. Row i across all
 /// columns reconstructs exactly the Exchange next() would have produced
 /// (materialize(); columns a loss left unproduced hold the same zeros as a
 /// default Exchange field).
@@ -160,8 +160,8 @@ struct ExchangeBatch {
   void resize(std::size_t rows);
 
   /// Reconstruct row i as the Exchange the scalar stream would have
-  /// produced (for record-shaped consumers: trace recorders and sessions
-  /// degrading to per-record processing).
+  /// produced (the tests' check that generate_batch reproduces next();
+  /// the sessions read rows through harness::observe_row).
   void materialize(std::size_t i, Exchange& out) const;
 
   /// Inverse of materialize: write `in` into row i (the fleet merge path,

@@ -12,7 +12,11 @@
 //     the online session saw — same quadruples, ground truth and flags;
 //   * replay records carry the same `evaluated` semantics as online lanes
 //     (warm-up cut + reference availability), so a ReducerSink attached to
-//     a ReplaySession reduces a directly comparable stream;
+//     a ReplaySession reduces a directly comparable stream; with
+//     emit_unevaluated, replay and online lanes emit the same records, lost
+//     and warm-up ones included;
+//   * a replay's column delivery (reducers alone, flushed every
+//     kBatchChunk rows) reduces bit-identically to its record delivery;
 //   * degenerate traces (fewer than two arrived packets) yield zero
 //     evaluated records instead of throwing;
 //   * every smoothed offset of a month-scale stress trace, with and without
@@ -21,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -231,6 +236,164 @@ TEST(ReplaySession, EvaluatedSetMatchesOnlineLanes) {
             dynamic_cast<const OfflineSmootherEstimator&>(replay.estimator())
                 .result()
                 .poor_windows);
+}
+
+TEST(ReplaySession, UnevaluatedRecordsMatchOnlineLaneRecordForRecord) {
+  // With emit_unevaluated on both sides, a replay lane emits one record per
+  // poll, and every drive-level field of it — loss, reference, warm-up,
+  // `evaluated`, identity, ground truth — is the online lane's, under
+  // either warm-up policy.
+  for (const WarmupPolicy policy :
+       {WarmupPolicy::kObservable, WarmupPolicy::kGroundTruth}) {
+    SCOPED_TRACE(policy == WarmupPolicy::kObservable ? "observable"
+                                                      : "ground truth");
+    const auto scenario = replay_scenario(444);
+    auto config = replay_config(scenario);
+    config.warmup_policy = policy;
+    config.emit_unevaluated = true;
+    sim::Testbed testbed(scenario);
+    MultiEstimatorSession online;
+    online.enable_trace_recording(config);
+    online.add_lane(config, std::make_unique<TscNtpEstimator>(
+                                config.params, testbed.nominal_period()));
+    CollectorSink online_records;
+    online.add_sink(0, online_records);
+    online.run(testbed);
+
+    ReplaySession replay(config, std::make_unique<OfflineSmootherEstimator>(
+                                     config.params, testbed.nominal_period()));
+    CollectorSink replay_records;
+    replay.add_sink(replay_records);
+    replay.run(online.trace());
+
+    const auto& o = online_records.records();
+    const auto& r = replay_records.records();
+    ASSERT_EQ(r.size(), online.trace().samples.size()) << "one per poll";
+    ASSERT_EQ(r.size(), o.size());
+    std::size_t lost = 0;
+    std::size_t warmup = 0;
+    for (std::size_t i = 0; i < r.size(); ++i) {
+      SCOPED_TRACE(i);
+      EXPECT_EQ(r[i].lost, o[i].lost);
+      EXPECT_EQ(r[i].ref_available, o[i].ref_available);
+      EXPECT_EQ(r[i].in_warmup, o[i].in_warmup);
+      EXPECT_EQ(r[i].evaluated, o[i].evaluated);
+      EXPECT_EQ(r[i].index, o[i].index);
+      EXPECT_EQ(r[i].truth_ta, o[i].truth_ta);
+      EXPECT_EQ(r[i].truth_tb, o[i].truth_tb);
+      EXPECT_EQ(r[i].t_day, o[i].t_day);
+      EXPECT_EQ(r[i].server_changed, o[i].server_changed);
+      EXPECT_EQ(r[i].client_id, o[i].client_id);
+      lost += o[i].lost ? 1 : 0;
+      warmup += o[i].in_warmup ? 1 : 0;
+    }
+    EXPECT_GT(lost, 0u) << "the outage must leave lost records";
+    EXPECT_GT(warmup, 0u) << "the warm-up must leave unevaluated records";
+  }
+}
+
+/// A ReducerSink that counts how it was fed.
+class CountingReducer final : public SampleSink {
+ public:
+  CountingReducer(double tau0, GroundTruthMode mode, Percentiles percentiles)
+      : reducer(tau0, 16, 256, mode, percentiles) {}
+  void on_sample(const SampleRecord& record) override {
+    ++samples;
+    reducer.on_sample(record);
+  }
+  [[nodiscard]] bool wants_batch() const override {
+    return reducer.wants_batch();
+  }
+  void on_batch(const SampleBatch& batch) override {
+    ++batches;
+    largest = std::max(largest, batch.size());
+    reducer.on_batch(batch);
+  }
+  ReducerSink reducer;
+  std::size_t samples = 0;
+  std::size_t batches = 0;
+  std::size_t largest = 0;
+};
+
+void expect_same_summary(const SeriesSummary& a, const SeriesSummary& b) {
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(a.min, b.min);
+  EXPECT_EQ(a.max, b.max);
+  EXPECT_EQ(a.mean, b.mean);
+  EXPECT_EQ(a.stddev, b.stddev);
+  EXPECT_EQ(a.percentiles.p01, b.percentiles.p01);
+  EXPECT_EQ(a.percentiles.p25, b.percentiles.p25);
+  EXPECT_EQ(a.percentiles.p50, b.percentiles.p50);
+  EXPECT_EQ(a.percentiles.p75, b.percentiles.p75);
+  EXPECT_EQ(a.percentiles.p99, b.percentiles.p99);
+}
+
+TEST(ReplaySession, ColumnAndRecordDeliveryReduceIdentically) {
+  // A ReducerSink alone takes the replay's output as SampleBatch columns,
+  // flushed every kBatchChunk rows; beside a record-shaped sink it takes
+  // records. The reductions must be bit-identical, under both ground-truth
+  // modes and both percentile engines, on a trace long enough that several
+  // flush boundaries fall inside it.
+  sim::ScenarioConfig scenario = replay_scenario(888);
+  scenario.duration = 30 * duration::kHour;  // 6750 polls
+  const auto config = replay_config(scenario);
+  sim::Testbed testbed(scenario);
+  MultiEstimatorSession online;
+  online.enable_trace_recording(config);
+  online.run(testbed);
+  ASSERT_GT(online.trace().arrived(), 5 * kBatchChunk);
+
+  // The relative-only view of the same recording: no reference anywhere.
+  ReplayTrace relative = online.trace();
+  relative.ground_truth = GroundTruthMode::kRelativeOnly;
+  for (ReplaySample& sample : relative.samples) {
+    sample.ref_available = false;
+    sample.tg = 0;
+  }
+
+  const ReplayTrace* const traces[] = {&online.trace(), &relative};
+  for (const ReplayTrace* trace : traces) {
+    const GroundTruthMode mode = trace->ground_truth;
+    SCOPED_TRACE(mode == GroundTruthMode::kReference ? "reference"
+                                                     : "relative");
+    for (const Percentiles percentiles :
+         {Percentiles::kExact, Percentiles::kSketch}) {
+      SCOPED_TRACE(percentiles == Percentiles::kExact ? "exact" : "sketch");
+      const auto replay_into = [&](bool with_records) {
+        auto sink = std::make_unique<CountingReducer>(scenario.poll_period,
+                                                      mode, percentiles);
+        ReplaySession replay(config,
+                             std::make_unique<OfflineSmootherEstimator>(
+                                 config.params, testbed.nominal_period()));
+        CollectorSink records;
+        replay.add_sink(*sink);
+        if (with_records) replay.add_sink(records);
+        const std::size_t evaluated = replay.run(*trace).evaluated;
+        EXPECT_EQ(sink->reducer.reduce().evaluated, evaluated);
+        return sink;
+      };
+      const auto column_sink = replay_into(false);
+      const auto record_sink = replay_into(true);
+      EXPECT_EQ(column_sink->samples, 0u);
+      EXPECT_GT(column_sink->batches, 5u);
+      EXPECT_EQ(column_sink->largest, kBatchChunk);
+      EXPECT_EQ(record_sink->batches, 0u);
+      EXPECT_GT(record_sink->samples, 5 * kBatchChunk);
+
+      const ReducerSink::Reduction columns = column_sink->reducer.reduce();
+      const ReducerSink::Reduction records = record_sink->reducer.reduce();
+      EXPECT_EQ(columns.evaluated, records.evaluated);
+      expect_same_summary(columns.clock_error, records.clock_error);
+      expect_same_summary(columns.offset_error, records.offset_error);
+      EXPECT_EQ(columns.adev_short_tau, records.adev_short_tau);
+      EXPECT_EQ(columns.adev_short, records.adev_short);
+      EXPECT_EQ(columns.adev_long_tau, records.adev_long_tau);
+      EXPECT_EQ(columns.adev_long, records.adev_long);
+      EXPECT_EQ(columns.clock_error.count,
+                mode == GroundTruthMode::kReference ? columns.evaluated : 0u);
+      EXPECT_GT(columns.adev_long, 0.0);
+    }
+  }
 }
 
 TEST(ReplaySession, TinyTracesYieldNoEvaluatedRecordsInsteadOfThrowing) {
