@@ -3,10 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 
+#include "common/rng.hpp"
 #include "common/serialize.hpp"
 #include "core/clock.hpp"
 #include "core/point_error.hpp"
@@ -296,6 +299,125 @@ TEST(OffsetGolden, EveryPacketsEstimateOnTwoDayLabStreamsIsPinned) {
     EXPECT_EQ(got.packets, c.packets);
     EXPECT_GT(got.weighted, got.packets / 2);
     EXPECT_EQ(got.digest, c.digest);
+  }
+}
+
+// -- Every packet's window pass, pinned ---------------------------------------
+
+struct PassDigest {
+  std::uint64_t digest = 0;
+  std::size_t weighted = 0;
+  std::size_t fallback = 0;
+};
+
+/// A bare OffsetEstimator over a seeded 1200-packet stress stream: queueing
+/// with heavy bursts, an upward level shift seen 30 packets late (the
+/// reassess_errors path), an 80-packet congestion episode that leaves the
+/// whole window poor (fallback), a server change to a shorter, asymmetric
+/// path (degrade_window), a two-day gap ended by a mediocre packet, a
+/// warm-up stretch, a clock whose period is re-estimated every 50 packets,
+/// and counters that wrap past 2^64. An FNV-1a digest of every packet's θ̂,
+/// min E^T and Σw as exact hexfloat; the test above pins θ̂ alone, at the
+/// default Params.
+PassDigest stress_pass_digest(const Params& params, std::uint64_t seed) {
+  SyntheticLink::Config link_config;
+  link_config.poll = params.poll_period;
+  link_config.counter_base = 0xffff'ff00'0000'0000ull;
+  SyntheticLink link(link_config);
+  Rng rng(seed);
+  RttFilter filter(params);
+  OffsetEstimator offset(params);
+  CounterTimescale clock;
+  const double gamma_local = params.use_local_rate ? ppm(0.1) : 0.0;
+
+  constexpr std::size_t kPackets = 1200;
+  constexpr std::size_t kWarmup = 60;
+  constexpr std::size_t kShiftAt = 400;
+  constexpr std::size_t kShiftSeen = 430;
+  constexpr std::size_t kEpisodeAt = 520;
+  constexpr std::size_t kEpisodeEnd = 600;
+  constexpr std::size_t kServerChangeAt = 700;
+  constexpr std::size_t kGapAt = 900;
+  TscDelta shifted_min = std::numeric_limits<TscDelta>::max();
+  std::string text;
+  PassDigest result;
+  for (std::size_t k = 0; k < kPackets; ++k) {
+    if (k == kGapAt) link.advance(2 * duration::kDay);
+    const Seconds level = k >= kServerChangeAt ? -0.1e-3
+                          : k >= kShiftAt      ? 0.3e-3
+                                               : 0.0;
+    const Seconds stamp_error = k >= kServerChangeAt ? 0.2e-3 : 0.0;
+    const Seconds burst = rng.uniform() < 0.1 ? rng.exponential(2e-3) : 0.0;
+    const Seconds episode = k >= kEpisodeAt && k < kEpisodeEnd ? 3e-3
+                            : k == kGapAt                      ? 250e-6
+                                                               : 0.0;
+    const Seconds q_forward = level + episode + rng.exponential(30e-6) + burst;
+    const Seconds q_backward = level + episode + rng.exponential(30e-6);
+    const RawExchange ex = link.next(q_forward, q_backward, stamp_error);
+    if (k == 0) {
+      clock = CounterTimescale(ex.tf, ex.tb, link_config.period * (1 + 1e-7));
+    } else if (k % 50 == 0) {
+      const double step = 1e-8 * static_cast<double>(k / 50 % 3) - 1e-8;
+      clock.set_period_preserving_reading(ex.tf, clock.period() * (1 + step));
+    }
+    if (k == kServerChangeAt) {
+      filter.reset_all();
+      offset.degrade_window(clock.period());
+    }
+    const TscDelta rtt = ex.rtt_counts();
+    filter.add(rtt);
+    if (k >= kShiftAt && k < kServerChangeAt)
+      shifted_min = std::min(shifted_min, rtt);
+    if (k == kShiftSeen) {
+      filter.force_rhat(shifted_min);
+      offset.reassess_errors(filter.rhat(), kShiftAt);
+    }
+    PacketRecord rec;
+    rec.seq = k;
+    rec.stamps = ex;
+    rec.rtt = rtt;
+    rec.error_counts = std::max<TscDelta>(rtt - filter.rhat(), 0);
+    const OffsetEvaluation eval = offset.process(
+        rec, clock, gamma_local, /*gap_detected=*/k == kGapAt,
+        /*in_warmup=*/k < kWarmup);
+    append_double_exact(text, eval.estimate);
+    text += ' ';
+    append_double_exact(text, eval.min_total_error);
+    text += ' ';
+    append_double_exact(text, eval.weight_sum);
+    text += '\n';
+    if (eval.weighted) ++result.weighted;
+    if (eval.fallback) ++result.fallback;
+  }
+  result.digest = fnv1a64(text);
+  return result;
+}
+
+TEST(OffsetGolden, EveryPacketsWindowPassOnStressStreamsIsPinned) {
+  const auto with = [](Seconds poll, auto edit) {
+    Params p = Params::for_poll_period(poll);
+    edit(p);
+    return p;
+  };
+  const struct {
+    const char* name;
+    Params params;
+    std::uint64_t digest;
+  } cases[] = {
+      {"default", with(16.0, [](Params&) {}), 0x59a478e5bc14aa80ull},
+      {"no_aging", with(16.0, [](Params& p) { p.enable_aging = false; }),
+       0x6d7002f18d768b1bull},
+      {"no_local_rate",
+       with(16.0, [](Params& p) { p.use_local_rate = false; }),
+       0x78ebaa3ad0606d0aull},
+      {"poll_64s", with(64.0, [](Params&) {}), 0xaabcf079687ca92dull},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const PassDigest got = stress_pass_digest(c.params, 29);
+    EXPECT_GT(got.weighted, 600u);
+    EXPECT_GT(got.fallback, 0u);
+    EXPECT_EQ(got.digest, c.digest) << std::hex << got.digest;
   }
 }
 
