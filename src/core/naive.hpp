@@ -19,16 +19,24 @@ struct NaiveRate {
 
 NaiveRate naive_rate(const RawExchange& earlier, const RawExchange& later);
 
+/// The two halves of eq. (19): the host midpoint ½(C(Ta) + C(Tf)), which
+/// moves with the clock, and the server midpoint ½(Tb + Te), which does not
+/// (the offset window stores it once per packet).
+inline Seconds host_midpoint(TscCount ta, TscCount tf,
+                             const CounterTimescale& clock) {
+  return 0.5 * (clock.read(ta) + clock.read(tf));
+}
+inline Seconds server_midpoint(const RawExchange& exchange) {
+  return 0.5 * (exchange.tb + exchange.te);
+}
+
 /// Naive per-packet offset (eq. 19):
 ///   θ̂_i = ½(C(Ta_i) + C(Tf_i)) − ½(Tb_i + Te_i)
-/// which implicitly assumes a symmetric path (Δ = 0). Inline: evaluated once
-/// per offset-window entry per packet, the hottest loop in the estimator.
+/// which implicitly assumes a symmetric path (Δ = 0).
 inline Seconds naive_offset(const RawExchange& exchange,
                             const CounterTimescale& clock) {
-  const Seconds host_mid =
-      0.5 * (clock.read(exchange.ta) + clock.read(exchange.tf));
-  const Seconds server_mid = 0.5 * (exchange.tb + exchange.te);
-  return host_mid - server_mid;
+  return host_midpoint(exchange.ta, exchange.tf, clock) -
+         server_midpoint(exchange);
 }
 
 }  // namespace tscclock::core

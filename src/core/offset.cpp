@@ -1,7 +1,10 @@
 #include "core/offset.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <span>
+#include <type_traits>
 
 #include "common/contracts.hpp"
 #include "common/exp.hpp"
@@ -10,7 +13,7 @@
 namespace tscclock::core {
 
 OffsetEstimator::OffsetEstimator(const Params& params)
-    : params_(params), window_(params.packets(params.offset_window)) {
+    : params_(params), capacity_(params.packets(params.offset_window)) {
   params.validate();
 }
 
@@ -19,13 +22,59 @@ Seconds OffsetEstimator::estimate() const {
   return reported_value_;
 }
 
+void OffsetEstimator::push(const PacketRecord& packet) {
+  if (size_ == capacity_) {
+    head_ = (head_ + 1) & (ta_.size() - 1);  // evict the oldest
+    --size_;
+  } else if (size_ == ta_.size()) {
+    grow();
+  }
+  const std::size_t slot = (head_ + size_) & (ta_.size() - 1);
+  ++size_;
+  seq_[slot] = packet.seq;
+  rtt_[slot] = packet.rtt;
+  error_counts_[slot] = packet.error_counts;
+  ta_[slot] = packet.stamps.ta;
+  tf_[slot] = packet.stamps.tf;
+  server_mid_[slot] = server_midpoint(packet.stamps);
+}
+
+void OffsetEstimator::grow() {
+  const std::size_t slots = std::min(
+      std::bit_ceil(capacity_), ta_.empty() ? std::size_t{8} : 2 * ta_.size());
+  const auto regrow = [&](auto& column) {
+    std::remove_reference_t<decltype(column)> grown(slots);
+    for (std::size_t k = 0; k < size_; ++k)
+      grown[k] = column[(head_ + k) & (column.size() - 1)];
+    column = std::move(grown);
+  };
+  regrow(seq_);
+  regrow(rtt_);
+  regrow(error_counts_);
+  regrow(ta_);
+  regrow(tf_);
+  regrow(server_mid_);
+  head_ = 0;
+}
+
+WindowRun OffsetEstimator::run(std::size_t first) const {
+  const std::size_t slot = (head_ + first) & (ta_.size() - 1);
+  const std::size_t n = std::min(size_ - first, ta_.size() - slot);
+  return WindowRun{
+      std::span(ta_).subspan(slot, n),
+      std::span(tf_).subspan(slot, n),
+      std::span(error_counts_).subspan(slot, n),
+      std::span(server_mid_).subspan(slot, n),
+  };
+}
+
 void OffsetEstimator::reassess_errors(TscDelta new_rhat_counts,
                                       std::uint64_t from_seq) {
-  for (std::size_t k = 0; k < window_.size(); ++k) {
-    auto& rec = window_[k];
-    if (rec.seq >= from_seq) {
-      rec.error_counts = rec.rtt - new_rhat_counts;
-      if (rec.error_counts < 0) rec.error_counts = 0;
+  for (std::size_t k = 0; k < size_; ++k) {
+    const std::size_t slot = (head_ + k) & (ta_.size() - 1);
+    if (seq_[slot] >= from_seq) {
+      error_counts_[slot] = rtt_[slot] - new_rhat_counts;
+      if (error_counts_[slot] < 0) error_counts_[slot] = 0;
     }
   }
 }
@@ -34,8 +83,10 @@ void OffsetEstimator::degrade_window(double period) {
   TSC_EXPECTS(period > 0.0);
   const auto poor = static_cast<TscDelta>(
       2.0 * params_.extreme_quality() / period);
-  for (std::size_t k = 0; k < window_.size(); ++k)
-    window_[k].error_counts = std::max(window_[k].error_counts, poor);
+  for (std::size_t k = 0; k < size_; ++k) {
+    TscDelta& error = error_counts_[(head_ + k) & (ta_.size() - 1)];
+    error = std::max(error, poor);
+  }
 }
 
 OffsetEvaluation OffsetEstimator::process(const PacketRecord& packet,
@@ -43,7 +94,7 @@ OffsetEvaluation OffsetEstimator::process(const PacketRecord& packet,
                                           double gamma_local,
                                           bool gap_detected, bool in_warmup) {
   OffsetEvaluation eval;
-  window_.push_back(packet);
+  push(packet);
 
   const double period = clock.period();
   const Seconds quality_scale =
@@ -52,22 +103,20 @@ OffsetEvaluation OffsetEstimator::process(const PacketRecord& packet,
 
   // Stages (i)-(iii): total errors, weights, weighted combination. The
   // exponent and the slope-corrected offset of every window packet first,
-  // then all the weights in one exp_batch, then the sums in window order.
-  const std::size_t n = window_.size();
+  // in one pass over each of the ring's (at most two) runs, then all the
+  // weights in one exp_batch, then the sums in window order.
+  const std::size_t n = size_;
   weights_.resize(n);
   terms_.resize(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const auto& rec = window_[k];
-    const Seconds age = clock.between(rec.stamps.tf, packet.stamps.tf);
-    const Seconds point_error =
-        delta_to_seconds(rec.error_counts, period);
-    const Seconds total_error =
-        point_error + (params_.enable_aging ? params_.aging_rate * age : 0.0);
-    if (total_error < eval.min_total_error) eval.min_total_error = total_error;
-
-    const double z = total_error / quality_scale;
-    weights_[k] = -z * z;
-    terms_[k] = naive_offset(rec.stamps, clock) - gamma_local * age;
+  const WindowPass pass{packet.stamps.tf,   clock,
+                        quality_scale,      params_.enable_aging,
+                        params_.aging_rate, gamma_local};
+  for (std::size_t k = 0; k < n;) {
+    const WindowRun window = run(k);
+    eval.min_total_error = offset_window_pass(
+        window, pass, std::span(weights_).subspan(k),
+        std::span(terms_).subspan(k), eval.min_total_error);
+    k += window.ta.size();
   }
   exp_batch(weights_, weights_);
   double weight_sum = 0;

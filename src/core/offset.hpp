@@ -15,18 +15,24 @@
 //        Es = 1 ms — orders of magnitude beyond what the hardware can do —
 //        otherwise the most recent trusted value is duplicated.
 //
-// The weights of stage (ii) are computed for the whole window in one
-// exp_batch call (common/exp.hpp), bit-identical to std::exp, and the sums of
-// stage (iii) are then accumulated in window order, so the estimate is the
-// same as with one std::exp per packet.
+// The window is kept as columns (seq, rtt, error counts, Ta, Tf and the
+// server midpoint ½(Tb + Te), computed once at push), not as PacketRecords.
+// Each packet runs one pass over them (core/offset_window.hpp: four packets
+// at a time where the CPU has AVX2, bit-identical to its scalar body) that
+// writes every window packet's exponent −(E^T_i/E)² and slope-corrected
+// offset θ̂_i − γ̂_l·age_i and finds min E^T_i. Then the weights of stage
+// (ii) come from one exp_batch call (common/exp.hpp), bit-identical to
+// std::exp, and the sums of stage (iii) are accumulated in window order.
+// The estimate is the same as with one scalar loop and one std::exp per
+// packet.
 //
 // Gap handling (§6.1): when a long gap (> τ̄/2) has starved the window and
 // quality is poor, the new naive estimate is blended with the aged previous
 // estimate, weighting each by its own quality, so recovery is immediate but
 // still guarded.
 //
-// Per-packet naive offsets are recomputed from the stored timestamps with
-// the *current* clock on every evaluation, so the level-shift reaction
+// Per-packet naive offsets are recomputed from the stored Ta/Tf with the
+// *current* clock on every evaluation, so the level-shift reaction
 // ("recalculate θ̂_i values … back to the shift point") and clock-continuity
 // rule are honoured automatically.
 #pragma once
@@ -35,8 +41,8 @@
 #include <limits>
 #include <vector>
 
-#include "common/ring_buffer.hpp"
 #include "common/time_types.hpp"
+#include "core/offset_window.hpp"
 #include "core/params.hpp"
 #include "core/records.hpp"
 
@@ -84,8 +90,28 @@ class OffsetEstimator {
   [[nodiscard]] std::uint64_t release_count() const { return release_count_; }
 
  private:
+  /// Append `packet` to the window, evicting the oldest when full.
+  void push(const PacketRecord& packet);
+  /// The live packets from logical index `first`, up to the ring's wrap.
+  [[nodiscard]] WindowRun run(std::size_t first) const;
+  /// Double the physical slots (at most to the first power of two that
+  /// holds the window), moving the live packets to the front in order.
+  void grow();
+
   Params params_;
-  RingBuffer<PacketRecord> window_;
+
+  // The τ' window as columns, oldest first. A ring over the physical slots
+  // (a power of two, grown on demand): the live packets are at most two
+  // contiguous runs, [head_, slots) and [0, …).
+  std::size_t capacity_;  ///< window length in packets
+  std::size_t head_ = 0;  ///< physical slot of the oldest packet
+  std::size_t size_ = 0;
+  std::vector<std::uint64_t> seq_;
+  std::vector<TscDelta> rtt_;
+  std::vector<TscDelta> error_counts_;  ///< rtt − r̂ (re-assessable)
+  std::vector<TscCount> ta_;
+  std::vector<TscCount> tf_;
+  std::vector<Seconds> server_mid_;  ///< ½(Tb + Te)
 
   // Per-packet scratch of stages (ii)-(iii), one slot per window packet:
   // the exponents −z² (then, in place, the weights) and the slope-corrected

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <istream>
@@ -381,6 +383,22 @@ void parse_record(std::string_view line, bool reference,
   if (!reference && sample.ref_available) {
     throw std::runtime_error(
         "declares a reference sample inside a relative-only trace");
+  }
+  if (sample.lost) {
+    // A lost poll has no reply. Every writer leaves its reply fields 0 and
+    // its flags clear; anything else would reach the lost row's columns.
+    const auto refuse = [](const char* field) {
+      throw std::runtime_error(std::string("lost record carries ") + field +
+                               " (a lost poll has no reply)");
+    };
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    if (sample.raw.ta != 0) refuse("a non-zero ta");
+    if (bits(sample.raw.tb) != 0) refuse("a non-zero tb");
+    if (bits(sample.raw.te) != 0) refuse("a non-zero te");
+    if (sample.raw.tf != 0) refuse("a non-zero tf");
+    if (sample.tf_counts_corrected != 0) refuse("a non-zero tf_corrected");
+    if (sample.ref_available) refuse("ref=1");
+    if (sample.server_changed) refuse("server_changed=1");
   }
   sample.client_id = client_id;
   if (!sample.lost) sample.t_day = sample.raw.tb / duration::kDay;

@@ -282,8 +282,14 @@ harness::ReplayTrace long_trace(std::size_t n) {
         i, 1'000'000'000'000ull + 16'000'000'123ull * i,
         16.000123456789 * static_cast<double>(i + 1));
     if (i % 97 == 96) {
-      s.lost = true;
-      s.ref_available = false;
+      // Lost as a recorder writes it: no reply fields, truth kept.
+      harness::ReplaySample lost;
+      lost.index = s.index;
+      lost.client_id = s.client_id;
+      lost.lost = true;
+      lost.truth_ta = s.truth_ta;
+      lost.truth_tb = s.truth_tb;
+      s = lost;
       ++trace.lost;
     }
     trace.samples.push_back(s);
@@ -633,11 +639,10 @@ TEST(TraceIo, RefusesNonMonotoneSendTimes) {
   fs::remove(path);
 }
 
-/// canonical_file() with tab-separated column `column` of record `record`
-/// replaced by `token` (column 0 is the `x` tag).
-std::string with_record_field(std::size_t record, std::size_t column,
-                              const std::string& token) {
-  std::string content = canonical_file();
+/// `content` with tab-separated column `column` of record `record` replaced
+/// by `token` (column 0 is the `x` tag).
+std::string with_field(std::string content, std::size_t record,
+                       std::size_t column, const std::string& token) {
   const std::string tag = "\nx\t" + std::to_string(record) + "\t";
   std::size_t begin = content.find(tag) + 1;
   for (std::size_t c = 0; c < column; ++c)
@@ -645,6 +650,12 @@ std::string with_record_field(std::size_t record, std::size_t column,
   const std::size_t end = content.find_first_of("\t\n", begin);
   content.replace(begin, end - begin, token);
   return content;
+}
+
+/// canonical_file() with one field replaced, as with_field.
+std::string with_record_field(std::size_t record, std::size_t column,
+                              const std::string& token) {
+  return with_field(canonical_file(), record, column, token);
 }
 
 TEST(TraceIo, RefusesNonFiniteRecordFields) {
@@ -661,6 +672,57 @@ TEST(TraceIo, RefusesNonFiniteRecordFields) {
         mutated_error(with_record_field(2, c.column, c.token), "nonfinite");
     EXPECT_NE(what.find(", record 2: non-finite " + std::string(c.field) +
                         " '" + c.token + "'"),
+              std::string::npos)
+        << what;
+  }
+}
+
+/// canonical_file()'s four records with record 2 lost, written as the
+/// recorder writes a lost poll: flags and truth only.
+std::string lost_record_file() {
+  const auto path = temp_path("lost.trace");
+  TraceMeta meta = reference_meta();
+  meta.label.clear();
+  harness::ReplayTrace trace;
+  trace.ground_truth = harness::GroundTruthMode::kReference;
+  for (std::size_t i = 0; i < 4; ++i)
+    trace.samples.push_back(make_sample(i, 1000 + 100 * i, 16.0 * (i + 1)));
+  harness::ReplaySample lost;
+  lost.index = 2;
+  lost.client_id = 3;
+  lost.lost = true;
+  lost.truth_ta = trace.samples[2].truth_ta;
+  lost.truth_tb = trace.samples[2].truth_tb;
+  trace.samples[2] = lost;
+  trace.exchanges = 4;
+  trace.lost = 1;
+  trace.polls_enumerated = 4;
+  write_trace(path.string(), meta, trace);
+  const std::string content = read_file(path);
+  fs::remove(path);
+  return content;
+}
+
+TEST(TraceIo, RefusesLostRecordsCarryingReplyFields) {
+  // Read back, a lost record's reply fields would reach its row's columns.
+  const std::string clean = lost_record_file();
+  ASSERT_NE(clean.find("\nx\t2\t1\t"), std::string::npos);
+  EXPECT_EQ(mutated_error(clean, "lostclean"), "");
+  const struct {
+    std::size_t column;
+    const char* token;
+    const char* what;
+  } cases[] = {{4, "1", "server_changed=1"},  {5, "1", "ref=1"},
+               {6, "12345", "a non-zero ta"},  {7, "0x1p+10", "a non-zero tb"},
+               {7, "-0x0p+0", "a non-zero tb"}, {8, "0x1p-3", "a non-zero te"},
+               {9, "1", "a non-zero tf"},
+               {10, "7", "a non-zero tf_corrected"}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    const std::string what = mutated_error(
+        with_field(clean, 2, c.column, c.token), "lostreply");
+    EXPECT_NE(what.find(", record 2: lost record carries " +
+                        std::string(c.what)),
               std::string::npos)
         << what;
   }

@@ -98,6 +98,25 @@ run_expect 2 "validate: non-finite record field" "$TRACE_IMPORT" -- \
 expect_in_output "diagnostic names the record and field" \
   "record 1: non-finite tb"
 
+# A lost poll has no reply: a lost record carrying reply fields is
+# malformed, since a replay would copy them into that row's columns.
+cat > "$WORK/lostreply.trace" <<'EOF'
+tscclock-trace 1
+ground_truth relative
+nominal_period 0x1p-30
+poll_period 0x1p+4
+client 0
+samples
+x	0	0	0	0	0	100	0x1p+0	0x1.8p+0	200	200
+x	1	1	0	1	0	0	0x0p+0	0x0p+0	0	0
+x	2	0	0	0	0	300	0x1p+5	0x1.2p+5	400	400
+end 3 1 3
+EOF
+run_expect 2 "validate: lost record with a reply field" "$TRACE_IMPORT" -- \
+  --validate "$WORK/lostreply.trace"
+expect_in_output "diagnostic names the record and field" \
+  "record 1: lost record carries server_changed=1"
+
 # A warning-but-valid file: a single exchange is well-formed yet unscorable.
 cat > "$WORK/short.trace" <<'EOF'
 tscclock-trace 1
