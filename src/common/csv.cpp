@@ -21,38 +21,42 @@ std::string csv_escape(std::string_view field) {
   return out;
 }
 
-std::vector<std::string> csv_split_row(std::string_view line) {
-  std::vector<std::string> fields;
-  std::string current;
+std::size_t csv_decode_field(std::string_view line, std::size_t pos,
+                             std::string& field) {
+  field.clear();
   bool quoted = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
+  for (; pos < line.size(); ++pos) {
+    const char c = line[pos];
     if (quoted) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          current += '"';
-          ++i;
-        } else {
-          quoted = false;
-        }
+      if (c != '"') {
+        field += c;
+      } else if (pos + 1 < line.size() && line[pos + 1] == '"') {
+        field += '"';
+        ++pos;
       } else {
-        current += c;
+        quoted = false;
       }
     } else if (c == '"') {
       quoted = true;
     } else if (c == ',') {
-      fields.push_back(std::move(current));
-      current.clear();
+      return pos;
     } else {
-      current += c;
+      field += c;
     }
   }
-  if (quoted) {
-    throw std::runtime_error("csv_split_row: unterminated quote in '" +
-                             std::string(line) + "'");
+  return quoted ? std::string_view::npos : pos;
+}
+
+std::vector<std::string> csv_split_row(std::string_view line) {
+  std::vector<std::string> fields;
+  for (std::size_t pos = 0;; ++pos) {
+    pos = csv_decode_field(line, pos, fields.emplace_back());
+    if (pos == std::string_view::npos) {
+      throw std::runtime_error("csv_split_row: unterminated quote in '" +
+                               std::string(line) + "'");
+    }
+    if (pos == line.size()) return fields;
   }
-  fields.push_back(std::move(current));
-  return fields;
 }
 
 CsvWriter::CsvWriter(const std::string& path,

@@ -4,7 +4,8 @@
 // String cells are RFC-4180-quoted when they need it (comma, quote or
 // newline — e.g. multi-override estimator labels like
 // "robust(use_local_rate=0,enable_aging=0)"), so labels round-trip through
-// the dumps unambiguously; csv_split_row is the matching reader.
+// the dumps unambiguously; csv_decode_field is the matching reader (one
+// field) and csv_split_row splits a row with it.
 #pragma once
 
 #include <cstdint>
@@ -21,8 +22,15 @@ namespace tscclock {
 /// embedded quotes doubled.
 std::string csv_escape(std::string_view field);
 
-/// Split one CSV row into its fields, undoing csv_escape (quoted fields,
-/// doubled quotes). Throws std::runtime_error on an unterminated quote.
+/// Decode the field of `line` that starts at `pos` into `field` (replacing
+/// its contents), undoing csv_escape (quoted runs, doubled quotes). Returns
+/// the position of the comma that ends the field, line.size() after the
+/// last field, or std::string_view::npos when a quote is left open.
+std::size_t csv_decode_field(std::string_view line, std::size_t pos,
+                             std::string& field);
+
+/// Split one CSV row into its fields through csv_decode_field. Throws
+/// std::runtime_error on an unterminated quote.
 std::vector<std::string> csv_split_row(std::string_view line);
 
 class CsvWriter {

@@ -242,20 +242,6 @@ std::string unescape_field(std::string_view text) {
   return out;
 }
 
-std::vector<std::string> split_fields(std::string_view line, char sep) {
-  std::vector<std::string> fields;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = line.find(sep, start);
-    if (pos == std::string_view::npos) {
-      fields.emplace_back(line.substr(start));
-      return fields;
-    }
-    fields.emplace_back(line.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
-
 std::uint64_t fnv1a64(std::string_view text) {
   std::uint64_t hash = 0xcbf29ce484222325ull;
   for (const char c : text) {

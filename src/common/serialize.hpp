@@ -1,6 +1,7 @@
 // Exact, line-oriented serialization primitives shared by the sweep's
 // machine-readable artifacts (per-shard result dumps, resumable
-// checkpoints) and any future trace format.
+// checkpoints) and trace files; common/record_reader reads those formats'
+// lines and fields with them.
 //
 // The merge contract of the fleet-scale sweep is *byte identity*: a table
 // rendered from deserialized results must equal the table rendered from the
@@ -20,7 +21,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace tscclock {
 
@@ -50,10 +50,6 @@ std::string escape_field(std::string_view text);
 /// Inverse of escape_field. Throws std::runtime_error on an unknown escape
 /// or a dangling trailing backslash (a torn record, not a valid field).
 std::string unescape_field(std::string_view text);
-
-/// Split `line` at every occurrence of `sep` (no quoting — fields are
-/// expected to be escape_field output). "a\tb\t" yields {"a","b",""}.
-std::vector<std::string> split_fields(std::string_view line, char sep = '\t');
 
 /// FNV-1a 64-bit hash (the repo's canonical cheap content hash: scenario
 /// seed identities and sweep grid fingerprints both use it).

@@ -1,12 +1,14 @@
 #include "sweep/result_io.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <filesystem>
-#include <map>
+#include <memory>
 #include <sstream>
 
 #include "common/contracts.hpp"
 #include "common/csv.hpp"
+#include "common/record_reader.hpp"
 #include "common/serialize.hpp"
 #include "common/spec.hpp"
 #include "common/table.hpp"
@@ -22,17 +24,18 @@ constexpr const char* kCheckpointMagic = "tscclock-sweep-checkpoint";
 
 std::string server_token(sim::ServerKind kind) { return sim::to_string(kind); }
 
-sim::ServerKind parse_server_token(const std::string& token) {
+sim::ServerKind parse_server_token(std::string_view token) {
   if (token == "ServerLoc") return sim::ServerKind::kLoc;
   if (token == "ServerInt") return sim::ServerKind::kInt;
   if (token == "ServerExt") return sim::ServerKind::kExt;
-  throw ResultIoError("unknown server token '" + token + "'");
+  throw ResultIoError("unknown server token '" + std::string(token) + "'");
 }
 
-sim::Environment parse_environment_token(const std::string& token) {
+sim::Environment parse_environment_token(std::string_view token) {
   if (token == "laboratory") return sim::Environment::kLaboratory;
   if (token == "machine-room") return sim::Environment::kMachineRoom;
-  throw ResultIoError("unknown environment token '" + token + "'");
+  throw ResultIoError("unknown environment token '" + std::string(token) +
+                      "'");
 }
 
 /// Reconstruct an EstimatorSpec from its canonical label without consulting
@@ -66,50 +69,18 @@ void append_summary(std::ostringstream& out, const SeriesSummary& s) {
       << format_double_exact(s.percentiles.p99);
 }
 
-/// Sequential field cursor over a split record line; every read is
-/// validated so a torn/reordered record surfaces as ResultIoError, never as
-/// silently wrong numbers.
-class FieldReader {
- public:
-  explicit FieldReader(std::vector<std::string> fields)
-      : fields_(std::move(fields)) {}
-
-  const std::string& next() {
-    if (index_ >= fields_.size()) {
-      throw ResultIoError("record truncated: expected more fields");
-    }
-    return fields_[index_++];
-  }
-  std::uint64_t next_u64() { return parse_u64_exact(next()); }
-  std::size_t next_size() { return static_cast<std::size_t>(next_u64()); }
-  double next_double() { return parse_double_exact(next()); }
-  bool next_bool() {
-    const std::string& token = next();
-    if (token == "0") return false;
-    if (token == "1") return true;
-    throw ResultIoError("malformed bool field '" + token + "'");
-  }
-  std::string next_text() { return unescape_field(next()); }
-  [[nodiscard]] bool exhausted() const { return index_ == fields_.size(); }
-  [[nodiscard]] std::size_t size() const { return fields_.size(); }
-
- private:
-  std::vector<std::string> fields_;
-  std::size_t index_ = 0;
-};
-
-SeriesSummary read_summary(FieldReader& reader) {
+SeriesSummary read_summary(FieldCursor& fields) {
   SeriesSummary s;
-  s.count = reader.next_size();
-  s.min = reader.next_double();
-  s.max = reader.next_double();
-  s.mean = reader.next_double();
-  s.stddev = reader.next_double();
-  s.percentiles.p01 = reader.next_double();
-  s.percentiles.p25 = reader.next_double();
-  s.percentiles.p50 = reader.next_double();
-  s.percentiles.p75 = reader.next_double();
-  s.percentiles.p99 = reader.next_double();
+  s.count = fields.u64();
+  s.min = fields.f64();
+  s.max = fields.f64();
+  s.mean = fields.f64();
+  s.stddev = fields.f64();
+  s.percentiles.p01 = fields.f64();
+  s.percentiles.p25 = fields.f64();
+  s.percentiles.p50 = fields.f64();
+  s.percentiles.p75 = fields.f64();
+  s.percentiles.p99 = fields.f64();
   return s;
 }
 
@@ -117,109 +88,44 @@ SeriesSummary read_summary(FieldReader& reader) {
 /// record from a different (future) layout can never half-parse.
 constexpr std::size_t kCellFields = 64;
 
-/// Line-oriented reader tracking byte offsets (the checkpoint loader needs
-/// the exact end-of-prefix offset to truncate a torn tail). A final line
-/// without a terminating newline is reported as torn, never returned as
-/// content — that is precisely the kill-mid-write signature.
-class LineReader {
- public:
-  explicit LineReader(const std::string& content) : content_(content) {}
-
-  /// Next complete ('\n'-terminated) line, without the newline.
-  /// Returns false at end of complete content; a trailing unterminated
-  /// fragment sets torn().
-  bool next_line(std::string& line) {
-    if (offset_ >= content_.size()) return false;
-    const std::size_t newline = content_.find('\n', offset_);
-    if (newline == std::string::npos) {
-      torn_ = true;
-      return false;
-    }
-    line.assign(content_, offset_, newline - offset_);
-    offset_ = newline + 1;
-    return true;
-  }
-
-  [[nodiscard]] std::uint64_t offset() const { return offset_; }
-  [[nodiscard]] bool torn() const { return torn_; }
-
- private:
-  const std::string& content_;
-  std::size_t offset_ = 0;
-  bool torn_ = false;
-};
-
-std::string read_file(const std::string& path, const char* what) {
+/// Opens `path` for a LineReader; `what` names the artifact in the errors.
+template <typename Error = ResultIoError>
+std::ifstream open_input(const std::string& path, const char* what) {
   std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw ResultIoError(std::string(what) + ": cannot open " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) {
-    throw ResultIoError(std::string(what) + ": read error on " + path);
-  }
-  return buffer.str();
+  if (!in) throw Error(std::string(what) + ": cannot open " + path);
+  return in;
 }
 
-/// "key value" header line helper: enforces the key and returns the value.
-std::string header_value(const std::string& line, const std::string& key,
-                         const std::string& context) {
-  if (line.size() <= key.size() || line.compare(0, key.size(), key) != 0 ||
-      line[key.size()] != ' ') {
-    throw ResultIoError(context + ": expected '" + key + " ...', got '" +
-                        line + "'");
-  }
-  return line.substr(key.size() + 1);
-}
-
-/// Parse "<magic> <version>" and enforce both; a version mismatch names the
-/// two versions (the CLI "version-skewed dump" message).
-void check_magic(const std::string& line, const char* magic,
-                 const std::string& context) {
-  const std::string expected_prefix = std::string(magic) + " ";
-  if (line.compare(0, expected_prefix.size(), expected_prefix) != 0) {
-    throw ResultIoError(context + ": not a " + magic + " file (first line '" +
-                        line + "')");
-  }
-  const std::string version = line.substr(expected_prefix.size());
-  if (version != std::to_string(kResultFormatVersion)) {
-    throw ResultIoError(
-        context + ": format version " + version +
-        " is not supported by this build (expected version " +
-        std::to_string(kResultFormatVersion) + ")");
-  }
+/// A LineReader ends its input at a read error as at end of file; the
+/// artifacts refuse it instead of taking what came before for the whole.
+template <typename Error = ResultIoError>
+void check_read(const std::ifstream& in, const char* what,
+                const std::string& path) {
+  if (in.bad()) throw Error(std::string(what) + ": read error on " + path);
 }
 
 std::string format_hash(std::uint64_t hash) {
   return strfmt("0x%016llx", static_cast<unsigned long long>(hash));
 }
 
-std::uint64_t parse_hash(const std::string& text, const std::string& context) {
-  if (text.size() != 18 || text.compare(0, 2, "0x") != 0) {
-    throw ResultIoError(context + ": malformed hash '" + text + "'");
-  }
+std::uint64_t parse_hash(std::string_view text, const std::string& context) {
   std::uint64_t value = 0;
-  for (std::size_t i = 2; i < text.size(); ++i) {
-    const char c = text[i];
-    value <<= 4;
-    if (c >= '0' && c <= '9') {
-      value |= static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      value |= static_cast<std::uint64_t>(c - 'a' + 10);
-    } else {
-      throw ResultIoError(context + ": malformed hash '" + text + "'");
-    }
+  if (text.size() != 18 || !text.starts_with("0x") ||
+      text.find_first_not_of("0123456789abcdef", 2) != text.npos) {
+    throw ResultIoError(context + ": malformed hash '" + std::string(text) +
+                        "'");
   }
+  std::from_chars(text.data() + 2, text.data() + text.size(), value, 16);
   return value;
 }
 
-ShardSpec parse_shard_token(const std::string& text,
+ShardSpec parse_shard_token(std::string_view text,
                             const std::string& context) {
   try {
     return parse_shard(text);
   } catch (const SweepUsageError&) {
-    throw ResultIoError(context + ": malformed shard '" + text + "'");
+    throw ResultIoError(context + ": malformed shard '" + std::string(text) +
+                        "'");
   }
 }
 
@@ -276,61 +182,62 @@ std::string serialize_result(const ScenarioResult& r) {
 }
 
 ScenarioResult parse_result(std::string_view line) {
-  FieldReader reader(split_fields(line));
-  if (reader.size() != kCellFields) {
+  FieldCursor fields(line);
+  const std::size_t count = fields.count();
+  if (count != kCellFields) {
     throw ResultIoError(strfmt("cell record has %zu fields, expected %zu",
-                               reader.size(), kCellFields));
+                               count, kCellFields));
   }
   try {
     ScenarioResult r;
-    r.scenario_index = reader.next_size();
-    r.name = reader.next_text();
-    r.seed = reader.next_u64();
-    r.server = parse_server_token(reader.next());
-    r.environment = parse_environment_token(reader.next());
-    r.estimator = spec_from_label(reader.next_text());
-    r.failed = reader.next_bool();
-    r.error = reader.next_text();
-    r.polls = reader.next_size();
-    r.skipped = reader.next_size();
-    r.exchanges = reader.next_size();
-    r.lost = reader.next_size();
-    r.evaluated = reader.next_size();
-    r.clock_error = read_summary(reader);
-    r.offset_error = read_summary(reader);
-    r.adev_short_tau = reader.next_double();
-    r.adev_short = reader.next_double();
-    r.adev_long_tau = reader.next_double();
-    r.adev_long = reader.next_double();
-    r.steps = reader.next_u64();
+    r.scenario_index = fields.u64();
+    r.name = fields.text();
+    r.seed = fields.u64();
+    r.server = parse_server_token(fields.next());
+    r.environment = parse_environment_token(fields.next());
+    r.estimator = spec_from_label(fields.text());
+    r.failed = fields.flag();
+    r.error = fields.text();
+    r.polls = fields.u64();
+    r.skipped = fields.u64();
+    r.exchanges = fields.u64();
+    r.lost = fields.u64();
+    r.evaluated = fields.u64();
+    r.clock_error = read_summary(fields);
+    r.offset_error = read_summary(fields);
+    r.adev_short_tau = fields.f64();
+    r.adev_short = fields.f64();
+    r.adev_long_tau = fields.f64();
+    r.adev_long = fields.f64();
+    r.steps = fields.u64();
     core::ClockStatus& s = r.final_status;
-    s.packets_processed = reader.next_u64();
-    s.rate_accepted = reader.next_u64();
-    s.offset_sanity_triggers = reader.next_u64();
-    s.offset_fallbacks = reader.next_u64();
-    s.gap_blends = reader.next_u64();
-    s.local_rate_sanity_blocks = reader.next_u64();
-    s.rate_sanity_blocks = reader.next_u64();
-    s.rate_sanity_releases = reader.next_u64();
-    s.offset_sanity_releases = reader.next_u64();
-    s.upshifts = reader.next_u64();
-    s.downshifts = reader.next_u64();
-    s.top_window_updates = reader.next_u64();
-    s.server_changes = reader.next_u64();
-    s.warmed_up = reader.next_bool();
-    s.period = reader.next_double();
-    s.period_quality = reader.next_double();
-    s.local_rate_usable = reader.next_bool();
-    s.local_rate_residual = reader.next_double();
-    s.offset = reader.next_double();
-    s.min_rtt = reader.next_double();
-    r.clients = reader.next_size();
-    r.fleet_dispersion = reader.next_double();
-    r.fleet_worst_p99 = reader.next_double();
-    r.fleet_pairwise_spread = reader.next_double();
-    r.from_trace = reader.next_bool();
-    r.relative_only = reader.next_bool();
-    TSC_ENSURES(reader.exhausted());
+    s.packets_processed = fields.u64();
+    s.rate_accepted = fields.u64();
+    s.offset_sanity_triggers = fields.u64();
+    s.offset_fallbacks = fields.u64();
+    s.gap_blends = fields.u64();
+    s.local_rate_sanity_blocks = fields.u64();
+    s.rate_sanity_blocks = fields.u64();
+    s.rate_sanity_releases = fields.u64();
+    s.offset_sanity_releases = fields.u64();
+    s.upshifts = fields.u64();
+    s.downshifts = fields.u64();
+    s.top_window_updates = fields.u64();
+    s.server_changes = fields.u64();
+    s.warmed_up = fields.flag();
+    s.period = fields.f64();
+    s.period_quality = fields.f64();
+    s.local_rate_usable = fields.flag();
+    s.local_rate_residual = fields.f64();
+    s.offset = fields.f64();
+    s.min_rtt = fields.f64();
+    r.clients = fields.u64();
+    r.fleet_dispersion = fields.f64();
+    r.fleet_worst_p99 = fields.f64();
+    r.fleet_pairwise_spread = fields.f64();
+    r.from_trace = fields.flag();
+    r.relative_only = fields.flag();
+    TSC_ENSURES(fields.exhausted());
     return r;
   } catch (const ResultIoError&) {
     throw;
@@ -391,47 +298,45 @@ void ShardDumpWriter::write_cells(std::span<const ScenarioResult> results) {
 }
 
 ShardDump read_shard_dump(const std::string& path) {
-  const std::string content = read_file(path, "result dump");
+  std::ifstream in = open_input(path, "result dump");
   const std::string context = "result dump " + path;
-  LineReader lines(content);
-  std::string line;
-  const auto next_line = [&]() -> const std::string& {
+  LineReader lines(in);
+  std::string_view line;
+  const auto next_line = [&] {
     if (!lines.next_line(line)) {
+      check_read(in, "result dump", path);
       throw ResultIoError(context + ": truncated (unexpected end of file)");
     }
     return line;
   };
+  HeaderReader<ResultIoError> header(context);
+  const auto value = [&](const char* key) {
+    return header.value(next_line(), key);
+  };
 
   ShardDump dump;
-  check_magic(next_line(), kDumpMagic, context);
-  dump.header.run_hash =
-      parse_hash(header_value(next_line(), "hash", context), context);
-  dump.header.shard =
-      parse_shard_token(header_value(next_line(), "shard", context), context);
+  header.check_magic(next_line(), kDumpMagic, kResultFormatVersion);
+  dump.header.run_hash = parse_hash(value("hash"), context);
+  dump.header.shard = parse_shard_token(value("shard"), context);
   try {
-    dump.header.scenario_total =
-        parse_u64_exact(header_value(next_line(), "scenarios_total", context));
-    dump.header.duration =
-        parse_double_exact(header_value(next_line(), "duration", context));
-    dump.header.master_seed =
-        parse_u64_exact(header_value(next_line(), "master_seed", context));
-    const std::size_t estimator_count =
-        parse_u64_exact(header_value(next_line(), "estimators", context));
+    dump.header.scenario_total = parse_u64_exact(value("scenarios_total"));
+    dump.header.duration = parse_double_exact(value("duration"));
+    dump.header.master_seed = parse_u64_exact(value("master_seed"));
+    const std::size_t estimator_count = parse_u64_exact(value("estimators"));
     for (std::size_t i = 0; i < estimator_count; ++i) {
       dump.header.estimator_labels.push_back(
-          unescape_field(header_value(next_line(), "estimator", context)));
+          unescape_field(value("estimator")));
     }
-    const std::size_t cell_count =
-        parse_u64_exact(header_value(next_line(), "cells", context));
+    const std::size_t cell_count = parse_u64_exact(value("cells"));
     dump.results.reserve(cell_count);
     for (std::size_t i = 0; i < cell_count; ++i) {
-      const std::string& cell_line = next_line();
-      if (cell_line.compare(0, 5, "cell\t") != 0) {
+      const std::string_view cell_line = next_line();
+      if (!cell_line.starts_with("cell\t")) {
         throw ResultIoError(context + ": expected cell record " +
-                            std::to_string(i) + ", got '" + cell_line + "'");
+                            std::to_string(i) + ", got '" +
+                            std::string(cell_line) + "'");
       }
-      dump.results.push_back(
-          parse_result(std::string_view(cell_line).substr(5)));
+      dump.results.push_back(parse_result(cell_line.substr(5)));
     }
   } catch (const ResultIoError&) {
     throw;
@@ -554,28 +459,28 @@ namespace {
 
 /// Sequential reader over one shard's trace CSV: hands out the contiguous
 /// row block of each scenario in file order (exactly how the sweep's
-/// grid-order drainer wrote them).
+/// grid-order drainer wrote them), one row at a time through the read
+/// window, so a shard's CSV is never held whole in memory.
 class TraceCsvReader {
  public:
   explicit TraceCsvReader(const std::string& path)
-      : path_(path), content_(read_file(path, "trace csv")), lines_(content_) {
-    if (lines_.torn()) {
-      // Defensive; torn() only set after a failed next_line().
-    }
-    if (!lines_.next_line(header_)) {
+      : path_(path), in_(open_input(path, "trace csv")), lines_(in_) {
+    std::string_view header;
+    if (!lines_.next_line(header)) {
+      check_read(in_, "trace csv", path_);
       throw ResultIoError("trace csv " + path + ": empty file");
     }
+    header_ = header;
     advance();
   }
 
   [[nodiscard]] const std::string& header() const { return header_; }
 
-  /// Append (with newlines) every consecutive row whose scenario column
+  /// Write (with newlines) every consecutive row whose scenario column
   /// equals `scenario`; zero rows is valid (FAILED or empty cells).
-  void take_scenario(const std::string& scenario, std::string& out) {
+  void take_scenario(const std::string& scenario, std::ostream& out) {
     while (have_row_ && row_scenario_ == scenario) {
-      out += row_;
-      out += '\n';
+      out << row_ << '\n';
       advance();
     }
   }
@@ -591,6 +496,7 @@ class TraceCsvReader {
  private:
   void advance() {
     have_row_ = lines_.next_line(row_);
+    if (!have_row_) check_read(in_, "trace csv", path_);
     if (lines_.torn()) {
       throw ResultIoError("trace csv " + path_ +
                           ": torn trailing line (incomplete dump)");
@@ -599,34 +505,17 @@ class TraceCsvReader {
     // Only the first column matters here, but it may be RFC-4180-quoted:
     // fleet-axis labels put commas (and parens) into scenario names, so the
     // writer quotes them just like multi-override estimator labels.
-    if (!row_.empty() && row_.front() == '"') {
-      std::string name;
-      std::size_t i = 1;
-      for (; i < row_.size(); ++i) {
-        if (row_[i] == '"') {
-          if (i + 1 < row_.size() && row_[i + 1] == '"') {
-            name += '"';
-            ++i;
-          } else {
-            break;
-          }
-        } else {
-          name += row_[i];
-        }
-      }
-      row_scenario_ = std::move(name);
-    } else {
-      const std::size_t comma = row_.find(',');
-      row_scenario_ =
-          comma == std::string::npos ? row_ : row_.substr(0, comma);
+    if (csv_decode_field(row_, 0, row_scenario_) == std::string_view::npos) {
+      throw ResultIoError("trace csv " + path_ + ": unterminated quote in '" +
+                          std::string(row_) + "'");
     }
   }
 
   std::string path_;
-  std::string content_;
+  std::ifstream in_;
   LineReader lines_;
   std::string header_;
-  std::string row_;
+  std::string_view row_;  ///< the next row, a view into lines_' window
   std::string row_scenario_;
   bool have_row_ = false;
 };
@@ -663,15 +552,12 @@ void merge_trace_csv(const MergedSweep& merged,
   out.exceptions(std::ios::badbit | std::ios::failbit);
   out << header << '\n';
 
+  // Rows go straight from each shard's read window to the output stream.
   const std::size_t lanes = merged.header.estimator_labels.size();
-  std::string block;
   for (std::size_t scenario = 0; scenario * lanes < merged.results.size();
        ++scenario) {
     const ScenarioResult& cell = merged.results[scenario * lanes];
-    const std::size_t owner = scenario % shard_count;
-    block.clear();
-    readers[owner]->take_scenario(cell.name, block);
-    out << block;
+    readers[scenario % shard_count]->take_scenario(cell.name, out);
   }
   for (const auto& reader : readers) reader->expect_exhausted();
   out.close();
@@ -696,30 +582,30 @@ CheckpointLoad load_checkpoint(const std::string& path,
                                const std::vector<SweepScenario>& scenarios,
                                std::span<const std::string> estimator_labels) {
   const std::string context = "checkpoint " + path;
-  std::string content;
-  try {
-    content = read_file(path, "checkpoint");
-  } catch (const ResultIoError& e) {
-    throw SweepUsageError(e.what());
-  }
-  LineReader lines(content);
-  std::string line;
-  const auto next_header_line = [&]() -> const std::string& {
+  std::ifstream in = open_input<SweepUsageError>(path, "checkpoint");
+  LineReader lines(in);
+  std::string_view line;
+  const auto next_header_line = [&] {
     if (!lines.next_line(line)) {
+      check_read<SweepUsageError>(in, "checkpoint", path);
       throw SweepUsageError(context +
                             ": truncated before the header completed — "
                             "delete the file to start over");
     }
     return line;
   };
+  HeaderReader<ResultIoError> header(context);
+  const auto value = [&](const char* key) {
+    return header.value(next_header_line(), key);
+  };
 
   // Header mismatches are usage errors (exit 2): the user pointed a resume
   // at the wrong file or changed the invocation under it.
   CheckpointLoad load;
   try {
-    check_magic(next_header_line(), kCheckpointMagic, context);
-    const std::uint64_t hash = parse_hash(
-        header_value(next_header_line(), "hash", context), context);
+    header.check_magic(next_header_line(), kCheckpointMagic,
+                       kResultFormatVersion);
+    const std::uint64_t hash = parse_hash(value("hash"), context);
     if (hash != expected.run_hash) {
       throw SweepUsageError(strfmt(
           "%s was written by a different sweep invocation: run fingerprint "
@@ -729,20 +615,18 @@ CheckpointLoad load_checkpoint(const std::string& path,
           context.c_str(), format_hash(hash).c_str(),
           format_hash(expected.run_hash).c_str()));
     }
-    const ShardSpec shard = parse_shard_token(
-        header_value(next_header_line(), "shard", context), context);
+    const ShardSpec shard = parse_shard_token(value("shard"), context);
     if (!(shard == expected.shard)) {
       throw SweepUsageError(strfmt(
           "%s belongs to shard %s, this invocation is shard %s",
           context.c_str(), shard.label().c_str(),
           expected.shard.label().c_str()));
     }
-    const std::string csv_flag =
-        header_value(next_header_line(), "csv", context);
+    const std::string_view csv_flag = value("csv");
     const bool with_csv = csv_flag == "1";
     if (!with_csv && csv_flag != "0") {
-      throw ResultIoError(context + ": malformed csv flag '" + csv_flag +
-                          "'");
+      throw ResultIoError(context + ": malformed csv flag '" +
+                          std::string(csv_flag) + "'");
     }
     if (with_csv != expected.with_csv) {
       throw SweepUsageError(
@@ -767,53 +651,45 @@ CheckpointLoad load_checkpoint(const std::string& path,
       shard_scenarios(scenarios.size(), expected.shard);
   const std::size_t lanes = estimator_labels.size();
   std::vector<ScenarioResult> group;
-  while (load.committed_scenarios < owned.size()) {
-    const std::size_t scenario_index = owned[load.committed_scenarios];
-    const SweepScenario& scenario = scenarios[scenario_index];
+  // One scenario's lane cells into `group`, then its `done` watermark;
+  // false (or a parse exception) at the first anomaly.
+  const auto read_group = [&](std::size_t scenario_index) {
     group.clear();
-    bool group_ok = true;
-    try {
-      for (std::size_t e = 0; e < lanes && group_ok; ++e) {
-        if (!lines.next_line(line)) {
-          group_ok = false;
-          break;
-        }
-        if (line.compare(0, 5, "cell\t") != 0) {
-          throw ResultIoError("expected cell record, got '" + line + "'");
-        }
-        ScenarioResult cell =
-            parse_result(std::string_view(line).substr(5));
-        if (cell.scenario_index != scenario_index ||
-            cell.name != scenario.name ||
-            cell.estimator.label() != estimator_labels[e]) {
-          throw ResultIoError("cell identity mismatch");
-        }
-        group.push_back(std::move(cell));
+    for (std::size_t e = 0; e < lanes; ++e) {
+      if (!lines.next_line(line) || !line.starts_with("cell\t")) return false;
+      ScenarioResult cell = parse_result(line.substr(5));
+      if (cell.scenario_index != scenario_index ||
+          cell.name != scenarios[scenario_index].name ||
+          cell.estimator.label() != estimator_labels[e]) {
+        return false;
       }
-      if (group_ok) {
-        if (!lines.next_line(line)) {
-          group_ok = false;
-        } else {
-          FieldReader done(split_fields(line));
-          if (done.size() != 3 || done.next() != "done") {
-            throw ResultIoError("expected done record, got '" + line + "'");
-          }
-          if (done.next_size() != scenario_index) {
-            throw ResultIoError("done record names the wrong scenario");
-          }
-          load.csv_bytes = done.next_u64();
-        }
-      }
-    } catch (const std::exception&) {
-      group_ok = false;
+      group.push_back(std::move(cell));
     }
-    if (!group_ok) break;
+    if (!lines.next_line(line)) return false;
+    FieldCursor done(line);
+    if (done.count() != 3 || done.next() != "done" ||
+        done.u64() != scenario_index) {
+      return false;
+    }
+    load.csv_bytes = done.u64();
+    return true;
+  };
+  while (load.committed_scenarios < owned.size()) {
+    bool committed = false;
+    try {
+      committed = read_group(owned[load.committed_scenarios]);
+    } catch (const std::exception&) {
+    }
+    if (!committed) break;
     for (auto& cell : group) load.results.push_back(std::move(cell));
     ++load.committed_scenarios;
     load.valid_bytes = lines.offset();
   }
-  load.discarded_tail =
-      lines.torn() || load.valid_bytes < content.size();
+  // Anything after the committed prefix is discarded: lines read past it,
+  // lines never reached, or a torn tail.
+  load.discarded_tail = lines.offset() > load.valid_bytes ||
+                        lines.next_line(line) || lines.torn();
+  check_read<SweepUsageError>(in, "checkpoint", path);
   return load;
 }
 

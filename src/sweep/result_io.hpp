@@ -24,8 +24,13 @@
 //     prefix and regenerate only the tail.
 //
 //   * trace merge — per-shard `--csv` dumps are re-interleaved into the
-//     single-process trace CSV by walking the merged grid order and copying
-//     each scenario's contiguous row block from its owning shard's file.
+//     single-process trace CSV by walking the merged grid order and
+//     streaming each scenario's contiguous rows from its owning shard's
+//     file into the output.
+//
+// Every reader here goes through common/record_reader: one streaming line
+// source, one field cursor and one magic/version + key-value header reader,
+// the same layer trace files read through.
 #pragma once
 
 #include <cstdint>
@@ -146,8 +151,10 @@ MergedSweep merge_shard_dumps(const std::vector<ShardDump>& dumps);
 
 /// Re-interleave per-shard `--csv` trace dumps into the single-process
 /// trace CSV: `trace_paths` pairs positionally with `dumps` (any shard
-/// order); rows are copied per scenario block following `merged`'s global
-/// grid order. Headers must agree; leftover unclaimed rows are an error.
+/// order); rows stream per scenario block, following `merged`'s global
+/// grid order, from each shard file's read window into `out_path`, so
+/// memory does not grow with the CSVs. Headers must agree; leftover
+/// unclaimed rows, torn final rows and unterminated quotes are errors.
 void merge_trace_csv(const MergedSweep& merged,
                      const std::vector<ShardDump>& dumps,
                      const std::vector<std::string>& trace_paths,

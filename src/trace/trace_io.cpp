@@ -1,18 +1,17 @@
 #include "trace/trace_io.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
-#include <istream>
 #include <string_view>
 #include <system_error>
 #include <vector>
 
+#include "common/record_reader.hpp"
 #include "common/serialize.hpp"
 #include "common/time_types.hpp"
 
@@ -196,114 +195,6 @@ void write_trace(const std::string& path, const TraceMeta& meta,
 
 namespace {
 
-/// Line reader over a stream, through a fixed read window (kTraceReadWindow
-/// bytes, doubled only to hold a longer line), so a trace is never held
-/// whole in memory. What it hands out is a view into the window, valid
-/// until the next next_line or next_lines call. A final line without its
-/// newline is torn, not returned. A read error ends the input early like
-/// end of file; the end-marker check then refuses the file. Same torn-tail
-/// policy as result_io's reader (each artifact format owns its own).
-class LineReader {
- public:
-  explicit LineReader(std::istream& in)
-      : in_(in), window_(kTraceReadWindow, '\0') {}
-
-  /// The next complete line, without its newline.
-  bool next_line(std::string_view& line) {
-    const auto first = [](std::string_view unread) {
-      return unread.find('\n');
-    };
-    if (!take(first, line)) return false;
-    line.remove_suffix(1);
-    return true;
-  }
-
-  /// Every complete line in the window, newlines included: at least one
-  /// line, reading more input while the window holds none.
-  bool next_lines(std::string_view& lines) {
-    const auto last = [](std::string_view unread) {
-      return unread.rfind('\n');
-    };
-    return take(last, lines);
-  }
-
-  [[nodiscard]] bool torn() const { return torn_; }
-
-  /// Bytes of input handed out so far.
-  [[nodiscard]] std::size_t offset() const { return discarded_ + begin_; }
-
- private:
-  /// Hand out the window from the next line through the newline `find`
-  /// picks among the bytes not yet scanned, refilling until it picks one
-  /// or the input ends.
-  template <typename Find>
-  bool take(const Find& find, std::string_view& out) {
-    for (;;) {
-      const std::size_t newline = find(
-          std::string_view(window_.data() + scanned_, filled_ - scanned_));
-      if (newline != std::string_view::npos) {
-        const std::size_t end = scanned_ + newline + 1;
-        out = std::string_view(window_.data() + begin_, end - begin_);
-        begin_ = scanned_ = end;
-        return true;
-      }
-      scanned_ = filled_;
-      if (at_end_) {
-        torn_ = begin_ < filled_;
-        return false;
-      }
-      refill();
-    }
-  }
-
-  /// Move the unfinished line to the front of the window, double the window
-  /// if that line fills it, and read to the window's end.
-  void refill() {
-    const std::size_t partial = filled_ - begin_;
-    std::memmove(window_.data(), window_.data() + begin_, partial);
-    discarded_ += begin_;
-    begin_ = 0;
-    scanned_ = filled_ = partial;
-    if (filled_ == window_.size()) window_.resize(2 * window_.size());
-    in_.read(window_.data() + filled_,
-             static_cast<std::streamsize>(window_.size() - filled_));
-    filled_ += static_cast<std::size_t>(in_.gcount());
-    at_end_ = filled_ < window_.size();  // a short read: end of input
-  }
-
-  std::istream& in_;
-  std::string window_;
-  std::size_t discarded_ = 0;  ///< input bytes moved out of the window
-  std::size_t begin_ = 0;      ///< start of the next line
-  std::size_t scanned_ = 0;    ///< [begin_, scanned_) holds no newline
-  std::size_t filled_ = 0;     ///< bytes of the window read so far
-  bool at_end_ = false;
-  bool torn_ = false;
-};
-
-/// The fields of one record line as views into it. `count` is the true
-/// number of fields; only the first kReferenceFields are kept, which is all
-/// a well-formed record of either mode has.
-struct Fields {
-  std::array<std::string_view, kReferenceFields> at;
-  std::size_t count = 0;
-};
-
-Fields split_record(std::string_view line, char sep) {
-  Fields fields;
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t pos = line.find(sep, start);
-    if (fields.count < fields.at.size()) {
-      fields.at[fields.count] = line.substr(
-          start, pos == std::string_view::npos ? pos : pos - start);
-    }
-    ++fields.count;
-    if (pos == std::string_view::npos) return fields;
-    start = pos + 1;
-  }
-}
-
 double parse_positive(std::string_view text, const char* key,
                       const std::string& context) {
   double value = 0;
@@ -332,53 +223,37 @@ void parse_record(std::string_view line, bool reference,
   }
   const std::size_t expected_fields =
       reference ? kReferenceFields : kRelativeFields;
-  const Fields fields = split_record(line.substr(2), '\t');
-  if (fields.count != expected_fields) {
-    if (!reference && fields.count == kReferenceFields) {
+  FieldCursor fields(line.substr(2));
+  const std::size_t count = fields.count();
+  if (count != expected_fields) {
+    if (!reference && count == kReferenceFields) {
       throw std::runtime_error(
           "carries reference-mode truth fields in a relative-only trace");
     }
-    if (reference && fields.count == kRelativeFields) {
+    if (reference && count == kRelativeFields) {
       throw std::runtime_error(
           "missing the truth fields a reference-mode trace declares");
     }
-    throw std::runtime_error("has " + std::to_string(fields.count) +
+    throw std::runtime_error("has " + std::to_string(count) +
                              " fields, expected " +
                              std::to_string(expected_fields));
   }
-  std::size_t f = 0;
-  const auto next_bool = [&]() {
-    const std::string_view token = fields.at[f++];
-    if (token == "0") return false;
-    if (token == "1") return true;
-    throw std::runtime_error("malformed bool field '" + std::string(token) +
-                             "'");
-  };
   // Every double column must be finite: a NaN or infinite stamp cannot be
   // scored, only fail deep inside the reduction.
-  const auto next_finite = [&](const char* name) {
-    const std::string_view token = fields.at[f++];
-    const double value = parse_double_exact(token);
-    if (!std::isfinite(value)) {
-      throw std::runtime_error(std::string("non-finite ") + name + " '" +
-                               std::string(token) + "'");
-    }
-    return value;
-  };
-  sample.index = parse_u64_exact(fields.at[f++]);
-  sample.lost = next_bool();
-  sample.in_warmup = next_bool();
-  sample.server_changed = next_bool();
-  sample.ref_available = next_bool();
-  sample.raw.ta = parse_u64_exact(fields.at[f++]);
-  sample.raw.tb = next_finite("tb");
-  sample.raw.te = next_finite("te");
-  sample.raw.tf = parse_u64_exact(fields.at[f++]);
-  sample.tf_counts_corrected = parse_u64_exact(fields.at[f++]);
+  sample.index = fields.u64();
+  sample.lost = fields.flag();
+  sample.in_warmup = fields.flag();
+  sample.server_changed = fields.flag();
+  sample.ref_available = fields.flag();
+  sample.raw.ta = fields.u64();
+  sample.raw.tb = fields.finite("tb");
+  sample.raw.te = fields.finite("te");
+  sample.raw.tf = fields.u64();
+  sample.tf_counts_corrected = fields.u64();
   if (reference) {
-    sample.truth_ta = next_finite("truth_ta");
-    sample.truth_tb = next_finite("truth_tb");
-    sample.tg = next_finite("tg");
+    sample.truth_ta = fields.finite("truth_ta");
+    sample.truth_tb = fields.finite("truth_tb");
+    sample.tg = fields.finite("tg");
   }
   if (!reference && sample.ref_available) {
     throw std::runtime_error(
@@ -471,46 +346,19 @@ ReadTrace read_trace(const std::string& path, ThreadPool* pool) {
   };
 
   // Magic + version gate, naming both versions on skew.
-  {
-    const std::string expected_prefix = std::string(kTraceMagic) + " ";
-    next_line();
-    if (!line.starts_with(expected_prefix)) {
-      throw TraceIoError(context + ": not a " + kTraceMagic +
-                         " file (first line '" + std::string(line) + "')");
-    }
-    const std::string version(line.substr(expected_prefix.size()));
-    if (version != std::to_string(kTraceFormatVersion)) {
-      throw TraceIoError(context + ": format version " + version +
-                         " is not supported by this build (expected version " +
-                         std::to_string(kTraceFormatVersion) + ")");
-    }
-  }
+  HeaderReader<TraceIoError> header(context);
+  next_line();
+  header.check_magic(line, kTraceMagic, kTraceFormatVersion);
 
   // Header block: key-value lines until the `samples` marker. Every key is
   // required once (label optional); unknown keys are refused, not skipped —
   // a trace from a future minor variant must fail loudly, not half-load.
   ReadTrace out;
-  bool have_mode = false, have_nominal = false, have_poll = false,
-       have_client = false;
   for (;;) {
     next_line();
     if (line == "samples") break;
-    const std::size_t space = line.find(' ');
-    if (space == std::string_view::npos || space == 0) {
-      throw TraceIoError(context + ": malformed header line '" +
-                         std::string(line) + "'");
-    }
-    const std::string_view key = line.substr(0, space);
-    const std::string_view value = line.substr(space + 1);
-    const auto require_fresh = [&](bool& have) {
-      if (have) {
-        throw TraceIoError(context + ": duplicate header key '" +
-                           std::string(key) + "'");
-      }
-      have = true;
-    };
+    const auto [key, value] = header.entry(line);
     if (key == "ground_truth") {
-      require_fresh(have_mode);
       if (value == "reference") {
         out.meta.mode = harness::GroundTruthMode::kReference;
       } else if (value == "relative") {
@@ -521,14 +369,11 @@ ReadTrace read_trace(const std::string& path, ThreadPool* pool) {
                            "' (expected 'reference' or 'relative')");
       }
     } else if (key == "nominal_period") {
-      require_fresh(have_nominal);
       out.meta.nominal_period =
           parse_positive(value, "nominal_period", context);
     } else if (key == "poll_period") {
-      require_fresh(have_poll);
       out.meta.poll_period = parse_positive(value, "poll_period", context);
     } else if (key == "client") {
-      require_fresh(have_client);
       try {
         const std::uint64_t id = parse_u64_exact(value);
         if (id > 0xffffffffull) throw std::runtime_error("out of range");
@@ -538,9 +383,6 @@ ReadTrace read_trace(const std::string& path, ThreadPool* pool) {
                            std::string(value) + "': " + e.what());
       }
     } else if (key == "label") {
-      if (!out.meta.label.empty()) {
-        throw TraceIoError(context + ": duplicate header key 'label'");
-      }
       try {
         out.meta.label = unescape_field(value);
       } catch (const std::exception& e) {
@@ -551,10 +393,10 @@ ReadTrace read_trace(const std::string& path, ThreadPool* pool) {
                          std::string(key) + "'");
     }
   }
-  if (!have_mode) throw TraceIoError(context + ": missing ground_truth");
-  if (!have_nominal) throw TraceIoError(context + ": missing nominal_period");
-  if (!have_poll) throw TraceIoError(context + ": missing poll_period");
-  if (!have_client) throw TraceIoError(context + ": missing client");
+  for (const char* key : {"ground_truth", "nominal_period", "poll_period",
+                          "client"}) {
+    header.require(key);
+  }
 
   const bool reference = is_reference(out.meta);
   harness::ReplayTrace& trace = out.trace;
@@ -676,15 +518,15 @@ ReadTrace read_trace(const std::string& path, ThreadPool* pool) {
 
   std::uint64_t end_exchanges = 0, end_lost = 0, end_polls = 0;
   {
-    const Fields fields = split_record(end_line.substr(4), ' ');
-    if (fields.count != 3) {
+    FieldCursor fields(end_line.substr(4), ' ');
+    if (fields.count() != 3) {
       throw TraceIoError(context + ": malformed end marker '" +
                          std::string(end_line) + "'");
     }
     try {
-      end_exchanges = parse_u64_exact(fields.at[0]);
-      end_lost = parse_u64_exact(fields.at[1]);
-      end_polls = parse_u64_exact(fields.at[2]);
+      end_exchanges = fields.u64();
+      end_lost = fields.u64();
+      end_polls = fields.u64();
     } catch (const std::exception& e) {
       throw TraceIoError(context + ": malformed end marker '" +
                          std::string(end_line) + "': " + e.what());

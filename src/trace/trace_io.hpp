@@ -38,7 +38,8 @@
 // a record with the wrong field count for its declared mode is malformed
 // (the reader never guesses). The end marker is the completeness witness:
 // counts must match what was read, and a missing/torn final line is
-// refused as a kill-mid-write signature (same contract as sweep/result_io).
+// refused as a kill-mid-write signature (the torn-tail contract of the
+// common/record_reader line source, which the sweep's artifacts share).
 //
 // The two writers differ only in when bytes reach the file. TraceWriter
 // flushes after every record, so a killed live collector leaves every
@@ -53,6 +54,7 @@
 #include <string>
 #include <vector>
 
+#include "common/record_reader.hpp"
 #include "common/thread_pool.hpp"
 #include "harness/replay.hpp"
 
@@ -67,8 +69,9 @@ class TraceIoError : public std::runtime_error {
 constexpr int kTraceFormatVersion = 1;
 
 /// read_trace parses through a read window of this many bytes, grown only
-/// for a longer line, instead of loading the whole file.
-constexpr std::size_t kTraceReadWindow = std::size_t{1} << 20;
+/// for a longer line, instead of loading the whole file: the LineReader
+/// window every line format reads through.
+constexpr std::size_t kTraceReadWindow = kLineReadWindow;
 
 /// read_trace cuts the complete lines of each read window into parse tasks
 /// of about this many bytes, each ending on a line boundary.

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/csv.hpp"
 #include "common/serialize.hpp"
 #include "sweep/shard.hpp"
 #include "sweep/sweep.hpp"
@@ -583,6 +584,287 @@ TEST_F(CheckpointFixture, FailedCellInCheckpointPropagatesOnResume) {
   EXPECT_TRUE(results[1].failed);
   // The rest of the grid still ran.
   EXPECT_FALSE(results[2].failed);
+}
+
+// -- The shared line source on every artifact --------------------------------
+//
+// Dumps, checkpoints and trace CSVs read through one streaming line source
+// with a 1 MiB read window. These cases cut small artifacts at every byte
+// and read synthetic ones (no simulation) larger than the window, with
+// lines and cells crossing its refills and one line longer than it.
+
+TEST_F(DumpFixture, EveryTruncationIsRefusedAsTruncated) {
+  const fs::path path = tmp_ / "cut_everywhere.dump";
+  std::vector<ScenarioResult> cells;
+  for (const char* label : {"robust", "offline"}) {
+    ScenarioResult r = gnarly_result();
+    r.scenario_index = 0;
+    r.estimator = harness::EstimatorSpec{label, {}};
+    cells.push_back(r);
+  }
+  ShardDumpWriter(path.string(), header(), cells.size()).write_cells(cells);
+  const std::string content = read_file(path);
+  const std::string truncated =
+      "result dump " + path.string() + ": truncated (unexpected end of file)";
+  for (std::size_t cut = 0; cut < content.size(); ++cut) {
+    SCOPED_TRACE(cut);
+    write_file(path, content.substr(0, cut));
+    try {
+      read_shard_dump(path.string());
+      ADD_FAILURE() << "a dump cut at byte " << cut << " was accepted";
+    } catch (const ResultIoError& e) {
+      EXPECT_EQ(e.what(), truncated);
+    }
+  }
+  write_file(path, content);
+  EXPECT_EQ(read_shard_dump(path.string()).results.size(), cells.size());
+}
+
+TEST_F(DumpFixture, DumpWithACellLongerThanTheReadWindowRoundTrips) {
+  const fs::path path = tmp_ / "long_cell.dump";
+  std::vector<ScenarioResult> cells;
+  for (const char* label : {"robust", "offline"}) {
+    ScenarioResult r = gnarly_result();
+    r.scenario_index = 0;
+    r.estimator = harness::EstimatorSpec{label, {}};
+    r.error = std::string((std::size_t{3} << 20) / 2, 'e');  // 1.5 MiB
+    cells.push_back(r);
+  }
+  ShardDumpWriter(path.string(), header(), cells.size()).write_cells(cells);
+  ASSERT_GT(fs::file_size(path), std::size_t{3} << 20);
+  const ShardDump dump = read_shard_dump(path.string());
+  ASSERT_EQ(dump.results.size(), cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    expect_results_identical(dump.results[i], cells[i]);
+  }
+}
+
+/// A synthetic checkpoint: `count` scenarios of two lanes, FAILED cells
+/// carrying `error_bytes` of error text, written through CheckpointWriter.
+class SyntheticCheckpoint : public ::testing::Test {
+ protected:
+  fs::path path_{fs::path(::testing::TempDir()) / "synthetic.ck"};
+  std::vector<SweepScenario> scenarios_;
+  const std::vector<std::string> lanes_{"robust", "offline"};
+
+  CheckpointHeader header() const {
+    CheckpointHeader h;
+    h.run_hash = 0x0123456789abcdefULL;
+    return h;
+  }
+
+  std::vector<ScenarioResult> cells(std::size_t scenario,
+                                    std::size_t error_bytes) const {
+    std::vector<ScenarioResult> group;
+    for (const std::string& lane : lanes_) {
+      ScenarioResult r = gnarly_result();
+      r.scenario_index = scenario;
+      r.name = scenarios_[scenario].name;
+      r.estimator = harness::EstimatorSpec{lane, {}};
+      r.error = std::string(error_bytes, static_cast<char>('a' + scenario % 26));
+      group.push_back(r);
+    }
+    return group;
+  }
+
+  /// Writes the checkpoint; `error_bytes(i)` sizes scenario i's errors.
+  /// Returns every scenario's cells in file order.
+  template <typename Size>
+  std::vector<ScenarioResult> write(std::size_t count,
+                                    const Size& error_bytes) {
+    scenarios_.clear();
+    for (std::size_t i = 0; i < count; ++i) {
+      SweepScenario scenario;
+      scenario.index = i;
+      scenario.name = "synthetic/" + std::to_string(i);
+      scenarios_.push_back(scenario);
+    }
+    std::vector<ScenarioResult> all;
+    CheckpointWriter writer(path_.string(), header());
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::vector<ScenarioResult> group = cells(i, error_bytes(i));
+      writer.record_scenario(group, i, 1000 * (i + 1));
+      all.insert(all.end(), group.begin(), group.end());
+    }
+    writer.close();
+    return all;
+  }
+
+  CheckpointLoad load() const {
+    return load_checkpoint(path_.string(), header(), scenarios_, lanes_);
+  }
+
+  /// Every scenario whose `done` line ends at or before `cut` loads, the
+  /// valid prefix ends after the last of them, and anything past it is
+  /// reported as discarded.
+  void expect_committed_prefix(const std::string& content, std::size_t cut,
+                               std::size_t header_end,
+                               const std::vector<ScenarioResult>& all) {
+    std::size_t committed = 0, valid = header_end;
+    for (std::size_t at = content.find("\ndone\t"); at < cut;
+         at = content.find("\ndone\t", at + 1)) {
+      const std::size_t end = content.find('\n', at + 1) + 1;
+      if (end > cut) break;
+      ++committed;
+      valid = end;
+    }
+    const CheckpointLoad loaded = load();
+    EXPECT_EQ(loaded.committed_scenarios, committed);
+    EXPECT_EQ(loaded.valid_bytes, valid);
+    EXPECT_EQ(loaded.discarded_tail, cut > valid);
+    EXPECT_EQ(loaded.csv_bytes, 1000 * committed);
+    ASSERT_EQ(loaded.results.size(), committed * lanes_.size());
+    for (std::size_t i = 0; i < loaded.results.size(); ++i) {
+      expect_results_identical(loaded.results[i], all[i]);
+    }
+  }
+};
+
+TEST_F(SyntheticCheckpoint, EveryTruncationLoadsTheLongestCommittedPrefix) {
+  const std::vector<ScenarioResult> all =
+      write(3, [](std::size_t) { return std::size_t{5}; });
+  const std::string content = read_file(path_);
+  const std::size_t header_end = content.find("\ncell\t") + 1;
+  const std::string before_header =
+      "checkpoint " + path_.string() +
+      ": truncated before the header completed — delete the file to start "
+      "over";
+  for (std::size_t cut = 0; cut <= content.size(); ++cut) {
+    SCOPED_TRACE(cut);
+    write_file(path_, content.substr(0, cut));
+    if (cut < header_end) {
+      try {
+        load();
+        ADD_FAILURE() << "a header cut at byte " << cut << " was accepted";
+      } catch (const SweepUsageError& e) {
+        EXPECT_EQ(e.what(), before_header);
+      }
+      continue;
+    }
+    expect_committed_prefix(content, cut, header_end, all);
+  }
+  // Every scenario committed, then more: a stray line or a torn tail is
+  // still a discarded tail.
+  for (const char* tail : {"stray line\n", "torn"}) {
+    SCOPED_TRACE(tail);
+    write_file(path_, content + tail);
+    const CheckpointLoad loaded = load();
+    EXPECT_EQ(loaded.committed_scenarios, 3u);
+    EXPECT_EQ(loaded.valid_bytes, content.size());
+    EXPECT_TRUE(loaded.discarded_tail);
+  }
+}
+
+TEST_F(SyntheticCheckpoint, CheckpointLargerThanTheReadWindowLoadsWhole) {
+  // 2.5 KiB of error text per cell puts cells across several window
+  // refills; scenario 300's 1.5 MiB errors are lines longer than the
+  // window, which must grow to hold them.
+  constexpr std::size_t kLong = 300;
+  const auto error_bytes = [](std::size_t i) {
+    return i == kLong ? (std::size_t{3} << 20) / 2 : std::size_t{2560};
+  };
+  const std::vector<ScenarioResult> all = write(400, error_bytes);
+  const std::string content = read_file(path_);
+  ASSERT_GT(content.size(), std::size_t{4} << 20);
+  const std::size_t header_end = content.find("\ncell\t") + 1;
+  expect_committed_prefix(content, content.size(), header_end, all);
+
+  // Cut inside the long line: the 300 scenarios before it load.
+  const std::size_t long_cell =
+      content.find("\ncell\t" + std::to_string(kLong) + "\t") + 1;
+  const std::size_t cut = long_cell + (std::size_t{3} << 20) / 4;
+  write_file(path_, content.substr(0, cut));
+  expect_committed_prefix(content, cut, header_end, all);
+  EXPECT_EQ(load().committed_scenarios, kLong);
+}
+
+TEST_F(DumpFixture, ShardCsvsLargerThanTheReadWindowMergeRowForRow) {
+  // Two shards of a 40-scenario, one-lane grid. Scenario names carry
+  // commas and quotes, so the writer quotes them; scenario 7 has no rows
+  // (a FAILED cell), and scenario 12's one row is longer than the window.
+  constexpr std::size_t kScenarios = 40;
+  const auto name = [](std::size_t i) {
+    return "fleet(n=2,tag=\"q\")/" + std::to_string(i);
+  };
+  std::vector<ShardDump> dumps(2);
+  std::vector<std::string> shard_csv(2, "scenario,estimator,value\n");
+  std::string expected = "scenario,estimator,value\n";
+  for (std::size_t s = 0; s < 2; ++s) {
+    dumps[s].header = header(s + 1, 2);
+    dumps[s].header.scenario_total = kScenarios;
+    dumps[s].header.estimator_labels = {"robust"};
+  }
+  for (std::size_t i = 0; i < kScenarios; ++i) {
+    ScenarioResult r = gnarly_result();
+    r.scenario_index = i;
+    r.name = name(i);
+    r.estimator = harness::EstimatorSpec{"robust", {}};
+    dumps[i % 2].results.push_back(r);
+    const std::size_t rows = i == 7 ? 0 : i == 12 ? 1 : 1500;
+    for (std::size_t k = 0; k < rows; ++k) {
+      const std::string value =
+          i == 12 ? std::string((std::size_t{3} << 20) / 2, '9')
+                  : std::to_string(i * 100000 + k);
+      const std::string row =
+          csv_escape(name(i)) + ",robust," + value + "\n";
+      shard_csv[i % 2] += row;
+      expected += row;
+    }
+  }
+  std::vector<std::string> paths;
+  for (std::size_t s = 0; s < 2; ++s) {
+    ASSERT_GT(shard_csv[s].size(), std::size_t{1} << 20);
+    paths.push_back((tmp_ / ("large_s" + std::to_string(s + 1) + ".csv"))
+                        .string());
+    write_file(paths.back(), shard_csv[s]);
+  }
+  const MergedSweep merged = merge_shard_dumps(dumps);
+  const fs::path out = tmp_ / "large_merged.csv";
+  merge_trace_csv(merged, dumps, paths, out.string());
+  EXPECT_EQ(read_file(out), expected);
+
+  // A shard CSV cut mid-row is refused as torn, wherever the cut falls.
+  write_file(paths[1], shard_csv[1].substr(0, shard_csv[1].size() - 3));
+  try {
+    merge_trace_csv(merged, dumps, paths, out.string());
+    ADD_FAILURE() << "a torn shard CSV was merged";
+  } catch (const ResultIoError& e) {
+    EXPECT_EQ(e.what(), "trace csv " + paths[1] +
+                            ": torn trailing line (incomplete dump)");
+  }
+}
+
+TEST_F(DumpFixture, ReadErrorsAreRefusedNotTakenForTheEnd) {
+  // A directory opens but fails its first read: each artifact names the
+  // read error instead of reading it as an empty or truncated file.
+  const fs::path dir = tmp_ / "read_error_dir";
+  fs::create_directories(dir);
+  const std::string where = ": read error on " + dir.string();
+  const auto error_of = [](const auto& read) -> std::string {
+    try {
+      read();
+    } catch (const std::exception& e) {
+      return e.what();
+    }
+    return {};
+  };
+  EXPECT_EQ(error_of([&] { read_shard_dump(dir.string()); }),
+            "result dump" + where);
+  EXPECT_EQ(error_of([&] {
+              load_checkpoint(dir.string(), CheckpointHeader{}, {}, {});
+            }),
+            "checkpoint" + where);
+  EXPECT_THROW(load_checkpoint(dir.string(), CheckpointHeader{}, {}, {}),
+               SweepUsageError);
+  std::vector<ShardDump> dumps(1);
+  dumps[0].header = header();
+  dumps[0].header.scenario_total = 0;
+  EXPECT_EQ(error_of([&] {
+              merge_trace_csv(merge_shard_dumps(dumps), dumps, {dir.string()},
+                              (tmp_ / "read_error.csv").string());
+            }),
+            "trace csv" + where);
+  fs::remove(dir);
 }
 
 }  // namespace

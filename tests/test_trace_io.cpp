@@ -586,6 +586,45 @@ TEST(TraceIo, RefusesDuplicateAndUnknownAndMissingHeaderKeys) {
             std::string::npos);
 }
 
+TEST(TraceIo, RefusesADuplicateLabelEvenWhenTheEarlierOneIsEmpty) {
+  const std::string content = canonical_file();
+  const std::size_t samples_at = content.find("samples");
+  const std::string head = content.substr(0, samples_at);
+  const std::string tail = content.substr(samples_at);
+  const std::string duplicate = "trace " +
+                                temp_path("mut_duplabel.trace").string() +
+                                ": duplicate header key 'label'";
+  for (const char* labels : {"label \nlabel \nlabel real\n",
+                             "label real\nlabel \n", "label a\nlabel b\n"}) {
+    SCOPED_TRACE(labels);
+    EXPECT_EQ(mutated_error(head + labels + tail, "duplabel"), duplicate);
+  }
+  // One empty label line is a valid, empty label.
+  EXPECT_EQ(mutated_error(head + "label \n" + tail, "emptylabel"), "");
+}
+
+TEST(TraceIo, EveryTruncationIsRefusedAsTornOrTruncated) {
+  // Cut a small trace (header with a label, a lost record, the end marker)
+  // at every byte: a cut inside a line is a torn tail, a cut after a
+  // newline a truncation, and neither ever reads as a shorter trace.
+  const auto path = temp_path("cut_everywhere.trace");
+  write_trace(path.string(), reference_meta(), gnarly_trace(false));
+  const std::string content = read_file(path);
+  const std::string context = "trace " + path.string();
+  for (std::size_t cut = 0; cut < content.size(); ++cut) {
+    SCOPED_TRACE(cut);
+    write_file(path, content.substr(0, cut));
+    const bool torn = cut > 0 && content[cut - 1] != '\n';
+    EXPECT_EQ(read_error(path),
+              context + (torn ? ": torn trailing line (the file ends "
+                                "mid-record)"
+                              : ": truncated (unexpected end of file)"));
+  }
+  write_file(path, content);
+  EXPECT_EQ(read_error(path), "");
+  fs::remove(path);
+}
+
 TEST(TraceIo, RefusesUnknownGroundTruthMode) {
   std::string content = canonical_file();
   content.replace(content.find("ground_truth reference"),

@@ -170,6 +170,14 @@ run_expect 0 "sim run exporting a reference trace" "$SWEEP" -- \
   "${SIM_ARGS[@]}" --trace-out "$WORK/ref.trace" --csv "$WORK/direct.csv"
 run_expect 0 "exported trace validates clean" "$TRACE_IMPORT" -- \
   --validate "$WORK/ref.trace"
+# Two empty label lines ahead of the exported trace's real one: a repeated
+# header key is malformed whatever the earlier value was.
+awk '/^label /{print "label "; print "label "} {print}' "$WORK/ref.trace" \
+  > "$WORK/duplabel.trace"
+run_expect 2 "validate: duplicate (empty) label lines" "$TRACE_IMPORT" -- \
+  --validate "$WORK/duplabel.trace"
+expect_in_output "diagnostic names the duplicate key" \
+  "duplicate header key 'label'"
 run_expect 0 "canonicalize is byte-stable" "$TRACE_IMPORT" -- \
   --in "$WORK/ref.trace" --out "$WORK/ref2.trace"
 if ! cmp -s "$WORK/ref.trace" "$WORK/ref2.trace"; then
