@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
+#include "common/rng.hpp"
+#include "common/serialize.hpp"
 #include "core/point_error.hpp"
 #include "synthetic_link.hpp"
 
@@ -160,6 +166,108 @@ TEST(LocalRate, DetectsGenuineLocalRateChange) {
 TEST(LocalRate, ResidualRateRequiresPositivePbar) {
   LocalRateEstimator local(test_params());
   EXPECT_THROW((void)local.residual_rate(0.0), ContractViolation);
+}
+
+// -- Every packet's result, pinned --------------------------------------------
+
+struct ResultDigest {
+  std::uint64_t digest = 0;
+  std::size_t gap_resets = 0;
+  std::size_t sanity_blocked = 0;
+  std::size_t gate_rejected = 0;  ///< evaluated, neither accepted nor blocked
+  bool wrapped = false;           ///< some exchange's Tf wrapped past 2^64
+};
+
+/// A bare LocalRateEstimator over a seeded 1200-packet stress stream:
+/// queueing with heavy bursts, a 60-packet congestion episode that fails
+/// the quality gate, a run of low-delay packets whose server stamps drift
+/// by a millisecond a packet (sanity-blocked candidates), a gap longer
+/// than τ̄/2 (gap reset, then stale until the window refills), a global
+/// period p̄ re-estimated every 50 packets, and counters that wrap past
+/// 2^64. An FNV-1a digest of every packet's Result flags, p̂_l and γ̂_l as
+/// exact hexfloat, and both counters.
+ResultDigest stress_result_digest(const Params& params, std::uint64_t seed) {
+  SyntheticLink::Config link_config;
+  link_config.poll = params.poll_period;
+  link_config.counter_base = 0xffff'ff00'0000'0000ull;
+  SyntheticLink link(link_config);
+  Rng rng(seed);
+  Harness h(params);
+
+  constexpr std::size_t kPackets = 1200;
+  constexpr std::size_t kEpisodeAt = 450;
+  constexpr std::size_t kEpisodeEnd = 510;
+  constexpr std::size_t kDriftAt = 650;
+  constexpr std::size_t kDriftEnd = 690;
+  constexpr std::size_t kGapAt = 900;
+  std::string text;
+  ResultDigest result;
+  double pbar = link_config.period;
+  for (std::size_t k = 0; k < kPackets; ++k) {
+    if (k == kGapAt) link.advance(params.gap_threshold * 2.5);
+    if (k % 50 == 0)
+      pbar = link_config.period *
+             (1 + 1e-8 * static_cast<double>(k / 50 % 3) - 1e-8);
+    const Seconds burst = rng.uniform() < 0.1 ? rng.exponential(2e-3) : 0.0;
+    const Seconds episode = k >= kEpisodeAt && k < kEpisodeEnd ? 3e-3 : 0.0;
+    const Seconds drift = k >= kDriftAt && k < kDriftEnd
+                              ? 1e-3 * static_cast<double>(k - kDriftAt + 1)
+                              : 0.0;
+    const Seconds q_forward = episode + rng.exponential(30e-6) + burst;
+    const Seconds q_backward = episode + rng.exponential(30e-6);
+    const RawExchange ex = link.next(q_forward, q_backward, drift);
+    if (ex.tf < link_config.counter_base) result.wrapped = true;
+    const LocalRateEstimator::Result res = h.feed(ex, pbar);
+    text += res.evaluated ? 'e' : '-';
+    text += res.accepted ? 'a' : '-';
+    text += res.sanity_blocked ? 's' : '-';
+    text += res.gap_reset ? 'g' : '-';
+    text += ' ';
+    if (h.local.accepted_count() > 0) {
+      text += std::to_string(std::bit_cast<std::uint64_t>(h.local.period()));
+      text += ' ';
+    }
+    append_double_exact(text, h.local.residual_rate(pbar));
+    text += ' ' + std::to_string(h.local.accepted_count()) + ' ' +
+            std::to_string(h.local.sanity_count()) + '\n';
+    if (res.gap_reset) ++result.gap_resets;
+    if (res.sanity_blocked) ++result.sanity_blocked;
+    if (res.evaluated && !res.accepted && !res.sanity_blocked)
+      ++result.gate_rejected;
+  }
+  result.digest = fnv1a64(text);
+  return result;
+}
+
+TEST(LocalRateGolden, EveryPacketsResultOnStressStreamsIsPinned) {
+  const auto with = [](Seconds poll, auto edit) {
+    Params p = Params::for_poll_period(poll);
+    edit(p);
+    return p;
+  };
+  const struct {
+    const char* name;
+    Params params;
+    std::uint64_t digest;
+  } cases[] = {
+      {"small_window", test_params(), 0x82a67b28684baffeull},
+      {"default", with(16.0, [](Params&) {}), 0x004d2a50d058e0d1ull},
+      {"no_rate_sanity",
+       with(16.0, [](Params& p) { p.enable_rate_sanity = false; }),
+       0x13135f050657e469ull},
+      {"poll_64s", with(64.0, [](Params&) {}), 0x906bcf6878d92ea3ull},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const ResultDigest got = stress_result_digest(c.params, 33);
+    EXPECT_TRUE(got.wrapped);
+    EXPECT_EQ(got.gap_resets, 1u);
+    EXPECT_GT(got.gate_rejected, 0u);
+    if (c.params.enable_rate_sanity) {
+      EXPECT_GT(got.sanity_blocked, 0u);
+    }
+    EXPECT_EQ(got.digest, c.digest) << std::hex << got.digest;
+  }
 }
 
 }  // namespace
