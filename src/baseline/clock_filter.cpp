@@ -3,25 +3,14 @@
 namespace tscclock::baseline {
 
 std::optional<FilterSample> ClockFilter::add(const FilterSample& sample) {
-  register_.push_back(sample);
+  register_.push(sample);
   std::size_t best = 0;
   for (std::size_t k = 1; k < register_.size(); ++k)
-    if (register_[k].delay < register_[best].delay) best = k;
-  const FilterSample& selected = register_[best];
+    if (register_.at<0>(k).delay < register_.at<0>(best).delay) best = k;
+  const FilterSample& selected = register_.at<0>(best);
   if (selected.epoch <= last_used_epoch_) return std::nullopt;
   last_used_epoch_ = selected.epoch;
   return selected;
-}
-
-Seconds ClockFilter::offset_spread() const {
-  if (register_.empty()) return 0.0;
-  Seconds lo = register_[0].offset;
-  Seconds hi = register_[0].offset;
-  for (std::size_t k = 1; k < register_.size(); ++k) {
-    lo = std::min(lo, register_[k].offset);
-    hi = std::max(hi, register_[k].offset);
-  }
-  return hi - lo;
 }
 
 }  // namespace tscclock::baseline

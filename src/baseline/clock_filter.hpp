@@ -7,7 +7,7 @@
 #include <cstddef>
 #include <optional>
 
-#include "common/ring_buffer.hpp"
+#include "common/column_ring.hpp"
 #include "common/time_types.hpp"
 
 namespace tscclock::baseline {
@@ -31,12 +31,8 @@ class ClockFilter {
 
   [[nodiscard]] std::size_t size() const { return register_.size(); }
 
-  /// Dispersion-like spread of the register (max-min offset), a crude
-  /// quality signal used by the discipline.
-  [[nodiscard]] Seconds offset_spread() const;
-
  private:
-  RingBuffer<FilterSample> register_;
+  ColumnRing<FilterSample> register_;
   Seconds last_used_epoch_ = -1;
 };
 

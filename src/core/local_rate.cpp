@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 
 #include "common/contracts.hpp"
 #include "core/naive.hpp"
@@ -13,8 +12,7 @@ LocalRateEstimator::LocalRateEstimator(const Params& params)
     : params_(params),
       // Window spans ages up to τ̄(1 + 1/W); keep a little slack for poll
       // jitter so the far sub-window is never starved by rounding.
-      window_(params.packets(params.local_rate_span()) + 2),
-      errors_(window_.capacity()) {
+      window_(params.packets(params.local_rate_span()) + 2) {
   params.validate();
 }
 
@@ -37,17 +35,16 @@ LocalRateEstimator::Result LocalRateEstimator::process(
   // Gap detection: a pause longer than τ̄/2 makes the window stale.
   if (!window_.empty()) {
     const Seconds gap = delta_to_seconds(
-        counter_delta(packet.stamps.tf, window_.back().packet.stamps.tf),
+        counter_delta(packet.stamps.tf,
+                      window_.at<kStamps>(window_.size() - 1).tf),
         pbar);
     if (gap > params_.gap_threshold) {
       window_.clear();
-      errors_.clear();
       stale_ = true;
       result.gap_reset = true;
     }
   }
-  window_.push_back({packet, point_error});
-  errors_.push_back(point_error);
+  window_.push(packet.stamps, point_error);
   ++total_pushed_;
 
   const double tau_bar = params_.local_rate_window;
@@ -56,7 +53,7 @@ LocalRateEstimator::Result LocalRateEstimator::process(
   // Age (via the difference clock at p̄) of the oldest packet decides whether
   // a full window is available; until then a stale flag cannot clear.
   const Seconds span = delta_to_seconds(
-      counter_delta(packet.stamps.tf, window_.front().packet.stamps.tf), pbar);
+      counter_delta(packet.stamps.tf, window_.at<kStamps>(0).tf), pbar);
   if (span >= tau_bar - sub) stale_ = false;
 
   // Select the best-quality packet in the near and far sub-windows. Because
@@ -70,69 +67,68 @@ LocalRateEstimator::Result LocalRateEstimator::process(
   // O(1) per exchange. The min-scans then touch only the (few) in-range
   // entries in ascending order, so strict-less / earliest-index tie-breaking
   // — and therefore the selected pair — is bit-identical to a full scan.
-  const auto age_of = [&](const Entry& e) {
-    return delta_to_seconds(counter_delta(packet.stamps.tf, e.packet.stamps.tf),
-                            pbar);
+  const auto age_of = [&](const RawExchange& e) {
+    return delta_to_seconds(counter_delta(packet.stamps.tf, e.tf), pbar);
   };
-  const auto first = window_.begin();
   const std::uint64_t first_abs = total_pushed_ - window_.size();
+  const auto stamps_at = [&](std::uint64_t abs) -> const RawExchange& {
+    return window_.at<kStamps>(static_cast<std::size_t>(abs - first_abs));
+  };
   // Partition point of `pred` over absolute range [lo, hi], found by walking
   // from `hint` (clamped): forward while pred holds, backward while the
   // element before fails it. Exact because pred is true on a prefix.
   const auto seek = [&](std::uint64_t lo, std::uint64_t hi, std::uint64_t hint,
                         auto&& pred) {
     std::uint64_t b = std::clamp(hint, lo, hi);
-    while (b < hi && pred(first[static_cast<std::ptrdiff_t>(b - first_abs)]))
-      ++b;
-    while (b > lo &&
-           !pred(first[static_cast<std::ptrdiff_t>(b - 1 - first_abs)]))
-      --b;
+    while (b < hi && pred(stamps_at(b))) ++b;
+    while (b > lo && !pred(stamps_at(b - 1))) --b;
     return b;
   };
   // First index whose age drops below `sub`: start of the near sub-window,
   // which extends to the end of the window (the current packet has age 0).
   const std::uint64_t near_begin_abs =
       seek(first_abs, total_pushed_, near_begin_hint_,
-           [&](const Entry& e) { return age_of(e) >= sub; });
+           [&](const RawExchange& e) { return age_of(e) >= sub; });
   // The far sub-window [τ̄ − sub, τ̄ + sub) sits at lower indices; restricting
   // the search to [first, near_begin) also reproduces a straight scan's
   // else-if, which never classifies a near packet as far.
   const std::uint64_t far_begin_abs =
       seek(first_abs, near_begin_abs, far_begin_hint_,
-           [&](const Entry& e) { return age_of(e) >= tau_bar + sub; });
+           [&](const RawExchange& e) { return age_of(e) >= tau_bar + sub; });
   const std::uint64_t far_end_abs =
       seek(far_begin_abs, near_begin_abs, far_end_hint_,
-           [&](const Entry& e) { return age_of(e) >= tau_bar - sub; });
+           [&](const RawExchange& e) { return age_of(e) >= tau_bar - sub; });
   near_begin_hint_ = near_begin_abs;
   far_begin_hint_ = far_begin_abs;
   far_end_hint_ = far_end_abs;
   if (near_begin_abs == total_pushed_ || far_begin_abs == far_end_abs)
     return result;
 
-  // Min-scan the packed error column (same ascending order and strict-less
-  // comparison as scanning the Entry structs, so the selected index — and
-  // earliest-index tie-breaking — is unchanged), then touch only the two
-  // winning wide entries.
-  const auto err = errors_.begin();
+  // Min-scan the error column in ascending order with a strict-less
+  // comparison, so the earliest of equal errors wins; then read only the
+  // two winners' stamps.
   const auto best_of = [&](std::uint64_t lo_abs, std::uint64_t hi_abs) {
-    std::ptrdiff_t best = static_cast<std::ptrdiff_t>(lo_abs - first_abs);
-    const auto lo = static_cast<std::ptrdiff_t>(lo_abs - first_abs);
-    const auto hi = static_cast<std::ptrdiff_t>(hi_abs - first_abs);
-    for (std::ptrdiff_t k = lo + 1; k < hi; ++k)
-      if (err[k] < err[best]) best = k;
+    const auto lo = static_cast<std::size_t>(lo_abs - first_abs);
+    const auto hi = static_cast<std::size_t>(hi_abs - first_abs);
+    std::size_t best = lo;
+    for (std::size_t k = lo + 1; k < hi; ++k)
+      if (window_.at<kError>(k) < window_.at<kError>(best)) best = k;
     return best;
   };
-  const auto& i = first[best_of(near_begin_abs, total_pushed_)];
-  const auto& j = first[best_of(far_begin_abs, far_end_abs)];
-  if (counter_delta(i.packet.stamps.ta, j.packet.stamps.ta) <= 0) return result;
+  const std::size_t i = best_of(near_begin_abs, total_pushed_);
+  const std::size_t j = best_of(far_begin_abs, far_end_abs);
+  const RawExchange& near = window_.at<kStamps>(i);
+  const RawExchange& far = window_.at<kStamps>(j);
+  if (counter_delta(near.ta, far.ta) <= 0) return result;
   result.evaluated = true;
 
-  const Seconds pair_span = delta_to_seconds(
-      counter_delta(i.packet.stamps.tf, j.packet.stamps.tf), pbar);
-  const double quality = (i.error + j.error) / pair_span;
+  const Seconds pair_span =
+      delta_to_seconds(counter_delta(near.tf, far.tf), pbar);
+  const double quality =
+      (window_.at<kError>(i) + window_.at<kError>(j)) / pair_span;
   if (quality > params_.local_rate_quality) return result;  // keep previous
 
-  const double candidate = naive_rate(j.packet.stamps, i.packet.stamps).combined;
+  const double candidate = naive_rate(far, near).combined;
 
   // Sanity check: the hardware bounds successive changes (§5.2).
   if (params_.enable_rate_sanity && has_estimate_) {

@@ -16,11 +16,16 @@
 // Gaps: if the stream pauses for more than τ̄/2 the window no longer defines
 // a *local* rate; it is cleared and the estimate is flagged stale until a
 // full window of fresh data accumulates (§6.1 "Lost Packets").
+//
+// The window is a two-column ColumnRing (common/column_ring.hpp): each
+// packet's four stamps and its point error, 40 B a packet. Sub-window
+// boundaries are found by cursors in absolute stream positions, and each
+// sub-window's best packet by a min-scan of the error column alone.
 #pragma once
 
 #include <cstdint>
 
-#include "common/ring_buffer.hpp"
+#include "common/column_ring.hpp"
 #include "common/time_types.hpp"
 #include "core/params.hpp"
 #include "core/records.hpp"
@@ -56,24 +61,16 @@ class LocalRateEstimator {
   [[nodiscard]] std::uint64_t sanity_count() const { return sanity_; }
 
  private:
-  struct Entry {
-    PacketRecord packet;
-    Seconds error = 0;
-  };
-
   Params params_;
-  RingBuffer<Entry> window_;
-  /// Parallel column of window_[k].error: the per-call sub-window min-scans
-  /// touch only the error field, so scanning this packed column instead of
-  /// the wide Entry structs keeps them in a couple of cache lines. Pushed,
-  /// evicted, and cleared in lockstep with window_.
-  RingBuffer<Seconds> errors_;
+  /// The window, oldest first: each packet's stamps and its point error.
+  enum : std::size_t { kStamps, kError };
+  ColumnRing<RawExchange, Seconds> window_;
   double period_ = 0;
   bool has_estimate_ = false;
   bool stale_ = false;
   std::uint64_t accepted_ = 0;
   std::uint64_t sanity_ = 0;
-  /// Total push_back count; window_[k]'s absolute stream position is
+  /// Total push count; window_ row k's absolute stream position is
   /// total_pushed_ − window_.size() + k, stable across ring eviction and
   /// gap clears — the coordinate system of the boundary cursors below.
   std::uint64_t total_pushed_ = 0;

@@ -1,10 +1,8 @@
 #include "core/offset.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <span>
-#include <type_traits>
 
 #include "common/contracts.hpp"
 #include "common/exp.hpp"
@@ -13,7 +11,7 @@
 namespace tscclock::core {
 
 OffsetEstimator::OffsetEstimator(const Params& params)
-    : params_(params), capacity_(params.packets(params.offset_window)) {
+    : params_(params), window_(params.packets(params.offset_window)) {
   params.validate();
 }
 
@@ -22,59 +20,13 @@ Seconds OffsetEstimator::estimate() const {
   return reported_value_;
 }
 
-void OffsetEstimator::push(const PacketRecord& packet) {
-  if (size_ == capacity_) {
-    head_ = (head_ + 1) & (ta_.size() - 1);  // evict the oldest
-    --size_;
-  } else if (size_ == ta_.size()) {
-    grow();
-  }
-  const std::size_t slot = (head_ + size_) & (ta_.size() - 1);
-  ++size_;
-  seq_[slot] = packet.seq;
-  rtt_[slot] = packet.rtt;
-  error_counts_[slot] = packet.error_counts;
-  ta_[slot] = packet.stamps.ta;
-  tf_[slot] = packet.stamps.tf;
-  server_mid_[slot] = server_midpoint(packet.stamps);
-}
-
-void OffsetEstimator::grow() {
-  const std::size_t slots = std::min(
-      std::bit_ceil(capacity_), ta_.empty() ? std::size_t{8} : 2 * ta_.size());
-  const auto regrow = [&](auto& column) {
-    std::remove_reference_t<decltype(column)> grown(slots);
-    for (std::size_t k = 0; k < size_; ++k)
-      grown[k] = column[(head_ + k) & (column.size() - 1)];
-    column = std::move(grown);
-  };
-  regrow(seq_);
-  regrow(rtt_);
-  regrow(error_counts_);
-  regrow(ta_);
-  regrow(tf_);
-  regrow(server_mid_);
-  head_ = 0;
-}
-
-WindowRun OffsetEstimator::run(std::size_t first) const {
-  const std::size_t slot = (head_ + first) & (ta_.size() - 1);
-  const std::size_t n = std::min(size_ - first, ta_.size() - slot);
-  return WindowRun{
-      std::span(ta_).subspan(slot, n),
-      std::span(tf_).subspan(slot, n),
-      std::span(error_counts_).subspan(slot, n),
-      std::span(server_mid_).subspan(slot, n),
-  };
-}
-
 void OffsetEstimator::reassess_errors(TscDelta new_rhat_counts,
                                       std::uint64_t from_seq) {
-  for (std::size_t k = 0; k < size_; ++k) {
-    const std::size_t slot = (head_ + k) & (ta_.size() - 1);
-    if (seq_[slot] >= from_seq) {
-      error_counts_[slot] = rtt_[slot] - new_rhat_counts;
-      if (error_counts_[slot] < 0) error_counts_[slot] = 0;
+  for (std::size_t k = 0; k < window_.size(); ++k) {
+    if (window_.at<kSeq>(k) >= from_seq) {
+      TscDelta& error = window_.at<kErrorCounts>(k);
+      error = window_.at<kRtt>(k) - new_rhat_counts;
+      if (error < 0) error = 0;
     }
   }
 }
@@ -83,8 +35,8 @@ void OffsetEstimator::degrade_window(double period) {
   TSC_EXPECTS(period > 0.0);
   const auto poor = static_cast<TscDelta>(
       2.0 * params_.extreme_quality() / period);
-  for (std::size_t k = 0; k < size_; ++k) {
-    TscDelta& error = error_counts_[(head_ + k) & (ta_.size() - 1)];
+  for (std::size_t k = 0; k < window_.size(); ++k) {
+    TscDelta& error = window_.at<kErrorCounts>(k);
     error = std::max(error, poor);
   }
 }
@@ -94,7 +46,8 @@ OffsetEvaluation OffsetEstimator::process(const PacketRecord& packet,
                                           double gamma_local,
                                           bool gap_detected, bool in_warmup) {
   OffsetEvaluation eval;
-  push(packet);
+  window_.push(packet.seq, packet.rtt, packet.error_counts, packet.stamps.ta,
+               packet.stamps.tf, server_midpoint(packet.stamps));
 
   const double period = clock.period();
   const Seconds quality_scale =
@@ -105,18 +58,20 @@ OffsetEvaluation OffsetEstimator::process(const PacketRecord& packet,
   // exponent and the slope-corrected offset of every window packet first,
   // in one pass over each of the ring's (at most two) runs, then all the
   // weights in one exp_batch, then the sums in window order.
-  const std::size_t n = size_;
+  const std::size_t n = window_.size();
   weights_.resize(n);
   terms_.resize(n);
   const WindowPass pass{packet.stamps.tf,   clock,
                         quality_scale,      params_.enable_aging,
                         params_.aging_rate, gamma_local};
   for (std::size_t k = 0; k < n;) {
-    const WindowRun window = run(k);
+    const WindowRun run{window_.run<kTa>(k), window_.run<kTf>(k),
+                        window_.run<kErrorCounts>(k),
+                        window_.run<kServerMid>(k)};
     eval.min_total_error = offset_window_pass(
-        window, pass, std::span(weights_).subspan(k),
+        run, pass, std::span(weights_).subspan(k),
         std::span(terms_).subspan(k), eval.min_total_error);
-    k += window.ta.size();
+    k += run.ta.size();
   }
   exp_batch(weights_, weights_);
   double weight_sum = 0;

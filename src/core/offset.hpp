@@ -16,7 +16,8 @@
 //        otherwise the most recent trusted value is duplicated.
 //
 // The window is kept as columns (seq, rtt, error counts, Ta, Tf and the
-// server midpoint ½(Tb + Te), computed once at push), not as PacketRecords.
+// server midpoint ½(Tb + Te), computed once at push) in a ColumnRing
+// (common/column_ring.hpp), not as PacketRecords.
 // Each packet runs one pass over them (core/offset_window.hpp: four packets
 // at a time where the CPU has AVX2, bit-identical to its scalar body) that
 // writes every window packet's exponent −(E^T_i/E)² and slope-corrected
@@ -41,6 +42,7 @@
 #include <limits>
 #include <vector>
 
+#include "common/column_ring.hpp"
 #include "common/time_types.hpp"
 #include "core/offset_window.hpp"
 #include "core/params.hpp"
@@ -90,28 +92,13 @@ class OffsetEstimator {
   [[nodiscard]] std::uint64_t release_count() const { return release_count_; }
 
  private:
-  /// Append `packet` to the window, evicting the oldest when full.
-  void push(const PacketRecord& packet);
-  /// The live packets from logical index `first`, up to the ring's wrap.
-  [[nodiscard]] WindowRun run(std::size_t first) const;
-  /// Double the physical slots (at most to the first power of two that
-  /// holds the window), moving the live packets to the front in order.
-  void grow();
-
   Params params_;
 
-  // The τ' window as columns, oldest first. A ring over the physical slots
-  // (a power of two, grown on demand): the live packets are at most two
-  // contiguous runs, [head_, slots) and [0, …).
-  std::size_t capacity_;  ///< window length in packets
-  std::size_t head_ = 0;  ///< physical slot of the oldest packet
-  std::size_t size_ = 0;
-  std::vector<std::uint64_t> seq_;
-  std::vector<TscDelta> rtt_;
-  std::vector<TscDelta> error_counts_;  ///< rtt − r̂ (re-assessable)
-  std::vector<TscCount> ta_;
-  std::vector<TscCount> tf_;
-  std::vector<Seconds> server_mid_;  ///< ½(Tb + Te)
+  // The τ' window, oldest first: seq, rtt, error counts rtt − r̂
+  // (re-assessable), Ta, Tf and the server midpoint ½(Tb + Te).
+  enum : std::size_t { kSeq, kRtt, kErrorCounts, kTa, kTf, kServerMid };
+  ColumnRing<std::uint64_t, TscDelta, TscDelta, TscCount, TscCount, Seconds>
+      window_;
 
   // Per-packet scratch of stages (ii)-(iii), one slot per window packet:
   // the exponents −z² (then, in place, the weights) and the slope-corrected

@@ -27,10 +27,6 @@ void TraceRecorder::observe(const sim::ExchangeBatch& batch) {
   }
 }
 
-void TraceRecorder::observe(const sim::Exchange& exchange) {
-  observe(one_row(exchange));
-}
-
 // -- OfflineSmootherEstimator ----------------------------------------------
 
 OfflineSmootherEstimator::OfflineSmootherEstimator(const core::Params& params,

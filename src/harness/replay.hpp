@@ -71,9 +71,6 @@ class TraceRecorder {
   /// observe_row() exactly as a ClockSession under the same config reads it.
   void observe(const sim::ExchangeBatch& batch);
 
-  /// Record one exchange: observe() over a one-row batch.
-  void observe(const sim::Exchange& exchange);
-
   void set_polls_enumerated(std::uint64_t polls) {
     trace_.polls_enumerated = polls;
   }

@@ -53,12 +53,6 @@ void for_each_task(ThreadPool* pool, std::size_t n,
 
 }  // namespace
 
-sim::ExchangeBatch one_row(const sim::Exchange& exchange) {
-  sim::ExchangeBatch batch;
-  batch.push(exchange);
-  return batch;
-}
-
 bool SinkChain::wants_records() const {
   return std::any_of(sinks_.begin(), sinks_.end(), [](const SampleSink* sink) {
     return !sink->wants_batch();
@@ -102,10 +96,6 @@ core::TscNtpClock& ClockSession::clock() {
 const core::TscNtpClock& ClockSession::clock() const {
   TSC_EXPECTS(robust_ != nullptr);
   return robust_->clock();
-}
-
-void ClockSession::process(const sim::Exchange& exchange) {
-  process_batch(one_row(exchange));
 }
 
 void ClockSession::process_batch(const sim::ExchangeBatch& batch,

@@ -292,9 +292,6 @@ class ClockSession {
   /// Sinks are invoked in attachment order, synchronously per record.
   void add_sink(SampleSink& sink);
 
-  /// Process one exchange: process_batch over a one-row batch.
-  void process(const sim::Exchange& exchange);
-
   /// Process a generator-written SoA batch (sim::Testbed::generate_batch)
   /// through the canonical sequence, one row at a time. When every attached
   /// sink wants_batch() (the sweep/bench reducer case), no SampleRecord is
@@ -343,9 +340,6 @@ class ClockSession {
   SinkChain sinks_;
   SessionSummary summary_;
 };
-
-/// `exchange` as a one-row batch (the per-exchange forwards).
-sim::ExchangeBatch one_row(const sim::Exchange& exchange);
 
 /// Fan exchange streams into lanes keyed by (client, estimator): every lane
 /// is a full ClockSession (own estimator, own ServerChangeDetector, own

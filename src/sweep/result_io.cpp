@@ -327,16 +327,27 @@ ShardDump read_shard_dump(const std::string& path) {
       dump.header.estimator_labels.push_back(
           unescape_field(value("estimator")));
     }
-    const std::size_t cell_count = parse_u64_exact(value("cells"));
-    dump.results.reserve(cell_count);
-    for (std::size_t i = 0; i < cell_count; ++i) {
+    // The count is not reserved: only the cell records that follow vouch
+    // for it.
+    const std::uint64_t cell_count = parse_u64_exact(value("cells"));
+    for (std::uint64_t i = 0; i < cell_count; ++i) {
       const std::string_view cell_line = next_line();
+      if (cell_line == "end") {
+        throw ResultIoError(context + ": truncated: cells " +
+                            std::to_string(cell_count) + " declared, " +
+                            std::to_string(i) + " present");
+      }
       if (!cell_line.starts_with("cell\t")) {
         throw ResultIoError(context + ": expected cell record " +
                             std::to_string(i) + ", got '" +
                             std::string(cell_line) + "'");
       }
-      dump.results.push_back(parse_result(cell_line.substr(5)));
+      try {
+        dump.results.push_back(parse_result(cell_line.substr(5)));
+      } catch (const std::exception& e) {
+        throw ResultIoError(context + ": cell " + std::to_string(i) + ": " +
+                            e.what());
+      }
     }
   } catch (const ResultIoError&) {
     throw;

@@ -11,8 +11,9 @@
 # of a parameterized variant axis straight through main(). The fleet-scale
 # section pins the --shard / --checkpoint / sweep-merge exit contracts:
 # malformed shard shapes and incompatible checkpoints exit 2, and
-# sweep-merge exits 2 on missing shards, duplicate shard indices and
-# version-skewed dumps, and requires a fleet sweep's report, trace CSV and
+# sweep-merge exits 2 on missing shards, duplicate shard indices,
+# version-skewed dumps, a malformed cell and a cell count the records do
+# not back, and requires a fleet sweep's report, trace CSV and
 # result dump to be byte-identical at --threads 1 and --threads 0.
 set -u
 
@@ -302,6 +303,41 @@ if [ -n "$SWEEP_MERGE" ]; then
     failures=$((failures + 1))
   else
     echo "ok: version-skewed dump exits 2 naming both versions"
+  fi
+
+  # A malformed cell is refused naming the dump and the cell: the first
+  # cell's FAILED flag (the seventh field after the "cell" tag) reads 2.
+  awk -F'\t' 'BEGIN { OFS = "\t" }
+               $1 == "cell" && !done { $8 = "2"; done = 1 } { print }' \
+    "$WORK/s1.dump" > "$WORK/bad_cell.dump"
+  "$SWEEP_MERGE" "$WORK/bad_cell.dump" "$WORK/s2.dump" "$WORK/s3.dump" \
+    >/tmp/sweep_cli_out.$$ 2>&1
+  got=$?
+  if [ "$got" -ne 2 ] ||
+     ! grep -qF "result dump $WORK/bad_cell.dump: cell 0: malformed" \
+       /tmp/sweep_cli_out.$$; then
+    echo "FAIL: malformed cell: expected exit 2 naming the file and cell 0, got $got" >&2
+    sed 's/^/    /' /tmp/sweep_cli_out.$$ >&2
+    failures=$((failures + 1))
+  else
+    echo "ok: malformed cell exits 2 naming the file and cell 0"
+  fi
+
+  # A cell count the records do not back is refused as truncated, not
+  # reserved up front.
+  sed 's/^cells 1$/cells 18446744073709551615/' "$WORK/s1.dump" \
+    > "$WORK/huge_count.dump"
+  "$SWEEP_MERGE" "$WORK/huge_count.dump" "$WORK/s2.dump" "$WORK/s3.dump" \
+    >/tmp/sweep_cli_out.$$ 2>&1
+  got=$?
+  if [ "$got" -ne 2 ] ||
+     ! grep -qF "truncated: cells 18446744073709551615 declared" \
+       /tmp/sweep_cli_out.$$; then
+    echo "FAIL: huge cell count: expected exit 2 naming cells, got $got" >&2
+    sed 's/^/    /' /tmp/sweep_cli_out.$$ >&2
+    failures=$((failures + 1))
+  else
+    echo "ok: huge cell count exits 2 as truncated, naming cells"
   fi
 
   # Fingerprint skew: a shard from a different seed cannot be merged in.

@@ -38,11 +38,18 @@ TEST(ClockFilter, RegisterHoldsEightStages) {
   EXPECT_EQ(f.size(), ClockFilter::kStages);
 }
 
-TEST(ClockFilter, SpreadMeasuresOffsetRange) {
+TEST(ClockFilter, TiesGoToTheOldestSample) {
   ClockFilter f;
-  f.add({1e-3, 1e-3, 1.0});
-  f.add({4e-3, 2e-3, 2.0});
-  EXPECT_DOUBLE_EQ(f.offset_spread(), 3e-3);
+  f.add({1.0, 2e-3, 1.0});
+  ASSERT_TRUE(f.add({2.0, 1e-3, 2.0}).has_value());
+  // Epoch 3 ties epoch 2's delay: the older one stays selected (and used).
+  EXPECT_FALSE(f.add({3.0, 1e-3, 3.0}).has_value());
+  for (int epoch = 4; epoch <= 9; ++epoch)
+    EXPECT_FALSE(f.add({0.0, 5e-3, static_cast<Seconds>(epoch)}).has_value());
+  // Epoch 10 evicts epoch 2: the tie's younger half is selected next.
+  const auto s = f.add({0.0, 5e-3, 10.0});
+  ASSERT_TRUE(s.has_value());
+  EXPECT_DOUBLE_EQ(s->offset, 3.0);
 }
 
 // --------------------------------------------------------------------- pll

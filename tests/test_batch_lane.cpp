@@ -52,10 +52,11 @@ SessionConfig session_config_for(const sim::ScenarioConfig& scenario) {
 }
 
 /// The per-exchange reference drive the goldens compare run() against:
-/// next() → process() one exchange at a time, then the poll-slot count.
+/// one-row batches through process_batch(), then the poll-slot count.
 const SessionSummary& drain_per_exchange(ClockSession& session,
                                          sim::Testbed& testbed) {
-  while (auto ex = testbed.next()) session.process(*ex);
+  sim::ExchangeBatch row;
+  while (testbed.generate_batch(row, 1) > 0) session.process_batch(row);
   session.set_polls_enumerated(testbed.polls_enumerated());
   return session.summary();
 }
@@ -299,9 +300,10 @@ TEST(BatchLane, MultiLaneWithTraceRecordingBitIdentical) {
     scalar_reducers.emplace_back(scenario.poll_period);
     scalar.back()->add_sink(scalar_reducers.back());
   }
-  while (auto ex = scalar_bed.next()) {
-    scalar_recorder.observe(*ex);
-    for (auto& lane : scalar) lane->process(*ex);
+  sim::ExchangeBatch row;
+  while (scalar_bed.generate_batch(row, 1) > 0) {
+    scalar_recorder.observe(row);
+    for (auto& lane : scalar) lane->process_batch(row);
   }
   for (auto& lane : scalar)
     lane->set_polls_enumerated(scalar_bed.polls_enumerated());

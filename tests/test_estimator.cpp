@@ -85,7 +85,8 @@ LegacyDuel legacy_codriven_duel(const sim::ScenarioConfig& scenario) {
     duel.sw_rates.push_back(sw.effective_rate());
   });
   session.add_sink(duel_sink);
-  while (auto ex = testbed.next()) session.process(*ex);
+  sim::ExchangeBatch row;
+  while (testbed.generate_batch(row, 1) > 0) session.process_batch(row);
   session.set_polls_enumerated(testbed.polls_enumerated());
   duel.sw_steps = sw.status().steps;
   duel.sw_samples = sw.status().samples;

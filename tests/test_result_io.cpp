@@ -277,6 +277,65 @@ TEST_F(DumpFixture, RejectsTruncatedDump) {
   EXPECT_THROW(read_shard_dump(path.string()), ResultIoError);
 }
 
+TEST_F(DumpFixture, MalformedCellIsRefusedNamingTheFileAndTheCell) {
+  const fs::path path = tmp_ / "malformed_cell.dump";
+  std::vector<ScenarioResult> cells;
+  for (const char* label : {"robust", "offline"}) {
+    ScenarioResult r = gnarly_result();
+    r.scenario_index = 0;
+    r.estimator = harness::EstimatorSpec{label, {}};
+    cells.push_back(r);
+  }
+  ShardDumpWriter(path.string(), header(), cells.size()).write_cells(cells);
+  const std::string content = read_file(path);
+  for (std::size_t cell = 0; cell < cells.size(); ++cell) {
+    SCOPED_TRACE(cell);
+    // The FAILED flag is the seventh field after the "cell" tag.
+    std::size_t at = content.find("cell\t");
+    for (std::size_t k = 0; k < cell; ++k) at = content.find("\ncell\t", at) + 1;
+    for (int field = 0; field < 7; ++field) at = content.find('\t', at) + 1;
+    std::string edited = content;
+    ASSERT_TRUE(edited.compare(at, 2, "0\t") == 0 ||
+                edited.compare(at, 2, "1\t") == 0);
+    edited[at] = '2';
+    write_file(path, edited);
+    try {
+      read_shard_dump(path.string());
+      ADD_FAILURE() << "a FAILED flag of 2 was accepted";
+    } catch (const ResultIoError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "result dump " + path.string() + ": cell " +
+                    std::to_string(cell) +
+                    ": malformed cell record: malformed bool field '2'");
+    }
+  }
+}
+
+TEST_F(DumpFixture, CellCountBeyondTheRecordsIsRefusedAsTruncated) {
+  const fs::path path = tmp_ / "cell_count.dump";
+  ScenarioResult r = gnarly_result();
+  r.scenario_index = 0;
+  r.estimator = harness::EstimatorSpec{"robust", {}};
+  ShardDumpWriter(path.string(), header(), 1)
+      .write_cells(std::vector<ScenarioResult>{r});
+  const std::string content = read_file(path);
+  for (const std::string count : {"2", "18446744073709551615"}) {
+    SCOPED_TRACE(count);
+    std::string edited = content;
+    const std::size_t at = edited.find("\ncells 1\n") + 7;
+    edited.replace(at, 1, count);
+    write_file(path, edited);
+    try {
+      read_shard_dump(path.string());
+      ADD_FAILURE() << "a dump declaring " << count << " cells was accepted";
+    } catch (const ResultIoError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "result dump " + path.string() + ": truncated: cells " +
+                    count + " declared, 1 present");
+    }
+  }
+}
+
 TEST_F(DumpFixture, MergeRejectsInconsistentSets) {
   // Build two valid shards of a 2-scenario, 2-lane run.
   std::vector<ShardDump> dumps(2);

@@ -632,7 +632,8 @@ TEST(SpecGolden, BareRobustSpecBitIdenticalToDirectRobustLane) {
                     config.params, testbed.nominal_period()));
     harness::ReducerSink reducer(scenario.config.poll_period);
     session.add_sink(reducer);
-    while (auto ex = testbed.next()) session.process(*ex);
+    sim::ExchangeBatch row;
+    while (testbed.generate_batch(row, 1) > 0) session.process_batch(row);
     session.set_polls_enumerated(testbed.polls_enumerated());
     const auto& summary = session.summary();
     const auto reduction = reducer.reduce();
