@@ -81,7 +81,6 @@ class ColumnRing {
 
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
  private:
   [[nodiscard]] std::size_t wrap(std::size_t slot) const {

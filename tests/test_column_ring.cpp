@@ -29,7 +29,6 @@ TEST(ColumnRing, PushAndIndex) {
   ring.push(1);
   ring.push(2);
   EXPECT_EQ(ring.size(), 2u);
-  EXPECT_EQ(ring.capacity(), 3u);
   EXPECT_EQ(ring.at<0>(0), 1);
   EXPECT_EQ(ring.at<0>(1), 2);
 }
