@@ -1,5 +1,6 @@
 #include "common/csv.hpp"
 
+#include <array>
 #include <stdexcept>
 
 #include "common/contracts.hpp"
@@ -89,6 +90,14 @@ CsvWriter::CsvWriter(const std::string& path,
   out_.exceptions(std::ios::badbit | std::ios::failbit);
 }
 
+CsvWriter::CsvWriter(const std::string& path,
+                     const std::vector<std::string>& columns, NoHeader)
+    : out_(path), columns_(columns.size()) {
+  TSC_EXPECTS(!columns.empty());
+  if (!out_) throw std::runtime_error("CsvWriter: cannot open " + path);
+  out_.exceptions(std::ios::badbit | std::ios::failbit);
+}
+
 void CsvWriter::close() {
   if (out_.is_open()) out_.close();  // throws via the enabled exceptions
 }
@@ -116,6 +125,23 @@ void CsvWriter::write_row(const std::vector<std::string>& cells) {
   }
   out_ << '\n';
   ++rows_;
+}
+
+void CsvWriter::write_line(std::string_view line) {
+  TSC_EXPECTS(!line.empty() && line.back() == '\n');
+  out_.write(line.data(), static_cast<std::streamsize>(line.size()));
+  ++rows_;
+}
+
+void CsvWriter::append_rows_of(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("CsvWriter: cannot open " + path);
+  std::array<char, 64 * 1024> buffer;
+  while (in) {
+    in.read(buffer.data(), buffer.size());
+    out_.write(buffer.data(), in.gcount());
+  }
+  if (in.bad()) throw std::runtime_error("CsvWriter: cannot read " + path);
 }
 
 }  // namespace tscclock

@@ -37,6 +37,8 @@ class CsvWriter {
  public:
   /// Tag selecting the resume mode of the appending constructor.
   struct Append {};
+  /// Tag selecting the header-less constructor.
+  struct NoHeader {};
 
   /// Opens `path` for writing and emits the header row.
   /// Throws std::runtime_error if the file cannot be opened.
@@ -49,8 +51,24 @@ class CsvWriter {
   CsvWriter(const std::string& path, const std::vector<std::string>& columns,
             Append);
 
+  /// Opens `path` (overwriting) without a header row: a part file of rows
+  /// that append_rows_of() later copies under another writer's header.
+  /// Throws if the file cannot be opened.
+  CsvWriter(const std::string& path, const std::vector<std::string>& columns,
+            NoHeader);
+
   void write_row(std::span<const double> values);
   void write_row(const std::vector<std::string>& cells);
+
+  /// Write one row the caller has already formatted: every cell escaped,
+  /// commas between them and the trailing newline included.
+  void write_line(std::string_view line);
+
+  /// Append every byte of the file at `path` (rows a NoHeader writer of the
+  /// same columns wrote), copied through a fixed-size buffer. Those rows
+  /// are not counted by rows_written(). Throws std::runtime_error if the
+  /// file cannot be opened or read, and on a failed write.
+  void append_rows_of(const std::string& path);
 
   /// Flush and close, surfacing a failed final flush (disk full at the end
   /// of a long dump) as an exception — the ofstream destructor would

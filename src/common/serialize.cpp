@@ -22,6 +22,19 @@ constexpr int kMinNormalExponent = 1 - kExponentBias;  // also the subnormals'
 constexpr std::uint64_t kMantissaMask = (std::uint64_t{1} << kMantissaBits) - 1;
 constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
 
+/// Mantissa hex digits written per pass: the 13 digits and a padding zero.
+constexpr int kMantissaPairs = (kMantissaDigits + 1) / 2;
+
+/// Each byte as its two lowercase hex digits.
+constexpr std::array<char, 512> kHexPairs = [] {
+  std::array<char, 512> table{};
+  for (std::size_t b = 0; b < 256; ++b) {
+    table[2 * b] = "0123456789abcdef"[b >> 4];
+    table[2 * b + 1] = "0123456789abcdef"[b & 0xf];
+  }
+  return table;
+}();
+
 /// Each byte's value as a lowercase hex digit (the only case %a writes), or
 /// -1: a table, because digits and letters mix at random in a mantissa and
 /// a compare chain mispredicts on them.
@@ -93,14 +106,15 @@ bool parse_canonical_hexfloat(std::string_view text, double& value) {
 
 }  // namespace
 
-void append_double_exact(std::string& out, double value) {
+char* write_double_exact(char* out, double value) {
   if (std::isnan(value)) {
-    out += "nan";
-    return;
+    std::memcpy(out, "nan", 3);
+    return out + 3;
   }
   if (std::isinf(value)) {
-    out += value > 0 ? "inf" : "-inf";
-    return;
+    const std::size_t n = value > 0 ? 3 : 4;
+    std::memcpy(out, value > 0 ? "inf" : "-inf", n);
+    return out + n;
   }
   // glibc's %a hexfloat, built from the bits: the shortest exact spelling,
   // which strtod reads back to the identical bits on every IEEE-754
@@ -110,18 +124,21 @@ void append_double_exact(std::string& out, double value) {
   const auto bits = std::bit_cast<std::uint64_t>(value);
   const auto biased = static_cast<int>(bits >> kMantissaBits & 0x7ff);
   const std::uint64_t mantissa = bits & kMantissaMask;
-  char buffer[32];
-  char* p = buffer;
+  char* p = out;
   if (bits & kSignBit) *p++ = '-';
   *p++ = '0';
   *p++ = 'x';
   *p++ = biased == 0 ? '0' : '1';
   if (mantissa != 0) {
     *p++ = '.';
-    const int digits = kMantissaDigits - std::countr_zero(mantissa) / 4;
-    for (int k = 0; k < digits; ++k) {
-      *p++ = "0123456789abcdef"[mantissa >> (kMantissaBits - 4 - 4 * k) & 0xf];
+    // All 13 digits plus a padding zero, a byte (two digits) at a time;
+    // the stripped trailing zeros are then stepped back over.
+    const std::uint64_t padded = mantissa << 4;
+    for (int k = 0; k < kMantissaPairs; ++k) {
+      const auto byte = padded >> (kMantissaBits + 4 - 8 - 8 * k) & 0xff;
+      std::memcpy(p + 2 * k, &kHexPairs[2 * byte], 2);
     }
+    p += kMantissaDigits - std::countr_zero(mantissa) / 4;
   }
   const int exponent = biased != 0   ? biased - kExponentBias
                        : mantissa != 0 ? kMinNormalExponent
@@ -129,8 +146,12 @@ void append_double_exact(std::string& out, double value) {
   *p++ = 'p';
   *p++ = exponent < 0 ? '-' : '+';
   const int magnitude = exponent < 0 ? -exponent : exponent;
-  p = std::to_chars(p, buffer + sizeof buffer, magnitude).ptr;
-  out.append(buffer, p);
+  return std::to_chars(p, out + kDoubleExactMaxChars, magnitude).ptr;
+}
+
+void append_double_exact(std::string& out, double value) {
+  char buffer[kDoubleExactMaxChars];
+  out.append(buffer, write_double_exact(buffer, value));
 }
 
 std::string format_double_exact(double value) {

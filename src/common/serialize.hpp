@@ -18,15 +18,25 @@
 //     into backslash escapes and unescape_field inverts it exactly.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
 
 namespace tscclock {
 
-/// Append a double to `out` so that parse_double_exact returns the identical
-/// bits (hexfloat for finite values; "inf"/"-inf"/"nan" otherwise). The one
-/// spelling of an exact double; record writers call it to format in place.
+/// The longest text write_double_exact writes: "-0x1." + 13 hex digits +
+/// "p-1022".
+inline constexpr std::size_t kDoubleExactMaxChars = 24;
+
+/// Write a double at `out` so that parse_double_exact returns the identical
+/// bits (hexfloat for finite values; "inf"/"-inf"/"nan" otherwise) and
+/// return the end of the text. `out` must have room for
+/// kDoubleExactMaxChars. The one spelling of an exact double; record
+/// writers call it to format in place.
+char* write_double_exact(char* out, double value);
+
+/// write_double_exact's text appended to `out`.
 void append_double_exact(std::string& out, double value);
 
 /// append_double_exact's text as a new string.

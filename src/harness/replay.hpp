@@ -71,6 +71,12 @@ class TraceRecorder {
   /// observe_row() exactly as a ClockSession under the same config reads it.
   void observe(const sim::ExchangeBatch& batch);
 
+  /// Make room for `rows` more samples up front, so a drain of known length
+  /// never grows the trace by doubling.
+  void reserve(std::size_t rows) {
+    trace_.samples.reserve(trace_.samples.size() + rows);
+  }
+
   void set_polls_enumerated(std::uint64_t polls) {
     trace_.polls_enumerated = polls;
   }

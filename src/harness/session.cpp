@@ -312,6 +312,9 @@ void MultiEstimatorSession::run(sim::Testbed& testbed) {
   // lane-major order, not the fleet drive's client-major one.
   TSC_EXPECTS(std::none_of(captures_.begin(), captures_.end(),
                            [](const auto& capture) { return capture != nullptr; }));
+  // A drain records at most one row per remaining poll slot.
+  if (recorder_)
+    recorder_->reserve(testbed.poll_slots() - testbed.polls_enumerated());
   drain(testbed, [this](const sim::ExchangeBatch& batch) {
     if (recorder_) recorder_->observe(batch);
     for (auto& lane : lanes_) lane->process_batch(batch);

@@ -399,7 +399,9 @@ class MultiEstimatorSession {
 
   /// Drain the whole testbed, kBatchChunk rows at a time: the shared
   /// recorder observes each chunk once, then every lane consumes it through
-  /// ClockSession::process_batch. Back-fills each lane's poll-slot count.
+  /// ClockSession::process_batch. The recording is sized to the testbed's
+  /// remaining poll slots before the first chunk. Back-fills each lane's
+  /// poll-slot count.
   void run(sim::Testbed& testbed);
 
   /// Drain the fleet and back-fill each lane's poll-slot count from its

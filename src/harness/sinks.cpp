@@ -1,8 +1,8 @@
 #include "harness/sinks.hpp"
 
+#include <charconv>
+#include <cstdint>
 #include <utility>
-
-#include "common/table.hpp"
 
 namespace tscclock::harness {
 
@@ -93,13 +93,36 @@ const std::vector<std::string>& trace_columns() {
   return columns;
 }
 
+/// Room for any one formatted number: %.6f of the largest finite double
+/// spells its 309 integer digits in full.
+constexpr std::size_t kNumberChars = 400;
+
+void append_u64(std::string& line, std::uint64_t value) {
+  char buffer[20];
+  line.append(buffer, std::to_chars(buffer, buffer + sizeof buffer, value).ptr);
+}
+
+/// `value` as printf's %.<precision>f or %.<precision>e would spell it.
+void append_double(std::string& line, double value, std::chars_format format,
+                   int precision) {
+  char buffer[kNumberChars];
+  line.append(buffer, std::to_chars(buffer, buffer + sizeof buffer, value,
+                                    format, precision)
+                          .ptr);
+}
+
+void append_flag(std::string& line, bool flag) { line += flag ? ",1" : ",0"; }
+
 }  // namespace
 
 CsvTraceSink::CsvTraceSink(const std::string& path)
     : writer_(path, trace_columns()) {}
 
 CsvTraceSink::CsvTraceSink(const std::string& path, Append)
-    : writer_(path, trace_columns(), CsvWriter::Append{}) {}
+    : writer_(path, trace_columns(), Append{}) {}
+
+CsvTraceSink::CsvTraceSink(const std::string& path, NoHeader)
+    : writer_(path, trace_columns(), NoHeader{}) {}
 
 void CsvTraceSink::on_sample(const SampleRecord& r) {
   const bool upshift = r.report.shift && r.report.shift->upward;
@@ -110,34 +133,38 @@ void CsvTraceSink::on_sample(const SampleRecord& r) {
   // not meaningful (printed as zeros) — without it they would read as
   // spurious perfect-tracking samples.
   //
-  // The row vector is a member reused across calls: a long trace dump emits
-  // millions of rows and must not pay a fresh vector per record.
-  row_.resize(trace_columns().size());
-  std::size_t c = 0;
-  row_[c++] = scenario_;
-  row_[c++] = estimator_;
-  row_[c++] = format_count(r.index);
-  row_[c++] = r.lost ? "1" : "0";
-  row_[c++] = r.ref_available ? "1" : "0";
-  row_[c++] = r.in_warmup ? "1" : "0";
-  row_[c++] = r.evaluated ? "1" : "0";
-  row_[c++] = r.server_changed ? "1" : "0";
-  row_[c++] = r.warmed_up ? "1" : "0";
-  row_[c++] = strfmt("%.6f", r.t_day);
-  row_[c++] = strfmt("%.6f", r.raw.tb);
-  row_[c++] = strfmt("%.6f", r.truth_tb);
-  row_[c++] = strfmt("%.9e", r.report.offset_estimate);
-  row_[c++] = strfmt("%.9e", r.reference_offset);
-  row_[c++] = strfmt("%.9e", r.offset_error);
-  row_[c++] = strfmt("%.9e", r.naive_error);
-  row_[c++] = strfmt("%.9e", r.report.point_error);
-  row_[c++] = strfmt("%.9e", r.abs_clock_error);
-  row_[c++] = strfmt("%.12e", r.period);
-  row_[c++] = r.report.sanity_triggered ? "1" : "0";
-  row_[c++] = upshift ? "1" : "0";
-  row_[c++] = downshift ? "1" : "0";
-  row_[c++] = format_count(r.client_id);
-  writer_.write_row(row_);
+  // The labels were escaped when set; numbers and flags never need it.
+  line_.clear();
+  line_ += scenario_;
+  line_ += ',';
+  line_ += estimator_;
+  line_ += ',';
+  append_u64(line_, r.index);
+  append_flag(line_, r.lost);
+  append_flag(line_, r.ref_available);
+  append_flag(line_, r.in_warmup);
+  append_flag(line_, r.evaluated);
+  append_flag(line_, r.server_changed);
+  append_flag(line_, r.warmed_up);
+  for (const double fixed : {r.t_day, r.raw.tb, r.truth_tb}) {
+    line_ += ',';
+    append_double(line_, fixed, std::chars_format::fixed, 6);
+  }
+  for (const double sci : {r.report.offset_estimate, r.reference_offset,
+                           r.offset_error, r.naive_error, r.report.point_error,
+                           r.abs_clock_error}) {
+    line_ += ',';
+    append_double(line_, sci, std::chars_format::scientific, 9);
+  }
+  line_ += ',';
+  append_double(line_, r.period, std::chars_format::scientific, 12);
+  append_flag(line_, r.report.sanity_triggered);
+  append_flag(line_, upshift);
+  append_flag(line_, downshift);
+  line_ += ',';
+  append_u64(line_, r.client_id);
+  line_ += '\n';
+  writer_.write_line(line_);
 }
 
 }  // namespace tscclock::harness

@@ -19,6 +19,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/allan.hpp"
@@ -166,7 +167,9 @@ class StreamingReducerSink final : public ReducerSink {
 class CsvTraceSink final : public SampleSink {
  public:
   /// Tag selecting the resume mode of the appending constructor.
-  struct Append {};
+  using Append = CsvWriter::Append;
+  /// Tag selecting the header-less constructor.
+  using NoHeader = CsvWriter::NoHeader;
 
   /// Opens `path` (overwriting) and emits the header row.
   /// Throws std::runtime_error if the file cannot be opened.
@@ -177,15 +180,27 @@ class CsvTraceSink final : public SampleSink {
   /// prefix byte-for-byte and regenerates only the tail).
   CsvTraceSink(const std::string& path, Append);
 
+  /// Opens `path` (overwriting) without a header: a part file whose rows
+  /// append_rows_of() later copies into a headed trace CSV.
+  CsvTraceSink(const std::string& path, NoHeader);
+
   /// Label written into the `scenario` column of subsequent rows, so one
   /// file can hold the traces of a whole sweep grid.
-  void set_scenario(std::string name) { scenario_ = std::move(name); }
+  void set_scenario(std::string_view name) { scenario_ = csv_escape(name); }
 
   /// Label written into the `estimator` column of subsequent rows, so one
   /// file can hold every estimator's trace of a multi-estimator sweep.
-  void set_estimator(std::string name) { estimator_ = std::move(name); }
+  void set_estimator(std::string_view name) { estimator_ = csv_escape(name); }
 
+  /// Formats the row with std::to_chars into one reused buffer (the text
+  /// of printf's %.6f / %.9e / %.12e and %llu) and writes it once.
   void on_sample(const SampleRecord& record) override;
+
+  /// Copy a part file's rows to the end of this file (see
+  /// CsvWriter::append_rows_of).
+  void append_rows_of(const std::string& path) {
+    writer_.append_rows_of(path);
+  }
 
   /// Flush and close with error checking (see CsvWriter::close).
   void close() { writer_.close(); }
@@ -200,9 +215,9 @@ class CsvTraceSink final : public SampleSink {
 
  private:
   CsvWriter writer_;
-  std::string scenario_;
-  std::string estimator_ = "robust";
-  std::vector<std::string> row_;  ///< reused across rows (no per-row vector)
+  std::string scenario_;               ///< escaped
+  std::string estimator_ = "robust";   ///< escaped
+  std::string line_;  ///< the row being formatted, reused across rows
 };
 
 }  // namespace tscclock::harness

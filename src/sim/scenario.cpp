@@ -1,5 +1,7 @@
 #include "sim/scenario.hpp"
 
+#include <cmath>
+
 #include "common/contracts.hpp"
 #include "wire/ntp_packet.hpp"
 
@@ -302,10 +304,29 @@ std::optional<Exchange> ClientNode::next() {
   return ex;
 }
 
+namespace {
+
+/// Whether poll slot `k` starts inside the duration (next_into's test).
+bool slot_in_duration(std::uint64_t k, const ScenarioConfig& config) {
+  return static_cast<double>(k) * config.poll_period < config.duration;
+}
+
+}  // namespace
+
+std::uint64_t ClientNode::poll_slots() const {
+  // The quotient estimates the count; the loops settle the rounding on
+  // the exact comparison next_into() makes.
+  auto slots = static_cast<std::uint64_t>(
+      std::ceil(config_.duration / config_.poll_period));
+  while (slots > 0 && !slot_in_duration(slots - 1, config_)) --slots;
+  while (slot_in_duration(slots, config_)) ++slots;
+  return slots;
+}
+
 bool ClientNode::next_into(Exchange& out) {
   while (true) {
+    if (!slot_in_duration(poll_index_, config_)) return false;
     const Seconds base = static_cast<double>(poll_index_) * config_.poll_period;
-    if (base >= config_.duration) return false;
     const Seconds poll_time =
         base + rng_.uniform(-config_.poll_jitter, config_.poll_jitter) +
         config_.poll_jitter;  // keep strictly increasing reads

@@ -233,6 +233,12 @@ class ClientNode {
   /// full drain: the total slot count of the configured duration).
   [[nodiscard]] std::uint64_t polls_enumerated() const { return poll_index_; }
 
+  /// The slot count of the configured duration: the k with
+  /// k · poll_period < duration, under next_into()'s own test. A full drain
+  /// enumerates exactly this many and yields at most this many exchanges
+  /// (lost ones included; outage slots yield none).
+  [[nodiscard]] std::uint64_t poll_slots() const;
+
   [[nodiscard]] const ScenarioConfig& config() const { return config_; }
   [[nodiscard]] const Oscillator& oscillator() const { return oscillator_; }
   [[nodiscard]] Oscillator& oscillator() { return oscillator_; }

@@ -11,6 +11,8 @@
 #include <ostream>
 #include <span>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
 
 #include "common/contracts.hpp"
 #include "common/table.hpp"
@@ -316,7 +318,92 @@ ScenarioResult failed_result(const SweepScenario& scenario,
   return result;
 }
 
+/// One (scenario, estimator) cell's --csv rows, formatted on the cell's
+/// worker into its part file. A failed open or write never fails the cell:
+/// the part drops its remaining rows and keeps the first error for the
+/// drainer, which aborts the dump with it.
+class CsvPart final : public harness::SampleSink {
+ public:
+  CsvPart(const std::string& path, std::string_view scenario,
+          std::string_view estimator) {
+    try {
+      csv_.emplace(path, harness::CsvTraceSink::NoHeader{});
+      csv_->set_scenario(scenario);
+      csv_->set_estimator(estimator);
+    } catch (const std::exception& e) {
+      fail(e.what());
+    }
+  }
+
+  void on_sample(const harness::SampleRecord& record) override {
+    if (!csv_) return;
+    try {
+      csv_->on_sample(record);
+    } catch (const std::exception& e) {
+      fail(e.what());
+    }
+  }
+
+  /// Flush and close; the first error, empty when every row was written.
+  std::string close() {
+    if (csv_) {
+      try {
+        csv_->close();
+      } catch (const std::exception& e) {
+        fail(e.what());
+      }
+      csv_.reset();
+    }
+    return error_;
+  }
+
+ private:
+  void fail(const char* what) {
+    csv_.reset();
+    if (error_.empty()) error_ = what;
+  }
+
+  std::optional<harness::CsvTraceSink> csv_;
+  std::string error_;
+};
+
+/// Remove every part file of `csv_path` (csv_part_path's names, whatever
+/// the slot and lane). Errors are ignored: a part that cannot be removed
+/// is truncated when a cell writes it again.
+void remove_csv_parts(const std::string& csv_path) {
+  namespace fs = std::filesystem;
+  const fs::path csv(csv_path);
+  const std::string prefix = csv.filename().string() + ".part.";
+  const auto is_part = [&](const std::string& name) {
+    if (!name.starts_with(prefix)) return false;
+    const std::string_view rest = std::string_view(name).substr(prefix.size());
+    const std::size_t dot = rest.find('.');
+    const auto digits = [](std::string_view text) {
+      return !text.empty() &&
+             std::all_of(text.begin(), text.end(),
+                         [](char c) { return c >= '0' && c <= '9'; });
+    };
+    return dot != std::string_view::npos && digits(rest.substr(0, dot)) &&
+           digits(rest.substr(dot + 1));
+  };
+  std::error_code ec;
+  const fs::path dir = csv.has_parent_path() ? csv.parent_path() : ".";
+  for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    if (is_part(it->path().filename().string())) {
+      std::error_code ignored;
+      fs::remove(it->path(), ignored);
+    }
+  }
+}
+
 }  // namespace
+
+std::string csv_part_path(const std::string& csv_path, std::size_t slot,
+                          std::size_t lane) {
+  return csv_path + ".part." + std::to_string(slot) + "." +
+         std::to_string(lane);
+}
 
 ScenarioSweep::ScenarioSweep(GridSpec grid)
     : grid_(std::move(grid)), scenarios_(expand_grid(grid_)) {}
@@ -408,15 +495,17 @@ std::vector<ScenarioResult> ScenarioSweep::run(
     }
   }
 
-  // Trace dumping buffers each remaining (scenario, estimator) cell's
-  // records in its own collector (the workers must not share a file writer)
-  // and serializes them to the CSV in grid order, so the dump is
-  // deterministic like the rest of the reduction. The sink is opened before
-  // any work runs — an unwritable path must fail fast, not after a long
-  // sweep has completed. On a resume with committed scenarios, the file is
-  // truncated to the last committed watermark (dropping rows of the
-  // scenario that was in flight when the run died) and appended to — the
-  // committed prefix is kept byte-for-byte.
+  // Trace dumping: each remaining (scenario, estimator) cell's worker
+  // formats its records into its own part file (the workers must not share
+  // a file writer), and the drainer appends the parts to the CSV in grid
+  // order, so the dump is deterministic like the rest of the reduction. The
+  // CSV is opened before any work runs — an unwritable path must fail
+  // fast, not after a long sweep has completed. On a resume with committed
+  // scenarios, the file is truncated to the last committed watermark
+  // (dropping rows of the scenario that was in flight when the run died)
+  // and appended to — the committed prefix is kept byte-for-byte. Parts a
+  // killed run left behind are removed before any cell starts, and every
+  // part is gone when run() returns or throws.
   std::optional<harness::CsvTraceSink> csv;
   if (dump_csv) {
     if (committed > 0) {
@@ -436,14 +525,17 @@ std::vector<ScenarioResult> ScenarioSweep::run(
     } else {
       csv.emplace(options.csv_path);
     }
+    remove_csv_parts(options.csv_path);
   }
-
-  const std::size_t remaining = owned.size() - committed;
-  std::vector<std::unique_ptr<harness::CollectorSink>> collectors;
-  if (dump_csv) {
-    collectors.resize(remaining * lanes);
-    for (auto& c : collectors) c = std::make_unique<harness::CollectorSink>();
-  }
+  struct PartSweeper {
+    const std::string* csv_path;
+    ~PartSweeper() {
+      if (csv_path != nullptr) remove_csv_parts(*csv_path);
+    }
+  } part_sweeper{dump_csv ? &options.csv_path : nullptr};
+  const auto part_path = [&](std::size_t slot, std::size_t lane) {
+    return csv_part_path(options.csv_path, slot, lane);
+  };
 
   // The commit pipeline: workers finish scenarios in pool order, one
   // drainer at a time commits them in grid order — first the scenario's
@@ -451,9 +543,12 @@ std::vector<ScenarioResult> ScenarioSweep::run(
   // watermark. The file I/O happens outside the lock, so other finishing
   // workers only ever take the mutex to mark completion (never stalling
   // behind a write); scenarios completed while the drainer was writing are
-  // picked up when it re-checks under the lock.
+  // picked up when it re-checks under the lock. A worker hands the drainer
+  // its scenario's first part error with the completion mark.
+  const std::size_t remaining = owned.size() - committed;
   std::mutex commit_mutex;
   std::vector<char> scenario_ready(remaining, 0);
+  std::vector<std::string> part_errors(remaining);
   std::size_t next_to_commit = 0;
   bool draining = false;
   const bool need_drainer = dump_csv || checkpoint.has_value();
@@ -466,15 +561,17 @@ std::vector<ScenarioResult> ScenarioSweep::run(
     parallel_for(pool, remaining, [&](std::size_t j) {
       const std::size_t slot = committed + j;
       const SweepScenario& scenario = scenarios_[owned[slot]];
+      std::vector<std::unique_ptr<CsvPart>> parts;
+      for (std::size_t e = 0; dump_csv && e < lanes; ++e) {
+        parts.push_back(std::make_unique<CsvPart>(part_path(slot, e),
+                                                  scenario.name, labels[e]));
+      }
       // Contain failures to their grid cells: one throwing scenario must
       // not discard the rest of a long sweep.
       try {
-        std::vector<harness::SampleSink*> trace_sinks;
-        if (dump_csv) {
-          trace_sinks.reserve(lanes);
-          for (std::size_t e = 0; e < lanes; ++e)
-            trace_sinks.push_back(collectors[j * lanes + e].get());
-        }
+        std::vector<harness::SampleSink*> trace_sinks(parts.size());
+        for (std::size_t e = 0; e < parts.size(); ++e)
+          trace_sinks[e] = parts[e].get();
         auto cell_results = run_scenario_multi(scenario, estimators, warmup,
                                                trace_sinks,
                                                options.streaming_reduction,
@@ -490,36 +587,39 @@ std::vector<ScenarioResult> ScenarioSweep::run(
           results[slot * lanes + k] =
               failed_result(scenario, estimators[k], "unknown exception");
       }
+      // A FAILED cell's parts are dropped unread, so only a kept cell's
+      // part error reaches the dump.
+      const bool kept = !results[slot * lanes].failed;
+      std::string part_error;
+      for (auto& part : parts) {
+        std::string error = part->close();
+        if (part_error.empty() && kept) part_error = std::move(error);
+      }
       if (!need_drainer) return;
       std::unique_lock<std::mutex> lock(commit_mutex);
       scenario_ready[j] = 1;
+      part_errors[j] = std::move(part_error);
       if (draining) return;
       draining = true;
       while (next_to_commit < remaining && scenario_ready[next_to_commit]) {
         const std::size_t ready = next_to_commit;
         const std::size_t ready_slot = committed + ready;
-        std::vector<std::unique_ptr<harness::CollectorSink>> buffers;
-        if (dump_csv) {
-          buffers.reserve(lanes);
-          for (std::size_t e = 0; e < lanes; ++e)
-            buffers.push_back(std::move(collectors[ready * lanes + e]));
-        }
+        const std::string ready_part_error = std::move(part_errors[ready]);
         ++next_to_commit;
         lock.unlock();
-        // A FAILED cell's buffer holds a silently truncated trace — drop
-        // it (its absence from the dump mirrors the FAILED row in the
-        // report). A mid-run write failure (disk full) aborts the dump but
-        // not the sweep: buffers still drain (bounded memory) and the
-        // error is reported via csv_error() alongside the intact results.
+        // A FAILED cell's part holds a silently truncated trace — drop it
+        // (its absence from the dump mirrors the FAILED row in the report).
+        // A part that could not be written, or a failed append (disk
+        // full), aborts the dump but not the sweep: parts are still
+        // deleted and the error is reported via csv_error() alongside the
+        // intact results.
         if (csv) {
           try {
+            if (!ready_part_error.empty())
+              throw std::runtime_error(ready_part_error);
             for (std::size_t e = 0; e < lanes; ++e) {
-              const ScenarioResult& cell = results[ready_slot * lanes + e];
-              if (cell.failed) continue;
-              csv->set_scenario(cell.name);
-              csv->set_estimator(labels[e]);
-              for (const auto& record : buffers[e]->records())
-                csv->on_sample(record);
+              if (!results[ready_slot * lanes + e].failed)
+                csv->append_rows_of(part_path(ready_slot, e));
             }
           } catch (const std::exception& e) {
             csv_error_ = e.what();
@@ -533,6 +633,12 @@ std::vector<ScenarioResult> ScenarioSweep::run(
                   "suspended after the trace CSV dump failed: " + csv_error_;
               checkpoint.reset();
             }
+          }
+        }
+        if (dump_csv) {
+          for (std::size_t e = 0; e < lanes; ++e) {
+            std::error_code ignored;
+            std::filesystem::remove(part_path(ready_slot, e), ignored);
           }
         }
         if (checkpoint) {

@@ -115,8 +115,12 @@ struct SweepOptions {
   /// When non-empty, every scenario's per-exchange trace (including lost and
   /// warm-up records, flagged) is dumped to this CSV file in grid order via
   /// harness::CsvTraceSink — with multiple estimators, grouped by scenario
-  /// then estimator, labelled by the scenario/estimator columns. FAILED
-  /// cells contribute no rows (their buffer is a silently truncated trace);
+  /// then estimator, labelled by the scenario/estimator columns. Each
+  /// (scenario, estimator) cell's worker formats its rows into its own
+  /// part file next to the CSV (csv_part_path) while the cell runs; the
+  /// parts are appended in grid order and deleted as their scenario
+  /// commits, so memory follows the cells in flight, not the grid. FAILED
+  /// cells contribute no rows (their part is a silently truncated trace);
   /// see ScenarioSweep::csv_error() for mid-run dump failures.
   std::string csv_path;
   /// Which slice of the expanded grid this invocation runs (default: the
@@ -180,6 +184,13 @@ std::vector<ScenarioResult> run_scenario_multi(
     std::span<harness::SampleSink* const> trace_sinks = {},
     bool streaming_reduction = false,
     const std::string& trace_export_path = {}, ThreadPool* pool = nullptr);
+
+/// The part file of `csv_path` that holds the --csv rows of the run's
+/// `slot`-th owned scenario (its position in this run's shard slice) under
+/// estimator `lane`: "<csv_path>.part.<slot>.<lane>". A run removes every
+/// such file of its CSV, stale ones of a killed run first.
+std::string csv_part_path(const std::string& csv_path, std::size_t slot,
+                          std::size_t lane);
 
 class ScenarioSweep {
  public:

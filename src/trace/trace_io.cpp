@@ -70,35 +70,54 @@ void append_header(std::string& out, const TraceMeta& meta) {
   out += "samples\n";
 }
 
-/// One `x` record. Without `reference` the truth columns are left out and
-/// the reference flag is written as 0.
+/// Room for one `x` record: the tag, four flags, four integers of
+/// at most 20 digits and five doubles of at most kDoubleExactMaxChars, each
+/// field after a tab, and the newline.
+constexpr std::size_t kRecordMaxChars =
+    2 + 4 * 20 + 5 * kDoubleExactMaxChars + 4 * 2 + 8 + 1;
+
+char* write_u64(char* out, std::uint64_t value) {
+  return std::to_chars(out, out + 20, value).ptr;
+}
+
+/// One `x` record, built in one stack buffer and appended once. Without
+/// `reference` the truth columns are left out and the reference flag is
+/// written as 0.
 void append_record(std::string& out, const harness::ReplaySample& sample,
                    bool reference) {
   const bool ref = reference && sample.ref_available;
-  out += "x\t";
-  append_u64(out, sample.index);
-  out += sample.lost ? "\t1\t" : "\t0\t";
-  out += sample.in_warmup ? "1\t" : "0\t";
-  out += sample.server_changed ? "1\t" : "0\t";
-  out += ref ? "1\t" : "0\t";
-  append_u64(out, sample.raw.ta);
-  out += '\t';
-  append_double_exact(out, sample.raw.tb);
-  out += '\t';
-  append_double_exact(out, sample.raw.te);
-  out += '\t';
-  append_u64(out, sample.raw.tf);
-  out += '\t';
-  append_u64(out, sample.tf_counts_corrected);
+  char buffer[kRecordMaxChars];
+  char* p = buffer;
+  const auto put = [&p](char c) { *p++ = c; };
+  const auto flag = [&](bool value) {
+    put('\t');
+    put(value ? '1' : '0');
+  };
+  put('x');
+  put('\t');
+  p = write_u64(p, sample.index);
+  flag(sample.lost);
+  flag(sample.in_warmup);
+  flag(sample.server_changed);
+  flag(ref);
+  put('\t');
+  p = write_u64(p, sample.raw.ta);
+  put('\t');
+  p = write_double_exact(p, sample.raw.tb);
+  put('\t');
+  p = write_double_exact(p, sample.raw.te);
+  put('\t');
+  p = write_u64(p, sample.raw.tf);
+  put('\t');
+  p = write_u64(p, sample.tf_counts_corrected);
   if (reference) {
-    out += '\t';
-    append_double_exact(out, sample.truth_ta);
-    out += '\t';
-    append_double_exact(out, sample.truth_tb);
-    out += '\t';
-    append_double_exact(out, sample.tg);
+    for (const double truth : {sample.truth_ta, sample.truth_tb, sample.tg}) {
+      put('\t');
+      p = write_double_exact(p, truth);
+    }
   }
-  out += '\n';
+  put('\n');
+  out.append(buffer, p);
 }
 
 void append_end(std::string& out, std::uint64_t exchanges, std::uint64_t lost,

@@ -232,6 +232,30 @@ for artifact in report.txt trace.csv cells.dump; do
   fi
 done
 
+# Each cell's --csv rows pass through a part file next to the CSV, deleted
+# as its scenario commits; a killed run's stale parts are removed before
+# any cell starts, so a run over them writes the same CSV.
+for threads in 1 0; do
+  if ls "$WORK/threads$threads" | grep -q '\.part\.'; then
+    echo "FAIL: --threads $threads left a --csv part file behind" >&2
+    failures=$((failures + 1))
+  else
+    echo "ok: no --csv part file left at --threads $threads"
+  fi
+done
+mkdir -p "$WORK/stale"
+printf 'stale,row\n' > "$WORK/stale/trace.csv.part.0.0"
+printf 'stale,row\n' > "$WORK/stale/trace.csv.part.3.1"
+if (cd "$WORK/stale" && "$SWEEP_ABS" "${FLEET_ARGS[@]}" --threads 0 \
+    --csv trace.csv > /dev/null 2>&1) &&
+   cmp -s "$WORK/stale/trace.csv" "$WORK/threads1/trace.csv" &&
+   ! ls "$WORK/stale" | grep -q '\.part\.'; then
+  echo "ok: stale --csv parts removed and never reach the CSV"
+else
+  echo "FAIL: a run over stale --csv parts differs or leaves parts" >&2
+  failures=$((failures + 1))
+fi
+
 # The last 1-based shard is valid — and a shard of a grid smaller than the
 # fleet is a valid empty run, not an error.
 expect_status 0 "valid last shard 3/3" -- \

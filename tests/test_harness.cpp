@@ -12,14 +12,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <memory>
+#include <random>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "common/allan.hpp"
+#include "common/csv.hpp"
+#include "common/table.hpp"
 #include "core/server_change.hpp"
 #include "harness/replay.hpp"
 #include "harness/sinks.hpp"
@@ -445,6 +453,109 @@ TEST(Sinks, CsvTraceSinkWritesHeaderAndOneRowPerRecord) {
   in.close();
   std::remove(path.c_str());
   EXPECT_GT(rows, 0u);
+}
+
+/// The row CsvTraceSink wrote before it formatted with std::to_chars: one
+/// strfmt per number, csv_escape per cell. The oracle of the test below.
+std::string strfmt_row(const std::string& scenario,
+                       const std::string& estimator, const SampleRecord& r) {
+  const bool upshift = r.report.shift && r.report.shift->upward;
+  const bool downshift = r.report.shift && !r.report.shift->upward;
+  const auto flag = [](bool value) { return std::string(value ? "1" : "0"); };
+  const std::vector<std::string> cells = {
+      scenario, estimator, format_count(r.index), flag(r.lost),
+      flag(r.ref_available), flag(r.in_warmup), flag(r.evaluated),
+      flag(r.server_changed), flag(r.warmed_up), strfmt("%.6f", r.t_day),
+      strfmt("%.6f", r.raw.tb), strfmt("%.6f", r.truth_tb),
+      strfmt("%.9e", r.report.offset_estimate),
+      strfmt("%.9e", r.reference_offset), strfmt("%.9e", r.offset_error),
+      strfmt("%.9e", r.naive_error), strfmt("%.9e", r.report.point_error),
+      strfmt("%.9e", r.abs_clock_error), strfmt("%.12e", r.period),
+      flag(r.report.sanity_triggered), flag(upshift), flag(downshift),
+      format_count(r.client_id)};
+  std::string row;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (i) row += ',';
+    row += csv_escape(cells[i]);
+  }
+  return row + '\n';
+}
+
+TEST(Sinks, CsvTraceSinkRowsMatchPrintfFormatting) {
+  // Seeded doubles of every magnitude and sign (random bit patterns, so
+  // subnormals, huge values, infinities and NaNs of both signs occur),
+  // plus the named edge values, through every numeric column; labels that
+  // need quoting. Every row must equal the strfmt spelling byte for byte.
+  const std::string path = "test_harness_printf_rows.csv";
+  const std::string scenario = "cell,\"quoted\"";
+  const std::string estimator = "robust(use_local_rate=0,enable_aging=0)";
+  const double specials[] = {
+      0.0, -0.0, 1.0, -1.0, 0.5, 1e-7, 5e-7, 4.9999995e-7, 1e308, -1e308,
+      std::numeric_limits<double>::max(), -std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(), 86400.123456789,
+      9.999999999999e-10, 2.5e-9, 1.0000000005, 0.0000005};
+  std::mt19937_64 rng(20260601);
+  const auto draw = [&](std::size_t row, std::size_t column) {
+    constexpr std::size_t kSpecials = std::size(specials);
+    if (row < kSpecials) return specials[(row + column) % kSpecials];
+    const std::uint64_t bits = rng();
+    // Half raw bit patterns, half scaled uniforms (the common case).
+    if (row % 2 == 0) return std::bit_cast<double>(bits);
+    return (static_cast<double>(bits >> 11) * 0x1p-53 - 0.5) *
+           std::ldexp(1.0, static_cast<int>(rng() % 80) - 40);
+  };
+
+  std::string expected;
+  {
+    CsvTraceSink csv(path, CsvTraceSink::NoHeader{});
+    csv.set_scenario(scenario);
+    csv.set_estimator(estimator);
+    for (std::size_t row = 0; row < 20000; ++row) {
+      SampleRecord r;
+      r.index = row < 2 ? std::numeric_limits<std::uint64_t>::max() - row
+                        : rng();
+      r.client_id = static_cast<std::uint32_t>(rng());
+      r.lost = row % 2;
+      r.ref_available = row % 3 == 0;
+      r.in_warmup = row % 5 == 0;
+      r.evaluated = row % 7 == 0;
+      r.server_changed = row % 11 == 0;
+      r.warmed_up = row % 13 == 0;
+      r.report.sanity_triggered = row % 17 == 0;
+      if (row % 4 == 1) r.report.shift = core::LevelShiftDetector::Event{};
+      if (row % 8 == 1) r.report.shift->upward = true;
+      r.t_day = draw(row, 0);
+      r.raw.tb = draw(row, 1);
+      r.truth_tb = draw(row, 2);
+      r.report.offset_estimate = draw(row, 3);
+      r.reference_offset = draw(row, 4);
+      r.offset_error = draw(row, 5);
+      r.naive_error = draw(row, 6);
+      r.report.point_error = draw(row, 7);
+      r.abs_clock_error = draw(row, 8);
+      r.period = draw(row, 9);
+      csv.on_sample(r);
+      expected += strfmt_row(scenario, estimator, r);
+    }
+    csv.close();
+  }
+  std::ifstream in(path, std::ios::binary);
+  const std::string written((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  in.close();
+  std::remove(path.c_str());
+  const auto [w, e] = std::mismatch(written.begin(), written.end(),
+                                    expected.begin(), expected.end());
+  EXPECT_TRUE(w == written.end() && e == expected.end())
+      << "first difference at byte " << (w - written.begin()) << ": '"
+      << std::string(w, written.end()).substr(0, 60) << "' vs '"
+      << std::string(e, expected.end()).substr(0, 60) << "'";
 }
 
 // -- Streaming reduction (O(1)-memory ReducerSink replacement) -------------

@@ -186,6 +186,26 @@ TEST(TraceRecorder, RecordsExactlyWhatTheSessionSaw) {
   EXPECT_TRUE(saw_server_change) << "the switch must survive recording";
 }
 
+TEST(TraceRecorder, MonthRecordingIsSizedOnceToThePollSlots) {
+  // A 30-day, 16 s recording with an outage: the drain sizes the trace to
+  // the testbed's poll slots before the first chunk, so it never grows by
+  // doubling (capacity stays exactly the slot count).
+  sim::ScenarioConfig scenario;
+  scenario.poll_period = 16.0;
+  scenario.duration = 30 * duration::kDay;
+  scenario.seed = 2004;
+  scenario.events.add_outage(duration::kDay, duration::kDay + duration::kHour);
+  sim::Testbed testbed(scenario);
+  const std::uint64_t slots = testbed.poll_slots();
+  MultiEstimatorSession session;
+  session.enable_trace_recording(replay_config(scenario));
+  session.run(testbed);
+  const ReplayTrace& trace = session.trace();
+  EXPECT_EQ(trace.polls_enumerated, slots);
+  EXPECT_LT(trace.samples.size(), slots);  // the outage skipped slots
+  EXPECT_EQ(trace.samples.capacity(), slots);
+}
+
 TEST(TraceRecorder, SessionWithoutRecordingRefusesTraceAccess) {
   MultiEstimatorSession multi;
   EXPECT_THROW((void)multi.trace(), ContractViolation);

@@ -491,6 +491,131 @@ TEST_F(GoldenFixture, ResumeAfterTruncatedCheckpointIsByteIdentical) {
   EXPECT_EQ(read_file(options.csv_path), full_csv);
 }
 
+// -- --csv part files ----------------------------------------------------------
+
+/// Every file next to `csv` whose name starts like one of its part files.
+std::vector<std::string> part_files(const fs::path& csv) {
+  const std::string prefix = csv.filename().string() + ".part.";
+  std::vector<std::string> parts;
+  for (const auto& entry : fs::directory_iterator(csv.parent_path())) {
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with(prefix)) parts.push_back(name);
+  }
+  return parts;
+}
+
+TEST_F(GoldenFixture, CsvIsIdenticalOnOneWorkerAndEveryCore) {
+  const GridSpec grid = golden_grid();
+  ScenarioSweep engine(grid);
+  std::string csv[2];
+  for (const std::size_t threads : {1u, 0u}) {
+    SweepOptions options = golden_options();
+    options.threads = threads;
+    const fs::path path = tmp_ / ("parts_threads" + std::to_string(threads) +
+                                  ".csv");
+    options.csv_path = path.string();
+    (void)engine.run(options);
+    ASSERT_TRUE(engine.csv_error().empty()) << engine.csv_error();
+    EXPECT_TRUE(part_files(path).empty()) << "--threads " << threads;
+    csv[threads == 0] = read_file(path);
+  }
+  EXPECT_GT(csv[0].size(), 100000u);
+  EXPECT_EQ(csv[0], csv[1]);
+}
+
+TEST_F(GoldenFixture, FailedCellContributesNoCsvRows) {
+  // One scenario whose --trace-out export fails after the drain: the online
+  // lane's rows were already in its part, and the FAILED cell drops them.
+  GridSpec grid = golden_grid();
+  grid.servers = {sim::ServerKind::kInt};
+  grid.environments = {sim::Environment::kMachineRoom};
+  grid.estimators = {harness::EstimatorSpec{"robust", {}}};
+  ScenarioSweep engine(grid);
+  ASSERT_EQ(engine.scenarios().size(), 1u);
+
+  SweepOptions options = golden_options();
+  const fs::path path = tmp_ / "failed_cell.csv";
+  options.csv_path = path.string();
+  const auto kept = engine.run(options);
+  ASSERT_FALSE(kept.front().failed);
+  const std::string full = read_file(path);
+  const std::string header = full.substr(0, full.find('\n') + 1);
+  EXPECT_GT(full.size(), header.size());
+
+  options.trace_out = (tmp_ / "no-such-directory" / "cell.trace").string();
+  const auto failed = engine.run(options);
+  ASSERT_TRUE(failed.front().failed);
+  EXPECT_TRUE(engine.csv_error().empty()) << engine.csv_error();
+  EXPECT_EQ(read_file(path), header);
+  EXPECT_TRUE(part_files(path).empty());
+}
+
+TEST_F(GoldenFixture, ResumeRemovesStaleCsvParts) {
+  const GridSpec grid = golden_grid();
+  ScenarioSweep engine(grid);
+  SweepOptions options = golden_options();
+  options.csv_path = (tmp_ / "stale.csv").string();
+  options.checkpoint_path = (tmp_ / "stale.ck").string();
+  fs::remove(options.checkpoint_path);
+  const auto reference = engine.run(options);
+  ASSERT_TRUE(engine.csv_error().empty()) << engine.csv_error();
+  const std::string full_ck = read_file(options.checkpoint_path);
+  const std::string full_csv = read_file(options.csv_path);
+
+  // A killed run's leftovers: a cut checkpoint and parts of every cell,
+  // holding rows that must not reach the CSV. A file that only looks
+  // similar is not a part and stays.
+  write_file(options.checkpoint_path, full_ck.substr(0, full_ck.size() / 2));
+  for (std::size_t slot = 0; slot < engine.scenarios().size(); ++slot) {
+    for (std::size_t lane = 0; lane < grid.estimators.size(); ++lane)
+      write_file(csv_part_path(options.csv_path, slot, lane), "stale,row\n");
+  }
+  const fs::path foreign = options.csv_path + ".part.notes";
+  write_file(foreign, "kept\n");
+
+  const auto resumed = engine.run(options);
+  ASSERT_TRUE(engine.csv_error().empty()) << engine.csv_error();
+  ASSERT_TRUE(engine.checkpoint_error().empty()) << engine.checkpoint_error();
+  ASSERT_EQ(resumed.size(), reference.size());
+  for (std::size_t i = 0; i < reference.size(); ++i)
+    expect_results_identical(resumed[i], reference[i]);
+  EXPECT_EQ(read_file(options.checkpoint_path), full_ck);
+  EXPECT_EQ(read_file(options.csv_path), full_csv);
+  EXPECT_EQ(part_files(options.csv_path),
+            std::vector<std::string>{foreign.filename().string()});
+  fs::remove(foreign);
+}
+
+TEST_F(GoldenFixture, UnwritablePartAbortsTheDumpButKeepsEveryResult) {
+  // A part path taken by a non-empty directory cannot be opened, even by a
+  // privileged user: the dump stops at that cell's scenario, checkpointing
+  // is suspended with it, and no cell fails or changes.
+  const GridSpec grid = golden_grid();
+  ScenarioSweep engine(grid);
+  SweepOptions options = golden_options();
+  const auto reference = engine.run(options);
+
+  const fs::path path = tmp_ / "unwritable.csv";
+  options.csv_path = path.string();
+  options.checkpoint_path = (tmp_ / "unwritable.ck").string();
+  fs::remove(options.checkpoint_path);
+  const fs::path blocker = csv_part_path(options.csv_path, 2, 0);
+  fs::create_directories(blocker);
+  write_file(blocker / "occupied", "x");
+  const auto results = engine.run(options);
+  EXPECT_NE(engine.csv_error().find("cannot open"), std::string::npos)
+      << engine.csv_error();
+  EXPECT_NE(engine.checkpoint_error().find("suspended"), std::string::npos)
+      << engine.checkpoint_error();
+  ASSERT_EQ(results.size(), reference.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_FALSE(results[i].failed);
+    expect_results_identical(results[i], reference[i]);
+  }
+  fs::remove_all(blocker);
+  EXPECT_TRUE(part_files(path).empty());
+}
+
 // -- Checkpoint validation ----------------------------------------------------
 
 class CheckpointFixture : public ::testing::Test {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "common/stats.hpp"
 
@@ -171,6 +172,44 @@ TEST(Testbed, StreamLengthMatchesDuration) {
   while (tb.next()) ++produced;
   EXPECT_GE(produced, 195u);
   EXPECT_LE(produced, 200u);
+}
+
+TEST(Testbed, PollSlotsCountWhatAFullDrainEnumerates) {
+  // Durations on and off the poll grid (one ulp either side of it too), at
+  // 16 s and 64 s polling, with and without an outage: the slot count is
+  // known before the drain and equals what the drain enumerates. Outage
+  // slots are enumerated but yield no exchange; every other slot yields
+  // one, lost or not.
+  for (const Seconds poll : {16.0, 64.0}) {
+    const Seconds on_grid = 200 * poll;
+    for (const Seconds duration :
+         {on_grid, on_grid + 1.0, on_grid - 0.5, std::nextafter(on_grid, 0.0),
+          std::nextafter(on_grid, 2 * on_grid), 1.0, 0.3 * duration::kHour}) {
+      for (const bool outage : {false, true}) {
+        auto config = short_config(ServerKind::kExt);
+        config.poll_period = poll;
+        config.duration = duration;
+        if (outage) config.events.add_outage(duration / 4, duration / 2);
+        Testbed tb(config);
+        const std::uint64_t slots = tb.poll_slots();
+        std::uint64_t rows = 0;
+        while (tb.next()) ++rows;
+        EXPECT_EQ(tb.polls_enumerated(), slots)
+            << "poll " << poll << " s, duration " << duration << " s";
+        EXPECT_EQ(tb.poll_slots(), slots);  // a drain does not move it
+        if (outage)
+          EXPECT_LE(rows, slots);
+        else
+          EXPECT_EQ(rows, slots);
+      }
+    }
+    auto config = short_config();
+    config.poll_period = poll;
+    config.duration = on_grid;
+    EXPECT_EQ(Testbed(config).poll_slots(), 200u);
+    config.duration = std::nextafter(on_grid, 2 * on_grid);
+    EXPECT_EQ(Testbed(config).poll_slots(), 201u);
+  }
 }
 
 TEST(Testbed, ServerFaultVisibleInStamps) {
